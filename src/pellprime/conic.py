@@ -7,6 +7,10 @@ Points are (x, y) tuples of ints.  The Brahmagupta product
 multiplies norms (norm = x^2 - D*y^2), so norm-1 points form a group with
 identity (1, 0) and inverse (x, -y).  General-norm points are allowed
 everywhere; tests that need norm 1 enforce it themselves.
+
+:func:`conic_pow` reads powers off the Lucas ladder rather than repeating
+the product; :func:`brahmagupta` is kept as the reference it is tested
+against.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .modarith import Factor
+from .recurrence import _lucas_u
 
 __all__ = [
     "ConicParams",
@@ -57,19 +62,15 @@ def brahmagupta(p1: Point, p2: Point, D: int, n: int) -> Point:
 
 
 def conic_pow(p: Point, k: int, D: int, n: int) -> Point:
-    """k-fold Brahmagupta power of p mod n; k = 0 gives the identity (1, 0)."""
-    if k < 0:
-        raise ValueError("conic exponent must be non-negative")
-    x, y = 1 % n, 0
-    bx, by = p[0] % n, p[1] % n
-    D %= n
-    while k:
-        if k & 1:
-            x, y = (x * bx + D * y * by) % n, (x * by + y * bx) % n
-        k >>= 1
-        if k:
-            bx, by = (bx * bx + D * by * by) % n, 2 * bx * by % n
-    return (x, y)
+    """k-fold Brahmagupta power of p mod n; k = 0 gives the identity (1, 0).
+
+    (x + y*sqrt(D))**k = (U_{k+1} - x*U_k) + y*U_k*sqrt(D) for the Lucas
+    sequence U of (2x, x^2 - D*y^2), the characteristic polynomial of
+    x + y*sqrt(D); it is evaluated by the ladder in :mod:`recurrence`.
+    """
+    x, y = p
+    u, u_next = _lucas_u(2 * x, x * x - D * y * y, k, n)
+    return ((u_next - x * u) % n, y * u % n)
 
 
 def conic_norm(p: Point, D: int, n: int) -> int:

@@ -56,17 +56,10 @@ def mul_mod(a: int, b: int, n: int) -> int:
 
 
 def pow_mod(a: int, e: int, n: int) -> int:
-    """a**e mod n by square and multiply; e must be >= 0."""
+    """a**e mod n (builtin three-argument pow); e must be >= 0."""
     if e < 0:
         raise ValueError("exponent must be non-negative")
-    a %= n
-    result = 1 % n
-    while e:
-        if e & 1:
-            result = result * a % n
-        a = a * a % n
-        e >>= 1
-    return result
+    return pow(a, e, n)
 
 
 def inv_mod(a: int, n: int) -> int | Factor:

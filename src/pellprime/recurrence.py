@@ -1,9 +1,13 @@
-"""2x2 modular matrix powers and degree-two linear recurrence evaluation.
+"""Degree-two linear recurrences mod n, evaluated by one Lucas ladder.
 
-Every sequence in this package (the Lucas sequence U, and the pair V~, U~
-attached to a general companion-like matrix) is evaluated through one code
-path: binary exponentiation of a 2x2 matrix mod n applied to the column
-(1, 0).  Matrices are row-major 4-tuples (a, b, c, d) of reduced residues.
+Every sequence in this package is a Lucas sequence U of some (P, Q): the
+pair V~, U~ attached to the matrix [[P, -Q], [R, 0]] is (U_{k+1}, R*U_k)
+of Lucas(P, QR) by Cayley-Hamilton, and the conic powers in :mod:`conic`
+are Lucas(2x, x^2 - D*y^2).  :func:`_lucas_u` walks the bits of k once,
+with three residue products per bit; :func:`lucas_pair` and
+:func:`tilde_pair` are thin adapters over it.  The 2x2 matrix power
+(:func:`mat_pow`, on row-major 4-tuples (a, b, c, d) of residues) is kept
+as the reference the ladder is tested against.
 """
 
 from __future__ import annotations
@@ -105,19 +109,48 @@ def mat_apply(M: Mat2, v: tuple[int, int], n: int) -> tuple[int, int]:
     return ((a * x + b * y) % n, (c * x + d * y) % n)
 
 
-def lucas_pair(params: LucasParams, k: int, n: int) -> tuple[int, int]:
-    """(U_k, U_{k+1}) mod n for the Lucas sequence of params.
+def _lucas_u(P: int, Q: int, k: int, n: int) -> tuple[int, int]:
+    """(U_k, U_{k+1}) mod n for Lucas(P, Q); k must be >= 0.
 
-    Computed from [[P, -Q], [1, 0]]**k applied to (1, 0), whose entries are
-    (U_{k+1}, U_k).
+    Walks the bits of k from the top with the doubling formulas
+
+        U_2m   = 2*U_m*U_{m+1} - P*U_m^2
+        U_2m+1 = U_{m+1}^2 - Q*U_m^2
+        U_2m+2 = P*U_{m+1}^2 - 2Q*U_m*U_{m+1}
+
+    which divide by neither 2, D nor Q, so the result is exact for every
+    n >= 1 (even n included) and for signed, unreduced P and Q.
     """
-    L: Mat2 = (params.P % n, -params.Q % n, 1 % n, 0)
-    m = mat_pow(L, k, n)
-    return (m[2], m[0])
+    if k < 0:
+        raise ValueError("recurrence index must be non-negative")
+    # Signed representatives of least absolute value keep the products by
+    # P and Q small for the small parameters the selectors pick.
+    P %= n
+    Q %= n
+    if P > n >> 1:
+        P -= n
+    if Q > n >> 1:
+        Q -= n
+    q2 = 2 * Q
+    u, v = 0, 1  # (U_0, U_1); the first pass of the loop reduces them
+    for bit in bin(k)[2:]:
+        a, b, c = u * u, v * v, u * v
+        if bit == "1":
+            u, v = (b - Q * a) % n, (P * b - q2 * c) % n
+        else:
+            u, v = (2 * c - P * a) % n, (b - Q * a) % n
+    return u, v
+
+
+def lucas_pair(params: LucasParams, k: int, n: int) -> tuple[int, int]:
+    """(U_k, U_{k+1}) mod n for the Lucas sequence of params."""
+    return _lucas_u(params.P, params.Q, k, n)
 
 
 def tilde_pair(params: MatrixParams, k: int, n: int) -> tuple[int, int]:
-    """(V~_k, U~_k) mod n, i.e. [[P, -Q], [R, 0]]**k applied to (1, 0)."""
-    M: Mat2 = (params.P % n, -params.Q % n, params.R % n, 0)
-    m = mat_pow(M, k, n)
-    return (m[0], m[2])
+    """(V~_k, U~_k) mod n, i.e. [[P, -Q], [R, 0]]**k applied to (1, 0).
+
+    These are (U_{k+1}, R*U_k) of Lucas(P, QR).
+    """
+    u, u_next = _lucas_u(params.P, params.Q * params.R, k, n)
+    return (u_next, params.R * u % n)

@@ -208,8 +208,7 @@ class ScanReport:
     strictly increasing.  ``stats`` counts candidates by outcome:
     ``tested`` (all odd candidates), ``probable_prime``, ``composite``,
     ``params_invalid`` and ``short_circuited`` (verdicts produced during
-    parameter selection).  In oracle-first order the test only runs for
-    composite n, so outcome counters reflect the executed strategy.
+    parameter selection).
     """
 
     method: str
@@ -283,8 +282,8 @@ def _new_stats() -> dict[str, int]:
     return dict.fromkeys(_STAT_KEYS, 0)
 
 
-def _scan_chunk(method: str, params: dict, lo: int, hi: int,
-                order: str) -> tuple[list[int], dict[str, int]]:
+def _scan_chunk(method: str, params: dict, lo: int,
+                hi: int) -> tuple[list[int], dict[str, int]]:
     """Scan odd candidates in [lo, hi] (single process)."""
     test, _ = build_test(method, params)
     stats = _new_stats()
@@ -292,19 +291,11 @@ def _scan_chunk(method: str, params: dict, lo: int, hi: int,
     n = lo | 1  # first odd candidate
     while n <= hi:
         stats["tested"] += 1
-        if order == "oracle-first":
-            if not is_prime(n):
-                verdict = test(n)
-                _tally(stats, verdict)
-                if verdict.outcome is Outcome.PROBABLE_PRIME:
-                    found.append(n)
-                    stats["pseudoprimes"] += 1
-        else:
-            verdict = test(n)
-            _tally(stats, verdict)
-            if verdict.outcome is Outcome.PROBABLE_PRIME and not is_prime(n):
-                found.append(n)
-                stats["pseudoprimes"] += 1
+        verdict = test(n)
+        _tally(stats, verdict)
+        if verdict.outcome is Outcome.PROBABLE_PRIME and not is_prime(n):
+            found.append(n)
+            stats["pseudoprimes"] += 1
         n += 2
     return found, stats
 
@@ -334,15 +325,15 @@ def _scan_chunk_star(args):
 
 def scan_range(method: str, params: dict, lo: int, hi: int, *,
                jobs: int = 1, chunk_odds: int = DEFAULT_CHUNK_ODDS,
-               order: str = "test-first", checkpoint: str | None = None,
+               checkpoint: str | None = None,
                on_pseudoprime: Callable[[int], None] | None = None) -> ScanReport:
     """Scan every odd n in [lo, hi] with the configured test.
 
     An odd composite passing the test is a pseudoprime (the primality
-    oracle confirms compositeness; with the default ``order="test-first"``
-    it only runs on passers).  ``jobs`` > 1 fans chunks out to worker
-    processes; the result is independent of ``jobs``.  ``on_pseudoprime``
-    is invoked for each find, in ascending order.
+    oracle confirms compositeness and only runs on passers).  ``jobs`` > 1
+    fans chunks out to worker processes; the result is independent of
+    ``jobs``, which must be at least 1.  ``on_pseudoprime`` is invoked for
+    each find, in ascending order.
     """
     if not (isinstance(lo, int) and isinstance(hi, int)):
         raise ValueError("lo and hi must be ints")
@@ -350,8 +341,8 @@ def scan_range(method: str, params: dict, lo: int, hi: int, *,
         raise ValueError(f"need 3 <= lo <= hi, got [{lo}, {hi}]")
     if hi > MAX_MODULUS:
         raise ValueError("scanning beyond 2**63 is unsupported")
-    if order not in ("test-first", "oracle-first"):
-        raise ValueError(f"unknown order: {order!r}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     _, canonical = build_test(method, params)  # validates early
 
     if checkpoint is not None:
@@ -376,13 +367,13 @@ def scan_range(method: str, params: dict, lo: int, hi: int, *,
             write_checkpoint(checkpoint, chunk_hi + 1, method, canonical)
 
     if jobs > 1 and len(chunk_list) > 1:
-        args = [(method, params, a, b, order) for a, b in chunk_list]
+        args = [(method, params, a, b) for a, b in chunk_list]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for (a, b), result in zip(chunk_list, pool.map(_scan_chunk_star, args)):
                 _absorb(b, result)
     else:
         for a, b in chunk_list:
-            _absorb(b, _scan_chunk(method, params, a, b, order))
+            _absorb(b, _scan_chunk(method, params, a, b))
 
     return ScanReport(method=method, params=canonical, lo=lo, hi=hi,
                       pseudoprimes=tuple(found), stats=stats,
@@ -406,10 +397,12 @@ def grid_scan(method: str, p_values: list[int], q_values: list[int],
     """One scan_range per (P, Q[, R]) cell up to limit; counts per cell.
 
     Degenerate cells (zero discriminant, Q or R zero) are skipped and
-    marked rather than scanned.
+    marked rather than scanned.  ``jobs`` must be at least 1.
     """
     if not p_values or not q_values:
         raise ValueError("axes must be non-empty")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if method == "matrix":
         if not r_values:
             raise ValueError("matrix grid needs an R axis")

@@ -53,6 +53,19 @@ def test_selfridge_conflicts_with_explicit_params(capsys):
     assert "mutually exclusive" in err
 
 
+def test_jobs_below_one_is_rejected(capsys):
+    code, out, err = run_cli(capsys, "scan", "--method", "lucas", "-P", "4",
+                             "-Q", "1", "--to", "1000", "--jobs", "-3")
+    assert code == 2
+    assert out == ""
+    assert "jobs" in err
+    code, _, err = run_cli(capsys, "grid", "--method", "lucas",
+                           "--p-range", "1", "--q-range", "2",
+                           "--limit", "500", "--jobs", "0")
+    assert code == 2
+    assert "jobs" in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["test", "notanumber", "--method", "lucas"])

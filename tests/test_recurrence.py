@@ -1,12 +1,16 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from pellprime.conic import brahmagupta, conic_pow
 from pellprime.modarith import jacobi
 from pellprime.recurrence import (
     IDENTITY,
     LucasParams,
     MatrixParams,
+    _lucas_u,
     lucas_pair,
     mat_apply,
     mat_mul,
@@ -148,3 +152,56 @@ def test_prime_branch_congruences_up_to_1e5(primes_100k):
             elif j == -1:
                 v, u = tilde_pair(params, p + 1, p)
                 assert u == 0 and v == qr % p, (params, p)
+
+
+# The ladder against the two reference oracles, which share no code with it:
+# the 2x2 matrix power and repeated Brahmagupta products.  Moduli include
+# even n and n = 1; parameters are signed and unreduced.
+_moduli = st.integers(1, 2**63 - 1)
+_indices = st.integers(0, 2**64 - 1)
+_params = st.integers(-10**20, 10**20)
+
+
+def _oracle_pair(P, Q, R, k, n):
+    """[[P, -Q], [R, 0]]**k applied to (1, 0) by the matrix power."""
+    return mat_apply(mat_pow((P, -Q, R, 0), k, n), (1, 0), n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=_moduli, k=_indices, P=_params, Q=_params, R=_params)
+@example(n=1, k=0, P=3, Q=5, R=7)
+@example(n=2, k=0, P=-3, Q=5, R=7)
+def test_ladder_matches_matrix_power(n, k, P, Q, R):
+    u_next, u = _oracle_pair(P, Q, 1, k, n)
+    assert _lucas_u(P, Q, k, n) == (u, u_next)
+    assert lucas_pair(LucasParams(P, Q), k, n) == (u, u_next)
+    if R != 0:
+        assert tilde_pair(MatrixParams(P, Q, R), k, n) == _oracle_pair(P, Q, R, k, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=_moduli, k=_indices, D=_params, x=_params, y=_params)
+@example(n=1, k=0, D=3, x=2, y=1)
+def test_conic_pow_ladder_matches_matrix_power(n, k, D, x, y):
+    # C = [[x, D*y], [y, x]] applied to (1, 0) tracks the point powers.
+    C = (x, D * y, y, x)
+    assert conic_pow((x, y), k, D, n) == mat_apply(mat_pow(C, k, n), (1, 0), n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=_moduli, k=st.integers(0, 40), D=_params, x=_params, y=_params)
+@example(n=1, k=0, D=3, x=2, y=1)
+def test_conic_pow_ladder_matches_repeated_brahmagupta(n, k, D, x, y):
+    point = (1 % n, 0)
+    for _ in range(k):
+        point = brahmagupta(point, (x, y), D, n)
+    assert conic_pow((x, y), k, D, n) == point
+
+
+def test_ladders_reject_negative_index():
+    with pytest.raises(ValueError):
+        _lucas_u(1, -1, -1, 101)
+    with pytest.raises(ValueError):
+        lucas_pair(LucasParams(1, -1), -1, 101)
+    with pytest.raises(ValueError):
+        tilde_pair(MatrixParams(1, 2, -1), -5, 101)

@@ -73,8 +73,9 @@ def test_scan_range_validates_input():
         scan_range("lucas", {"P": 4, "Q": 1}, 2, 100)
     with pytest.raises(ValueError):
         scan_range("lucas", {"P": 4, "Q": 1}, 100, 4)
-    with pytest.raises(ValueError):
-        scan_range("lucas", {"P": 4, "Q": 1}, 3, 100, order="fastest")
+    for jobs in (0, -3):
+        with pytest.raises(ValueError):
+            scan_range("lucas", {"P": 4, "Q": 1}, 3, 100, jobs=jobs)
     with pytest.raises(ValueError):
         scan_range("lucas", {"P": 4, "Q": 1}, 3, 2**63 + 1)
 
@@ -100,14 +101,6 @@ def test_scan_chunk_size_does_not_change_output():
     a = scan_range("double-lucas", {"P": 4, "Q": 1}, 3, 6000, chunk_odds=100)
     b = scan_range("double-lucas", {"P": 4, "Q": 1}, 3, 6000)
     assert a.canonical_json() == b.canonical_json()
-
-
-def test_scan_order_modes_find_the_same_pseudoprimes():
-    a = scan_range("lucas", {"P": 4, "Q": 1}, 3, 10**4, order="test-first")
-    b = scan_range("lucas", {"P": 4, "Q": 1}, 3, 10**4, order="oracle-first")
-    assert a.pseudoprimes == b.pseudoprimes
-    assert (a.method, a.params, a.lo, a.hi) == (b.method, b.params, b.lo, b.hi)
-    assert a.stats["tested"] == b.stats["tested"]
 
 
 def test_scan_counts_are_additive():
@@ -188,3 +181,5 @@ def test_grid_scan_rejects_unknown_method():
         grid_scan("gen-pell", [1], [2], 500)
     with pytest.raises(ValueError):
         grid_scan("lucas", [], [1], 500)
+    with pytest.raises(ValueError):
+        grid_scan("lucas", [1], [2], 500, jobs=0)
