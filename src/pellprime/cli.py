@@ -128,13 +128,19 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
-        writer.writerow(["record", "n", "method", "params", "lo", "hi",
-                         "count", "tested", "short_circuited",
-                         "params_invalid", "elapsed_s"])
+        # Written with the first row, so that a scan rejected before it
+        # starts (bad range, jobs or checkpoint) prints nothing to stdout.
+        header = [["record", "n", "method", "params", "lo", "hi", "count",
+                   "tested", "short_circuited", "params_invalid", "elapsed_s"]]
+
+        def write_row(fields: list) -> None:
+            if header:
+                writer.writerow(header.pop())
+            writer.writerow(fields)
 
         def on_find(n: int) -> None:
-            writer.writerow(["pseudoprime", n, args.method, canonical,
-                             "", "", "", "", "", "", ""])
+            write_row(["pseudoprime", n, args.method, canonical,
+                       "", "", "", "", "", "", ""])
     else:
         def on_find(n: int) -> None:
             _emit({"schema": SCHEMA, "type": "pseudoprime", "n": n,
@@ -144,11 +150,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
                         jobs=args.jobs, checkpoint=args.checkpoint,
                         on_pseudoprime=on_find)
     if args.format == "csv":
-        writer.writerow(["summary", "", report.method, report.params,
-                         report.lo, report.hi, report.count,
-                         report.stats["tested"], report.stats["short_circuited"],
-                         report.stats["params_invalid"],
-                         round(report.elapsed, 3)])
+        write_row(["summary", "", report.method, report.params,
+                   report.lo, report.hi, report.count,
+                   report.stats["tested"], report.stats["short_circuited"],
+                   report.stats["params_invalid"], round(report.elapsed, 3)])
     else:
         record = report.to_dict()
         record.pop("pseudoprimes")  # already streamed one per line

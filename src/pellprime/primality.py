@@ -11,6 +11,13 @@ Every test takes an odd integer n >= 3 plus parameters and returns a
 
 A verdict never claims primality outright: composites passing a given test
 with given parameters are exactly the pseudoprimes the scan module hunts.
+
+The tests whose first congruence is U_k ≡ 0 for a Lucas sequence (lucas,
+double-lucas, matrix, pell, strong-pell and gen-pell) take a keyword-only
+``sieve``: a :class:`~pellprime.sieve.Segment` covering n.  After every
+precondition, and before the ladder, such a test asks the segment whether
+a prime factor of n already proves that congruence false; if so it returns
+the COMPOSITE verdict the ladder would have given, with ``stage="sieve"``.
 """
 
 from __future__ import annotations
@@ -18,10 +25,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import gcd
+from typing import TYPE_CHECKING
 
 from .conic import ConicParams, conic_pow, rational_point
 from .modarith import MAX_MODULUS, Factor, jacobi, pow_mod
 from .recurrence import LucasParams, MatrixParams, lucas_pair, tilde_pair
+
+if TYPE_CHECKING:
+    from .sieve import Segment
 
 __all__ = [
     "Outcome",
@@ -53,7 +64,8 @@ class Verdict:
     names the failed congruence or violated precondition; ``jacobi_branch``
     records the (D/n) value that selected the exponent, when applicable;
     ``stage`` is "selector" for verdicts short-circuited during parameter
-    selection and "test" otherwise.
+    selection, "sieve" for composites a scan's factor sieve settled before
+    the ladder ran, and "test" otherwise.
     """
 
     outcome: Outcome
@@ -72,9 +84,9 @@ def _pp(branch: int | None = None) -> Verdict:
 
 
 def _composite(evidence: str, factor: int | None = None,
-               branch: int | None = None) -> Verdict:
+               branch: int | None = None, stage: str = "test") -> Verdict:
     return Verdict(Outcome.COMPOSITE, evidence=evidence, factor=factor,
-                   jacobi_branch=branch)
+                   jacobi_branch=branch, stage=stage)
 
 
 def _invalid(evidence: str) -> Verdict:
@@ -174,7 +186,11 @@ def _lucas_pre(n: int, params: LucasParams) -> tuple[int, Verdict | None]:
     return _branch(params.discriminant, n)
 
 
-def lucas_test(n: int, params: LucasParams) -> Verdict:
+_U_NONZERO = "U_{n-(D/n)} ≢ 0 (mod n)"
+
+
+def lucas_test(n: int, params: LucasParams, *,
+               sieve: Segment | None = None) -> Verdict:
     """Lucas test: probable prime iff U_{n-(D/n)} ≡ 0 (mod n).
 
     D = P^2 - 4Q; composites passing are the Lucas pseudoprimes for
@@ -183,13 +199,16 @@ def lucas_test(n: int, params: LucasParams) -> Verdict:
     j, early = _lucas_pre(n, params)
     if early:
         return early
+    if sieve is not None and sieve.rules_out(n, params.P, params.Q, n - j):
+        return _composite(_U_NONZERO, branch=j, stage="sieve")
     u_k, _ = lucas_pair(params, n - j, n)
     if u_k != 0:
-        return _composite("U_{n-(D/n)} ≢ 0 (mod n)", branch=j)
+        return _composite(_U_NONZERO, branch=j)
     return _pp(j)
 
 
-def double_lucas_test(n: int, params: LucasParams) -> Verdict:
+def double_lucas_test(n: int, params: LucasParams, *,
+                      sieve: Segment | None = None) -> Verdict:
     """Lucas test strengthened with the companion congruence.
 
     Probable prime iff U_{n-1} ≡ 0 and U_n ≡ 1 when (D/n) = 1, or
@@ -199,6 +218,8 @@ def double_lucas_test(n: int, params: LucasParams) -> Verdict:
     j, early = _lucas_pre(n, params)
     if early:
         return early
+    if sieve is not None and sieve.rules_out(n, params.P, params.Q, n - j):
+        return _composite(_U_NONZERO, branch=j, stage="sieve")
     if j == 1:
         u, u_next = lucas_pair(params, n - 1, n)  # (U_{n-1}, U_n)
         target = 1 % n
@@ -206,13 +227,14 @@ def double_lucas_test(n: int, params: LucasParams) -> Verdict:
         u, u_next = lucas_pair(params, n + 1, n)  # (U_{n+1}, U_{n+2})
         target = params.Q % n
     if u != 0:
-        return _composite("U_{n-(D/n)} ≢ 0 (mod n)", branch=j)
+        return _composite(_U_NONZERO, branch=j)
     if u_next != target:
         return _composite("companion congruence failed", branch=j)
     return _pp(j)
 
 
-def matrix_test(n: int, params: MatrixParams, variant: str = "u-companion") -> Verdict:
+def matrix_test(n: int, params: MatrixParams, variant: str = "u-companion", *,
+                sieve: Segment | None = None) -> Verdict:
     """Test built on the sequences of the matrix [[P, -Q], [R, 0]].
 
     Both variants branch on the Jacobi symbol of Δ = P^2 - 4QR and require
@@ -235,6 +257,10 @@ def matrix_test(n: int, params: MatrixParams, variant: str = "u-companion") -> V
     j, early = _branch(params.discriminant, n)
     if early:
         return early
+    evidence = "U~_{n-(Δ/n)} ≢ 0 (mod n)"
+    # U~_k = R * U_k of Lucas(P, QR)
+    if sieve is not None and sieve.rules_out(n, params.P, qr, n - j, params.R):
+        return _composite(evidence, branch=j, stage="sieve")
     if j == 1:
         v, u = tilde_pair(params, n - 1, n)  # (V~_{n-1}, U~_{n-1})
         target = 1 % n
@@ -242,7 +268,7 @@ def matrix_test(n: int, params: MatrixParams, variant: str = "u-companion") -> V
         v, u = tilde_pair(params, n + 1, n)  # (V~_{n+1}, U~_{n+1})
         target = qr % n
     if u != 0:
-        return _composite("U~_{n-(Δ/n)} ≢ 0 (mod n)", branch=j)
+        return _composite(evidence, branch=j)
     # U~_{k+1} = R * V~_k, so the u-companion conditions on U~_n / U~_{n+2}
     # are R*V~ against the same targets.
     companion = params.R * v % n if variant == "u-companion" else v
@@ -268,7 +294,21 @@ def _norm_one_pre(n: int, params: ConicParams) -> tuple[int, Verdict | None]:
     return _branch(params.D, n)
 
 
-def pell_test(n: int, params: ConicParams) -> Verdict:
+def _conic_ruled_out(sieve: Segment | None, n: int, params: ConicParams,
+                     k: int) -> bool:
+    """Whether the sieve proves the y-coordinate of (x, y)^k nonzero mod n.
+
+    That coordinate is y*U_k of Lucas(2x, x^2 - D*y^2); the unreduced
+    parameters agree with the reduced point modulo every factor of n.
+    """
+    if sieve is None:
+        return False
+    x, y = params.x, params.y
+    return sieve.rules_out(n, 2 * x, x * x - params.D * y * y, k, y)
+
+
+def pell_test(n: int, params: ConicParams, *,
+              sieve: Segment | None = None) -> Verdict:
     """Pell test: y-coordinate of the point power (x, y)^(n-(D/n)) vanishes.
 
     Requires a norm-1 base point.  Equivalent to the Lucas test with
@@ -277,13 +317,17 @@ def pell_test(n: int, params: ConicParams) -> Verdict:
     j, early = _norm_one_pre(n, params)
     if early:
         return early
+    evidence = "y_{n-(D/n)} ≢ 0 (mod n)"
+    if _conic_ruled_out(sieve, n, params, n - j):
+        return _composite(evidence, branch=j, stage="sieve")
     _, y = conic_pow(params.point(n), n - j, params.D, n)
     if y != 0:
-        return _composite("y_{n-(D/n)} ≢ 0 (mod n)", branch=j)
+        return _composite(evidence, branch=j)
     return _pp(j)
 
 
-def strong_pell_test(n: int, params: ConicParams) -> Verdict:
+def strong_pell_test(n: int, params: ConicParams, *,
+                     sieve: Segment | None = None) -> Verdict:
     """Strong Pell test: (x, y)^(n-(D/n)) ≡ (1, 0) (mod n).
 
     Requires a norm-1 base point; equivalent to :func:`double_lucas_test`
@@ -292,9 +336,12 @@ def strong_pell_test(n: int, params: ConicParams) -> Verdict:
     j, early = _norm_one_pre(n, params)
     if early:
         return early
+    evidence = "(x, y)^{n-(D/n)} ≢ (1, 0) (mod n)"
+    if _conic_ruled_out(sieve, n, params, n - j):
+        return _composite(evidence, branch=j, stage="sieve")
     x, y = conic_pow(params.point(n), n - j, params.D, n)
     if (x, y) != (1 % n, 0):
-        return _composite("(x, y)^{n-(D/n)} ≢ (1, 0) (mod n)", branch=j)
+        return _composite(evidence, branch=j)
     return _pp(j)
 
 
@@ -316,7 +363,8 @@ def strong_pell_test_param(n: int, D: int, a: int) -> Verdict:
     return strong_pell_test(n, ConicParams(D, pt[0], pt[1]))
 
 
-def generalized_pell_test(n: int, params: ConicParams) -> Verdict:
+def generalized_pell_test(n: int, params: ConicParams, *,
+                          sieve: Segment | None = None) -> Verdict:
     """Conic test for a base point of arbitrary norm Q coprime to n.
 
     Probable prime iff (x, y)^(n+1) ≡ (Q, 0) when (D/n) = -1, or
@@ -341,9 +389,11 @@ def generalized_pell_test(n: int, params: ConicParams) -> Verdict:
         k, target = n - 1, (1 % n, 0)
     else:
         k, target = n + 1, (q, 0)
+    evidence = "conic power ≢ (norm branch target) (mod n)"
+    if _conic_ruled_out(sieve, n, params, k):
+        return _composite(evidence, branch=j, stage="sieve")
     if conic_pow((x0, y0), k, params.D, n) != target:
-        return _composite("conic power ≢ (norm branch target) (mod n)",
-                          branch=j)
+        return _composite(evidence, branch=j)
     return _pp(j)
 
 

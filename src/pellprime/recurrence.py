@@ -5,14 +5,17 @@ pair V~, U~ attached to the matrix [[P, -Q], [R, 0]] is (U_{k+1}, R*U_k)
 of Lucas(P, QR) by Cayley-Hamilton, and the conic powers in :mod:`conic`
 are Lucas(2x, x^2 - D*y^2).  :func:`_lucas_u` walks the bits of k once,
 with three residue products per bit; :func:`lucas_pair` and
-:func:`tilde_pair` are thin adapters over it.  The 2x2 matrix power
-(:func:`mat_pow`, on row-major 4-tuples (a, b, c, d) of residues) is kept
-as the reference the ladder is tested against.
+:func:`tilde_pair` are thin adapters over it, and
+:func:`rank_of_apparition` walks it down the divisors of p - (D/p).  The
+2x2 matrix power (:func:`mat_pow`, on row-major 4-tuples (a, b, c, d) of
+residues) is kept as the reference the ladder is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .modarith import jacobi
 
 __all__ = [
     "IDENTITY",
@@ -23,6 +26,7 @@ __all__ = [
     "mat_apply",
     "mat_mul",
     "mat_pow",
+    "rank_of_apparition",
     "tilde_pair",
 ]
 
@@ -154,3 +158,29 @@ def tilde_pair(params: MatrixParams, k: int, n: int) -> tuple[int, int]:
     """
     u, u_next = _lucas_u(params.P, params.Q * params.R, k, n)
     return (u_next, params.R * u % n)
+
+
+def rank_of_apparition(P: int, Q: int, p: int) -> int:
+    """The least k >= 1 with U_k(P, Q) ≡ 0 (mod p), for an odd prime p ∤ Q.
+
+    U_k ≡ 0 (mod p) exactly when the rank divides k, and the rank divides
+    p - (D/p) with D = P^2 - 4Q (it is p itself when p | D).  So it is
+    found by factoring m = p - (D/p) by trial division and, for each prime
+    q | m, dividing q out of the candidate r (first m) for as long as
+    U_{r/q} stays ≡ 0 (Baillie and Wagstaff, *Lucas pseudoprimes*, 1980).
+    p is not checked for primality; p even or p | Q raises ValueError.
+    """
+    if p < 3 or p % 2 == 0 or Q % p == 0:
+        raise ValueError("need an odd prime p that does not divide Q")
+    rank = m = p - jacobi(P * P - 4 * Q, p)
+    q = 2
+    while m > 1:
+        if q * q > m:
+            q = m  # what is left of m is prime
+        if m % q == 0:
+            while m % q == 0:
+                m //= q
+            while rank % q == 0 and _lucas_u(P, Q, rank // q, p)[0] == 0:
+                rank //= q
+        q += 1 if q == 2 else 2
+    return rank

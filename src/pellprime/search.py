@@ -1,10 +1,27 @@
 """Pseudoprime range scanning, grid experiments, and a primality oracle.
 
 A scan runs one configured test over every odd n in [lo, hi] and reports the
-composites that pass (oracle-verified), in ascending order.  Work is split
-into fixed-size chunks of odd candidates so results are identical no matter
-how many worker processes execute them; reports serialize canonically with
-wall-clock time excluded.
+composites that pass, in ascending order.  Work is split into fixed-size
+chunks of odd candidates so results are identical no matter how many worker
+processes execute them; reports serialize canonically with wall-clock time
+excluded.
+
+Each chunk first runs a segmented sieve (:class:`~pellprime.sieve.Segment`)
+over its odd n with the odd primes up to min(isqrt(hi), SIEVE_CAP), where
+hi is the scan's upper end, not the chunk's, so every count is the same for
+any ``jobs`` and chunk size.  The sieve records each n's prime factors up
+to that limit and the cofactor left after dividing them out.  It serves
+twice:
+
+* it decides whether a passing n is composite.  For hi up to 2**40 the
+  limit is isqrt(hi), and an n with no recorded factor is prime, so no
+  primality oracle runs; above, :func:`is_prime` decides the n the sieve
+  cannot.
+* the Lucas-family tests take it as a hint.  They run every precondition,
+  then return COMPOSITE with ``stage="sieve"`` without running their ladder
+  when the rank of apparition of a factor of n does not divide the index
+  of their first congruence (see :mod:`pellprime.sieve`).  These verdicts
+  are counted as ``sieved``.  Primes still run the full test.
 
 Long scans can persist a resume cursor to a checkpoint file after every
 chunk.  The checkpoint stores only the cursor and the scan identity (method,
@@ -21,7 +38,6 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import isqrt
 from typing import Callable, Iterator
 
 from .conic import ConicParams
@@ -47,6 +63,7 @@ from .selectors import (
     lucas_selfridge,
     matrix_selfridge,
 )
+from .sieve import Segment, primes_up_to, sieve_limit
 
 __all__ = [
     "DEFAULT_CHUNK_ODDS",
@@ -65,27 +82,20 @@ DEFAULT_CHUNK_ODDS = 1 << 16  # odd candidates per work unit
 
 # Deterministic Miller-Rabin witnesses for all n < 2**64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# (psi_k, k): the first k prime bases are exact below psi_k, the least
+# strong pseudoprime to all of them (Jaeschke 1993).
+_MR_BOUNDS = ((1_373_653, 2), (25_326_001, 3), (3_215_031_751, 4),
+              (2_152_302_898_747, 5), (3_474_749_660_383, 6),
+              (341_550_071_728_321, 7), (3_825_123_056_546_413_051, 9))
 
 _TRIAL_LIMIT = 10**4
-
-
-def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit by a byte sieve."""
-    if limit < 2:
-        return []
-    mark = bytearray([1]) * (limit + 1)
-    mark[0] = mark[1] = 0
-    for p in range(2, isqrt(limit) + 1):
-        if mark[p]:
-            mark[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-    return [i for i in range(2, limit + 1) if mark[i]]
 
 
 def is_prime(n: int) -> bool:
     """Exact primality for 0 <= n < 2**64.
 
-    Trial division below 10**4, deterministic strong-base testing with the
-    first twelve prime bases above (correct for all n < 2**64).
+    Trial division below 10**4, deterministic strong-base testing above,
+    with as many of the first twelve prime bases as n's size needs.
     """
     if n < 2:
         return False
@@ -105,7 +115,12 @@ def is_prime(n: int) -> bool:
     while s % 2 == 0:
         s //= 2
         r += 1
-    for a in _MR_BASES:
+    bases = _MR_BASES
+    for bound, k in _MR_BOUNDS:
+        if n < bound:
+            bases = _MR_BASES[:k]
+            break
+    for a in bases:
         x = pow(a, s, n)
         if x == 1 or x == n - 1:
             continue
@@ -133,66 +148,73 @@ def _require(params: dict, keys: tuple[str, ...], method: str) -> list:
     return [params[k] for k in keys]
 
 
-def build_test(method: str, params: dict) -> tuple[Callable[[int], Verdict], str]:
+def build_test(method: str, params: dict) -> tuple[Callable[..., Verdict], str]:
     """Resolve (method, params) to a per-n callable and a canonical string.
 
     ``params`` uses the CLI vocabulary: P, Q, R, D, x, y, a, selfridge,
-    variant.  Raises ValueError for unknown methods or incomplete
-    parameters.
+    variant.  The callable is ``test(n, *, sieve=None)``; methods that
+    cannot use a sieve hint ignore it.  Raises ValueError for unknown
+    methods or incomplete parameters.
     """
     selfridge = bool(params.get("selfridge"))
     variant = params.get("variant") or "u-companion"
 
     if method == "fermat":
         (a,) = _require(params, ("a",), method)
-        return lambda n: fermat_test(n, a), _canon([("a", a)])
+        return lambda n, *, sieve=None: fermat_test(n, a), _canon([("a", a)])
     if method == "strong-base":
         (a,) = _require(params, ("a",), method)
-        return lambda n: strong_base_test(n, a), _canon([("a", a)])
+        return (lambda n, *, sieve=None: strong_base_test(n, a),
+                _canon([("a", a)]))
     if method == "lucas":
         if selfridge:
             return lucas_selfridge, "selfridge"
         P, Q = _require(params, ("P", "Q"), method)
         lp = LucasParams(P, Q)
-        return lambda n: lucas_test(n, lp), _canon([("P", P), ("Q", Q)])
+        return (lambda n, *, sieve=None: lucas_test(n, lp, sieve=sieve),
+                _canon([("P", P), ("Q", Q)]))
     if method == "double-lucas":
         if selfridge:
             return double_lucas_selfridge, "selfridge"
         P, Q = _require(params, ("P", "Q"), method)
         lp = LucasParams(P, Q)
-        return lambda n: double_lucas_test(n, lp), _canon([("P", P), ("Q", Q)])
+        return (lambda n, *, sieve=None: double_lucas_test(n, lp, sieve=sieve),
+                _canon([("P", P), ("Q", Q)]))
     if method == "matrix":
         if selfridge:
             mv = params.get("variant") or "v-companion"
-            return (lambda n: matrix_selfridge(n, variant=mv),
+            return (lambda n, *, sieve=None: matrix_selfridge(
+                        n, variant=mv, sieve=sieve),
                     _canon([("selfridge", "true"), ("variant", mv)]))
         P, Q, R = _require(params, ("P", "Q", "R"), method)
         mp = MatrixParams(P, Q, R)
-        return (lambda n: matrix_test(n, mp, variant=variant),
+        return (lambda n, *, sieve=None: matrix_test(
+                    n, mp, variant=variant, sieve=sieve),
                 _canon([("P", P), ("Q", Q), ("R", R), ("variant", variant)]))
     if method == "pell":
         D, x, y = _require(params, ("D", "x", "y"), method)
         cp = ConicParams(D, x, y)
-        return (lambda n: pell_test(n, cp),
+        return (lambda n, *, sieve=None: pell_test(n, cp, sieve=sieve),
                 _canon([("D", D), ("x", x), ("y", y)]))
     if method == "strong-pell":
         if params.get("a") is not None:
             D, a = _require(params, ("D", "a"), method)
-            return (lambda n: strong_pell_test_param(n, D, a),
+            return (lambda n, *, sieve=None: strong_pell_test_param(n, D, a),
                     _canon([("D", D), ("a", a)]))
         D, x, y = _require(params, ("D", "x", "y"), method)
         cp = ConicParams(D, x, y)
-        return (lambda n: strong_pell_test(n, cp),
+        return (lambda n, *, sieve=None: strong_pell_test(n, cp, sieve=sieve),
                 _canon([("D", D), ("x", x), ("y", y)]))
     if method == "gen-pell":
         if selfridge:
             return gen_pell_selfridge, "selfridge"
         D, x, y = _require(params, ("D", "x", "y"), method)
         cp = ConicParams(D, x, y)
-        return (lambda n: generalized_pell_test(n, cp),
+        return (lambda n, *, sieve=None: generalized_pell_test(
+                    n, cp, sieve=sieve),
                 _canon([("D", D), ("x", x), ("y", y)]))
     if method == "pell-variant":
-        return pell_variant_test, "none"
+        return lambda n, *, sieve=None: pell_variant_test(n), "none"
     raise ValueError(f"unknown method: {method!r}")
 
 
@@ -207,8 +229,9 @@ class ScanReport:
     ``pseudoprimes`` are the odd composites in [lo, hi] passing the test,
     strictly increasing.  ``stats`` counts candidates by outcome:
     ``tested`` (all odd candidates), ``probable_prime``, ``composite``,
-    ``params_invalid`` and ``short_circuited`` (verdicts produced during
-    parameter selection).
+    ``params_invalid``, ``short_circuited`` (verdicts produced during
+    parameter selection), ``sieved`` (composites the factor sieve settled
+    before the ladder ran) and ``pseudoprimes``.
     """
 
     method: str
@@ -275,28 +298,31 @@ class GridReport:
 
 
 _STAT_KEYS = ("tested", "probable_prime", "composite", "params_invalid",
-              "short_circuited", "pseudoprimes")
+              "short_circuited", "sieved", "pseudoprimes")
 
 
 def _new_stats() -> dict[str, int]:
     return dict.fromkeys(_STAT_KEYS, 0)
 
 
-def _scan_chunk(method: str, params: dict, lo: int,
-                hi: int) -> tuple[list[int], dict[str, int]]:
-    """Scan odd candidates in [lo, hi] (single process)."""
+def _scan_chunk(method: str, params: dict, lo: int, hi: int,
+                limit: int) -> tuple[list[int], dict[str, int]]:
+    """Scan odd candidates in [lo, hi] (single process), sieving to limit."""
     test, _ = build_test(method, params)
+    sieve = Segment(lo, hi, limit)
     stats = _new_stats()
     found: list[int] = []
-    n = lo | 1  # first odd candidate
-    while n <= hi:
+    for n in range(lo | 1, hi + 1, 2):
         stats["tested"] += 1
-        verdict = test(n)
+        verdict = test(n, sieve=sieve)
         _tally(stats, verdict)
-        if verdict.outcome is Outcome.PROBABLE_PRIME and not is_prime(n):
-            found.append(n)
-            stats["pseudoprimes"] += 1
-        n += 2
+        if verdict.outcome is Outcome.PROBABLE_PRIME:
+            composite = sieve.is_composite(n)
+            if composite is None:
+                composite = not is_prime(n)
+            if composite:
+                found.append(n)
+                stats["pseudoprimes"] += 1
     return found, stats
 
 
@@ -309,6 +335,8 @@ def _tally(stats: dict[str, int], verdict: Verdict) -> None:
         stats["params_invalid"] += 1
     if verdict.stage == "selector":
         stats["short_circuited"] += 1
+    elif verdict.stage == "sieve":
+        stats["sieved"] += 1
 
 
 def _chunks(lo: int, hi: int, chunk_odds: int) -> Iterator[tuple[int, int]]:
@@ -329,8 +357,9 @@ def scan_range(method: str, params: dict, lo: int, hi: int, *,
                on_pseudoprime: Callable[[int], None] | None = None) -> ScanReport:
     """Scan every odd n in [lo, hi] with the configured test.
 
-    An odd composite passing the test is a pseudoprime (the primality
-    oracle confirms compositeness and only runs on passers).  ``jobs`` > 1
+    An odd composite passing the test is a pseudoprime (the chunk's sieve,
+    or beyond 2**40 the primality oracle, confirms compositeness; both only
+    look at passers).  ``jobs`` > 1
     fans chunks out to worker processes; the result is independent of
     ``jobs``, which must be at least 1.  ``on_pseudoprime`` is invoked for
     each find, in ascending order.
@@ -350,6 +379,7 @@ def scan_range(method: str, params: dict, lo: int, hi: int, *,
         if cursor is not None:
             lo = max(lo, cursor)
 
+    limit = sieve_limit(hi)
     start = time.monotonic()
     stats = _new_stats()
     found: list[int] = []
@@ -367,13 +397,13 @@ def scan_range(method: str, params: dict, lo: int, hi: int, *,
             write_checkpoint(checkpoint, chunk_hi + 1, method, canonical)
 
     if jobs > 1 and len(chunk_list) > 1:
-        args = [(method, params, a, b) for a, b in chunk_list]
+        args = [(method, params, a, b, limit) for a, b in chunk_list]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for (a, b), result in zip(chunk_list, pool.map(_scan_chunk_star, args)):
                 _absorb(b, result)
     else:
         for a, b in chunk_list:
-            _absorb(b, _scan_chunk(method, params, a, b))
+            _absorb(b, _scan_chunk(method, params, a, b, limit))
 
     return ScanReport(method=method, params=canonical, lo=lo, hi=hi,
                       pseudoprimes=tuple(found), stats=stats,

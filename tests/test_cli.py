@@ -66,6 +66,20 @@ def test_jobs_below_one_is_rejected(capsys):
     assert "jobs" in err
 
 
+def test_rejected_csv_scan_prints_nothing(capsys):
+    code, out, err = run_cli(capsys, "scan", "--method", "lucas", "-P", "4",
+                             "-Q", "1", "--to", "1000", "--jobs", "-3",
+                             "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert "jobs" in err
+    code, out, _ = run_cli(capsys, "scan", "--method", "lucas", "-P", "4",
+                           "-Q", "1", "--from", "500", "--to", "100",
+                           "--format", "csv")
+    assert code == 2
+    assert out == ""
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["test", "notanumber", "--method", "lucas"])

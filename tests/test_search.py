@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from pellprime.primality import Outcome
@@ -35,6 +37,45 @@ def test_is_prime_selected_values():
     assert not is_prime(2047)  # 23 * 89
     assert is_prime(9999999967)
     assert not is_prime(3215031751)  # strong psp to bases 2,3,5,7
+
+
+# psi_k of Jaeschke (1993): the least strong pseudoprime to the first k
+# prime bases, for the base counts is_prime switches between.
+JAESCHKE_PSI = (1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
+                3_474_749_660_383, 341_550_071_728_321,
+                3_825_123_056_546_413_051)
+
+
+@pytest.mark.parametrize("psi", JAESCHKE_PSI)
+def test_is_prime_rejects_jaeschke_bounds(psi):
+    assert not is_prime(psi)
+
+
+def _is_prime_twelve_bases(n):
+    s, r = n - 1, 0
+    while s % 2 == 0:
+        s //= 2
+        r += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, s, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_is_prime_agrees_with_twelve_bases():
+    rng = random.Random(20201)
+    ns = [rng.randrange(10**4, 2**rng.randrange(15, 64)) | 1
+          for _ in range(3000)]
+    ns += [psi + d for psi in JAESCHKE_PSI for d in range(-40, 41, 2)]
+    for n in ns:
+        assert is_prime(n) == _is_prime_twelve_bases(n), n
 
 
 def test_build_test_canonical_strings():
@@ -94,12 +135,14 @@ def test_scan_is_deterministic_across_jobs():
     kwargs = dict(chunk_odds=512)  # force many chunks
     a = scan_range("lucas", {"selfridge": True}, 3, 20000, jobs=1, **kwargs)
     b = scan_range("lucas", {"selfridge": True}, 3, 20000, jobs=2, **kwargs)
+    assert a.stats["sieved"] > 0
     assert a.canonical_json() == b.canonical_json()
 
 
 def test_scan_chunk_size_does_not_change_output():
     a = scan_range("double-lucas", {"P": 4, "Q": 1}, 3, 6000, chunk_odds=100)
     b = scan_range("double-lucas", {"P": 4, "Q": 1}, 3, 6000)
+    assert a.stats["sieved"] > 0
     assert a.canonical_json() == b.canonical_json()
 
 
