@@ -3,9 +3,9 @@
 Moduli and residues are plain Python ints.  Python integers are arbitrary
 precision, so products never overflow; this module pins down the conventions
 the rest of the package relies on: signed inputs are canonicalized into
-[0, n), the Jacobi symbol follows the binary reciprocity algorithm, and a
-missing inverse is reported as a :class:`Factor` (compositeness evidence)
-instead of an exception.
+[0, n), the Jacobi symbol follows the binary reciprocity algorithm (small a
+read it from a periodic table), and a missing inverse is reported as a
+:class:`Factor` (compositeness evidence) instead of an exception.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 __all__ = [
+    "JACOBI_TABLE_BOUND",
     "MAX_MODULUS",
     "Factor",
     "gcd",
@@ -71,11 +72,36 @@ def inv_mod(a: int, n: int) -> int | Factor:
     return pow(a, -1, n)
 
 
-def jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd n >= 3; 0 iff gcd(a, n) > 1.
+# Largest |a| whose symbols jacobi() tabulates (tables are built lazily).
+JACOBI_TABLE_BOUND = 256
+_jacobi_tables: dict[int, tuple[int, ...]] = {}
 
-    Binary algorithm using quadratic reciprocity; negative a is handled by
-    reduction mod n (the symbol only depends on a mod n).
+
+def jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n >= 1; 0 iff gcd(a, n) > 1.
+
+    For a fixed a != 0 the symbol is periodic in odd n > 0 with period
+    4|a| (it is a character mod 4|a|).  So for 0 < |a| <= JACOBI_TABLE_BOUND
+    and odd n > 0 it is looked up in a table of the symbols (a/r) for
+    r < 4|a|, built on first use; every other input goes to :func:`_jacobi`.
+    """
+    table = _jacobi_tables.get(a)
+    if table is None:
+        if not 0 < abs(a) <= JACOBI_TABLE_BOUND:
+            return _jacobi(a, n)
+        period = 4 * abs(a)
+        table = _jacobi_tables[a] = tuple(
+            _jacobi(a, r) if r & 1 else 0 for r in range(period))
+    if n > 0 and n & 1:
+        return table[n % len(table)]
+    return _jacobi(a, n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol by the binary algorithm with quadratic reciprocity.
+
+    Valid for odd n >= 1; negative a is handled by reduction mod n (the
+    symbol only depends on a mod n).
     """
     a %= n
     result = 1

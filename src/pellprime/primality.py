@@ -18,6 +18,10 @@ double-lucas, matrix, pell, strong-pell and gen-pell) take a keyword-only
 precondition, and before the ladder, such a test asks the segment whether
 a prime factor of n already proves that congruence false; if so it returns
 the COMPOSITE verdict the ladder would have given, with ``stage="sieve"``.
+When the segment instead proves n prime, a test that every prime passes
+once its preconditions hold returns the PROBABLE_PRIME verdict, also with
+``stage="sieve"``.  Every one of them but the u-companion matrix test is
+such a test; each docstring names the theorem.
 """
 
 from __future__ import annotations
@@ -64,8 +68,9 @@ class Verdict:
     names the failed congruence or violated precondition; ``jacobi_branch``
     records the (D/n) value that selected the exponent, when applicable;
     ``stage`` is "selector" for verdicts short-circuited during parameter
-    selection, "sieve" for composites a scan's factor sieve settled before
-    the ladder ran, and "test" otherwise.
+    selection, "sieve" for verdicts a scan's factor sieve settled before
+    the ladder ran (composites a factor rules out, and primes the sieve
+    proves), and "test" otherwise.
     """
 
     outcome: Outcome
@@ -79,18 +84,55 @@ class Verdict:
         return self.outcome is Outcome.PROBABLE_PRIME
 
 
-def _pp(branch: int | None = None) -> Verdict:
-    return Verdict(Outcome.PROBABLE_PRIME, jacobi_branch=branch)
+# Verdicts without a factor are shared: building one costs about a tenth of
+# a scanned candidate, and they are frozen.  Their evidence strings come
+# from a fixed set, so the cache stays small; _SHARED_MAX bounds it anyway.
+_shared: dict[tuple, Verdict] = {}
+_SHARED_MAX = 1024
+
+
+def _verdict(outcome: Outcome, evidence: str | None = None,
+             branch: int | None = None, stage: str = "test") -> Verdict:
+    key = (outcome, evidence, branch, stage)
+    verdict = _shared.get(key)
+    if verdict is None:
+        verdict = Verdict(outcome, evidence=evidence, jacobi_branch=branch,
+                          stage=stage)
+        if len(_shared) < _SHARED_MAX:
+            _shared[key] = verdict
+    return verdict
+
+
+def _pp(branch: int | None = None, stage: str = "test") -> Verdict:
+    return _verdict(Outcome.PROBABLE_PRIME, branch=branch, stage=stage)
 
 
 def _composite(evidence: str, factor: int | None = None,
                branch: int | None = None, stage: str = "test") -> Verdict:
+    if factor is None:
+        return _verdict(Outcome.COMPOSITE, evidence, branch, stage)
     return Verdict(Outcome.COMPOSITE, evidence=evidence, factor=factor,
                    jacobi_branch=branch, stage=stage)
 
 
 def _invalid(evidence: str) -> Verdict:
-    return Verdict(Outcome.PARAMS_INVALID, evidence=evidence)
+    return _verdict(Outcome.PARAMS_INVALID, evidence)
+
+
+def _sieved(sieve: Segment, n: int, j: int, evidence: str, P: int,
+            Q: int, k: int, scale: int = 1, primes_pass: bool = True
+            ) -> Verdict | None:
+    """The verdict a scan's sieve settles before the ladder, if any.
+
+    A prime the sieve proves passes (when ``primes_pass``: every prime
+    coprime to 2QD satisfies the test's congruences); a composite with a
+    factor that proves scale*U_k(P, Q) ≢ 0 fails with ``evidence``.
+    """
+    if sieve.rules_out(n, P, Q, k, scale):
+        return _composite(evidence, branch=j, stage="sieve")
+    if primes_pass and sieve.proves_prime(n):
+        return _pp(j, "sieve")
+    return None
 
 
 def _check_n(n: int) -> Verdict | None:
@@ -194,13 +236,15 @@ def lucas_test(n: int, params: LucasParams, *,
     """Lucas test: probable prime iff U_{n-(D/n)} ≡ 0 (mod n).
 
     D = P^2 - 4Q; composites passing are the Lucas pseudoprimes for
-    (P, Q).  With the Selfridge parameters this is OEIS A217120.
+    (P, Q).  With the Selfridge parameters this is OEIS A217120.  A prime
+    p ∤ 2QD has U_{p-(D/p)} ≡ 0 (mod p), so a sieve-proved prime passes.
     """
     j, early = _lucas_pre(n, params)
     if early:
         return early
-    if sieve is not None and sieve.rules_out(n, params.P, params.Q, n - j):
-        return _composite(_U_NONZERO, branch=j, stage="sieve")
+    if sieve is not None and (settled := _sieved(
+            sieve, n, j, _U_NONZERO, params.P, params.Q, n - j)):
+        return settled
     u_k, _ = lucas_pair(params, n - j, n)
     if u_k != 0:
         return _composite(_U_NONZERO, branch=j)
@@ -213,13 +257,16 @@ def double_lucas_test(n: int, params: LucasParams, *,
 
     Probable prime iff U_{n-1} ≡ 0 and U_n ≡ 1 when (D/n) = 1, or
     U_{n+1} ≡ 0 and U_{n+2} ≡ Q when (D/n) = -1.  Strictly stronger than
-    :func:`lucas_test` for the same parameters.
+    :func:`lucas_test` for the same parameters.  A prime p ∤ 2QD has
+    U_p ≡ (D/p) and, when (D/p) = -1, V_{p+1} ≡ 2Q, hence U_{p+2} ≡ Q; so a
+    sieve-proved prime passes.
     """
     j, early = _lucas_pre(n, params)
     if early:
         return early
-    if sieve is not None and sieve.rules_out(n, params.P, params.Q, n - j):
-        return _composite(_U_NONZERO, branch=j, stage="sieve")
+    if sieve is not None and (settled := _sieved(
+            sieve, n, j, _U_NONZERO, params.P, params.Q, n - j)):
+        return settled
     if j == 1:
         u, u_next = lucas_pair(params, n - 1, n)  # (U_{n-1}, U_n)
         target = 1 % n
@@ -244,7 +291,11 @@ def matrix_test(n: int, params: MatrixParams, variant: str = "u-companion", *,
       not satisfied by primes (U~_p ≡ R and U~_{p+2} ≡ QR^2), so the
       variant is a pseudoprime family rather than a primality test.
     * ``"v-companion"``: V~_{n-1} ≡ 1, resp. V~_{n+1} ≡ QR.  Primes coprime to
-      2QRΔ always pass; R = 1 recovers :func:`double_lucas_test`.
+      2QRΔ always pass (V~_k = U_{k+1} of Lucas(P, QR), and the
+      :func:`double_lucas_test` argument applies), so a sieve-proved prime
+      passes without the ladder; R = 1 recovers :func:`double_lucas_test`.
+
+    A sieve-proved prime still runs the u-companion ladder.
     """
     if variant not in ("u-companion", "v-companion"):
         raise ValueError(f"unknown variant: {variant!r}")
@@ -259,8 +310,10 @@ def matrix_test(n: int, params: MatrixParams, variant: str = "u-companion", *,
         return early
     evidence = "U~_{n-(Δ/n)} ≢ 0 (mod n)"
     # U~_k = R * U_k of Lucas(P, QR)
-    if sieve is not None and sieve.rules_out(n, params.P, qr, n - j, params.R):
-        return _composite(evidence, branch=j, stage="sieve")
+    if sieve is not None and (settled := _sieved(
+            sieve, n, j, evidence, params.P, qr, n - j, params.R,
+            primes_pass=variant == "v-companion")):
+        return settled
     if j == 1:
         v, u = tilde_pair(params, n - 1, n)  # (V~_{n-1}, U~_{n-1})
         target = 1 % n
@@ -294,17 +347,16 @@ def _norm_one_pre(n: int, params: ConicParams) -> tuple[int, Verdict | None]:
     return _branch(params.D, n)
 
 
-def _conic_ruled_out(sieve: Segment | None, n: int, params: ConicParams,
-                     k: int) -> bool:
-    """Whether the sieve proves the y-coordinate of (x, y)^k nonzero mod n.
+def _conic_sieved(sieve: Segment, n: int, params: ConicParams, j: int,
+                  k: int, evidence: str) -> Verdict | None:
+    """:func:`_sieved` for the y-coordinate of the point power (x, y)^k.
 
     That coordinate is y*U_k of Lucas(2x, x^2 - D*y^2); the unreduced
     parameters agree with the reduced point modulo every factor of n.
     """
-    if sieve is None:
-        return False
     x, y = params.x, params.y
-    return sieve.rules_out(n, 2 * x, x * x - params.D * y * y, k, y)
+    return _sieved(sieve, n, j, evidence, 2 * x, x * x - params.D * y * y,
+                   k, y)
 
 
 def pell_test(n: int, params: ConicParams, *,
@@ -312,14 +364,16 @@ def pell_test(n: int, params: ConicParams, *,
     """Pell test: y-coordinate of the point power (x, y)^(n-(D/n)) vanishes.
 
     Requires a norm-1 base point.  Equivalent to the Lucas test with
-    P = 2x mod n and Q = 1.
+    P = 2x mod n and Q = 1; its discriminant 4Dy^2 is prime to a prime p
+    that passes the preconditions, so a sieve-proved prime passes.
     """
     j, early = _norm_one_pre(n, params)
     if early:
         return early
     evidence = "y_{n-(D/n)} ≢ 0 (mod n)"
-    if _conic_ruled_out(sieve, n, params, n - j):
-        return _composite(evidence, branch=j, stage="sieve")
+    if sieve is not None and (settled := _conic_sieved(
+            sieve, n, params, j, n - j, evidence)):
+        return settled
     _, y = conic_pow(params.point(n), n - j, params.D, n)
     if y != 0:
         return _composite(evidence, branch=j)
@@ -331,14 +385,16 @@ def strong_pell_test(n: int, params: ConicParams, *,
     """Strong Pell test: (x, y)^(n-(D/n)) ≡ (1, 0) (mod n).
 
     Requires a norm-1 base point; equivalent to :func:`double_lucas_test`
-    with P = 2x mod n and Q = 1.
+    with P = 2x mod n and Q = 1.  Modulo a prime p ∤ D the norm-1 points
+    form a group of order p - (D/p), so a sieve-proved prime passes.
     """
     j, early = _norm_one_pre(n, params)
     if early:
         return early
     evidence = "(x, y)^{n-(D/n)} ≢ (1, 0) (mod n)"
-    if _conic_ruled_out(sieve, n, params, n - j):
-        return _composite(evidence, branch=j, stage="sieve")
+    if sieve is not None and (settled := _conic_sieved(
+            sieve, n, params, j, n - j, evidence)):
+        return settled
     x, y = conic_pow(params.point(n), n - j, params.D, n)
     if (x, y) != (1 % n, 0):
         return _composite(evidence, branch=j)
@@ -368,7 +424,10 @@ def generalized_pell_test(n: int, params: ConicParams, *,
     """Conic test for a base point of arbitrary norm Q coprime to n.
 
     Probable prime iff (x, y)^(n+1) ≡ (Q, 0) when (D/n) = -1, or
-    (x, y)^(n-1) ≡ (1, 0) when (D/n) = 1.
+    (x, y)^(n-1) ≡ (1, 0) when (D/n) = 1.  Modulo a prime p ∤ DQ, z = x +
+    y√D is a unit of F_p[√D]: z^(p-1) = 1 when that ring splits, and
+    z^(p+1) = z·z^p = N(z) = Q when it is the field F_{p^2}; so a
+    sieve-proved prime passes.
     """
     bad = _check_n(n)
     if bad:
@@ -390,8 +449,9 @@ def generalized_pell_test(n: int, params: ConicParams, *,
     else:
         k, target = n + 1, (q, 0)
     evidence = "conic power ≢ (norm branch target) (mod n)"
-    if _conic_ruled_out(sieve, n, params, k):
-        return _composite(evidence, branch=j, stage="sieve")
+    if sieve is not None and (settled := _conic_sieved(
+            sieve, n, params, j, k, evidence)):
+        return settled
     if conic_pow((x0, y0), k, params.D, n) != target:
         return _composite(evidence, branch=j)
     return _pp(j)

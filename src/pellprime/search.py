@@ -10,18 +10,22 @@ Each chunk first runs a segmented sieve (:class:`~pellprime.sieve.Segment`)
 over its odd n with the odd primes up to min(isqrt(hi), SIEVE_CAP), where
 hi is the scan's upper end, not the chunk's, so every count is the same for
 any ``jobs`` and chunk size.  The sieve records each n's prime factors up
-to that limit and the cofactor left after dividing them out.  It serves
-twice:
+to that limit (the cofactor left after dividing them out is computed only
+for the n that need it).  It serves twice:
 
 * it decides whether a passing n is composite.  For hi up to 2**40 the
   limit is isqrt(hi), and an n with no recorded factor is prime, so no
   primality oracle runs; above, :func:`is_prime` decides the n the sieve
   cannot.
 * the Lucas-family tests take it as a hint.  They run every precondition,
-  then return COMPOSITE with ``stage="sieve"`` without running their ladder
-  when the rank of apparition of a factor of n does not divide the index
-  of their first congruence (see :mod:`pellprime.sieve`).  These verdicts
-  are counted as ``sieved``.  Primes still run the full test.
+  then settle n with ``stage="sieve"`` without running their ladder in two
+  cases.  They return COMPOSITE when the rank of apparition of a factor of
+  n does not divide the index of their first congruence (see
+  :mod:`pellprime.sieve`).  They return PROBABLE_PRIME when the sieve
+  proves n prime, because every prime coprime to 2QD passes them; only the
+  u-companion matrix test, which primes can fail, runs its ladder on them.
+  Both kinds are counted as ``sieved``.  Above 2**40 the sieve proves no
+  prime, and primes run the full test.
 
 Long scans can persist a resume cursor to a checkpoint file after every
 chunk.  The checkpoint stores only the cursor and the scan identity (method,
@@ -230,8 +234,9 @@ class ScanReport:
     strictly increasing.  ``stats`` counts candidates by outcome:
     ``tested`` (all odd candidates), ``probable_prime``, ``composite``,
     ``params_invalid``, ``short_circuited`` (verdicts produced during
-    parameter selection), ``sieved`` (composites the factor sieve settled
-    before the ladder ran) and ``pseudoprimes``.
+    parameter selection), ``sieved`` (verdicts the factor sieve settled
+    without the ladder: composites a factor rules out, and primes it
+    proves) and ``pseudoprimes``.
     """
 
     method: str
@@ -310,33 +315,31 @@ def _scan_chunk(method: str, params: dict, lo: int, hi: int,
     """Scan odd candidates in [lo, hi] (single process), sieving to limit."""
     test, _ = build_test(method, params)
     sieve = Segment(lo, hi, limit)
-    stats = _new_stats()
+    odds = range(lo | 1, hi + 1, 2)
     found: list[int] = []
-    for n in range(lo | 1, hi + 1, 2):
-        stats["tested"] += 1
+    passed = failed = selector = sieved = 0
+    PASS, FAIL = Outcome.PROBABLE_PRIME, Outcome.COMPOSITE
+    for n in odds:
         verdict = test(n, sieve=sieve)
-        _tally(stats, verdict)
-        if verdict.outcome is Outcome.PROBABLE_PRIME:
+        stage = verdict.stage
+        if stage == "sieve":
+            sieved += 1
+        elif stage == "selector":
+            selector += 1
+        if verdict.outcome is FAIL:
+            failed += 1
+        elif verdict.outcome is PASS:
+            passed += 1
             composite = sieve.is_composite(n)
             if composite is None:
                 composite = not is_prime(n)
             if composite:
                 found.append(n)
-                stats["pseudoprimes"] += 1
-    return found, stats
-
-
-def _tally(stats: dict[str, int], verdict: Verdict) -> None:
-    if verdict.outcome is Outcome.PROBABLE_PRIME:
-        stats["probable_prime"] += 1
-    elif verdict.outcome is Outcome.COMPOSITE:
-        stats["composite"] += 1
-    else:
-        stats["params_invalid"] += 1
-    if verdict.stage == "selector":
-        stats["short_circuited"] += 1
-    elif verdict.stage == "sieve":
-        stats["sieved"] += 1
+    return found, {
+        "tested": len(odds), "probable_prime": passed, "composite": failed,
+        "params_invalid": len(odds) - passed - failed,
+        "short_circuited": selector, "sieved": sieved,
+        "pseudoprimes": len(found)}
 
 
 def _chunks(lo: int, hi: int, chunk_odds: int) -> Iterator[tuple[int, int]]:

@@ -1,10 +1,12 @@
 """Segmented factor sieve for scans, and the rank-of-apparition check on it.
 
 A :class:`Segment` sieves the odd n of one scan chunk by the odd primes up to
-a limit.  It records, in flat arrays, which n have a prime factor <= limit,
-those factors, and the cofactor left when they are divided out.  When the
-limit reaches isqrt(hi), an n without such a factor is prime, so the scan
-needs no primality oracle.
+a limit.  It records, in flat arrays, which n have a prime factor <= limit
+and those factors; the cofactor left when they are divided out is computed
+on demand.  When the limit reaches isqrt(hi), an n without such a factor is
+prime (:meth:`Segment.proves_prime`), so the scan needs no primality oracle
+and the tests need no ladder for it: a prime coprime to 2QD passes every
+Lucas-family congruence.
 
 :meth:`Segment.rules_out` is the check the Lucas-family tests run just
 before their ladder.  If U_k(P, Q) ≡ 0 (mod n), then U_k ≡ 0 (mod p) for
@@ -87,11 +89,10 @@ class Segment:
     Per odd n (index (n - lo) // 2) it keeps ``head``, the start of a chain
     of its prime factors <= limit through ``factor`` (an index into the
     shared prime table) and ``next`` (-1 ends a chain and marks n without
-    such a factor), and ``cofactor``, n with those primes divided out.  n
-    itself is never recorded as its own factor.
+    such a factor).  n itself is never recorded as its own factor.
     """
 
-    __slots__ = ("lo", "prime_below", "head", "factor", "next", "cofactor")
+    __slots__ = ("lo", "prime_below", "head", "factor", "next")
 
     def __init__(self, lo: int, hi: int, limit: int) -> None:
         lo |= 1
@@ -99,13 +100,12 @@ class Segment:
         count = _primes_through(limit)  # may replace _odd_primes
         primes = _odd_primes[:count]
         self.lo = lo
-        # A cofactor below this has no two prime factors > limit: it is 1
-        # or prime.
+        # An n, or a cofactor, below this with no prime factor <= limit is
+        # 1 or prime.
         self.prime_below = (limit + 1) ** 2
         self.head = head = array("i", [-1]) * size
         self.factor = factor = array("I")
         self.next = nxt = array("i")
-        self.cofactor = cofactor = array("Q", range(lo, lo + 2 * size, 2))
         # Offset from lo of the first multiple of each prime, for all primes
         # at once; only the primes with a multiple below lo + 2*size enter
         # the Python loop.
@@ -122,10 +122,33 @@ class Segment:
                 append_next(head[i])
                 head[i] = len(factor)
                 append_factor(idx)
-                c = cofactor[i] // p
-                while not c % p:
-                    c //= p
-                cofactor[i] = c
+
+    def factors(self, n: int) -> list[int]:
+        """The prime factors of n that are <= limit, largest first."""
+        primes, factor, nxt = _odd_primes, self.factor, self.next
+        found = []
+        j = self.head[(n - self.lo) >> 1]
+        while j >= 0:
+            found.append(primes[factor[j]])
+            j = nxt[j]
+        return found
+
+    def cofactor(self, n: int) -> int:
+        """n with its prime factors <= limit divided out."""
+        for p in self.factors(n):
+            n //= p
+            while not n % p:
+                n //= p
+        return n
+
+    def proves_prime(self, n: int) -> bool:
+        """True when the sieve proves n prime.
+
+        That is, n > 1 has no prime factor <= limit other than itself, and
+        n < (limit + 1)**2.  Since the limit is at most SIEVE_CAP, this is
+        never True for n >= (SIEVE_CAP + 1)**2, just above 2**40.
+        """
+        return self.head[(n - self.lo) >> 1] < 0 and 1 < n < self.prime_below
 
     def is_composite(self, n: int) -> bool | None:
         """True or False when the sieve decides n, None when it cannot."""
@@ -141,8 +164,7 @@ class Segment:
         factor q <= limit whose rank does not divide k, or a cofactor q
         known to be prime.  False means nothing is proved.
         """
-        i = (n - self.lo) >> 1
-        j = self.head[i]
+        j = self.head[(n - self.lo) >> 1]
         if j < 0:
             return False  # prime, or no factor <= limit to look at
         qs = Q * scale
@@ -158,7 +180,7 @@ class Segment:
                 if k % rank:
                     return True
             j = nxt[j]
-        c = self.cofactor[i]
+        c = self.cofactor(n)
         if c == 1 or c >= self.prime_below or not qs % c:
             return False
         # c is prime; its rank divides c - (D/c), and is c when c | D.

@@ -1,9 +1,13 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pellprime.modarith import (
+    JACOBI_TABLE_BOUND,
     Factor,
+    _jacobi,
     gcd,
     inv_mod,
     is_perfect_square,
@@ -98,6 +102,39 @@ def test_jacobi_euler_criterion(primes_10k):
             e = pow_mod(a, (p - 1) // 2, p)
             assert jacobi(a, p) == (1 if e == 1 else -1)
             assert e in (1, p - 1)
+
+
+def test_table_jacobi_equals_reciprocity_algorithm_exhaustively():
+    # Every a on both sides of the table bound, every odd n below four
+    # periods of the largest table (n = 1 included).
+    bound = JACOBI_TABLE_BOUND
+    odds = range(1, 16 * bound, 2)
+    for a in range(-bound - 2, bound + 3):
+        assert [jacobi(a, n) for n in odds] == [_jacobi(a, n) for n in odds], a
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=st.one_of(st.integers(-JACOBI_TABLE_BOUND - 2, JACOBI_TABLE_BOUND + 2),
+                   st.integers(-(2**70), 2**70)),
+       n=st.integers(0, 2**62 - 1).map(lambda m: 2 * m + 1))
+@example(a=5, n=2**63 - 25)
+@example(a=-JACOBI_TABLE_BOUND, n=2**63 - 1)
+@example(a=2**70, n=1)
+def test_table_jacobi_equals_reciprocity_algorithm(a, n):
+    assert jacobi(a, n) == _jacobi(a, n)
+
+
+def test_jacobi_off_the_table_for_even_or_non_positive_n():
+    # The table only holds odd n > 0; every other n takes the algorithm.
+    for n in (2, 4, 6, 8, 10, 64, 1000, -1, -3, -7, -9, -10):
+        for a in (-JACOBI_TABLE_BOUND - 1, -7, -2, -1, 1, 2, 5, 9, 11,
+                  JACOBI_TABLE_BOUND):
+            assert jacobi(a, n) == _jacobi(a, n), (a, n)
+    for a in (-5, 0, 3, 2**70):
+        with pytest.raises(ZeroDivisionError):
+            _jacobi(a, 0)
+        with pytest.raises(ZeroDivisionError):
+            jacobi(a, 0)
 
 
 def test_gcd_examples():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from pellprime import primality
 from pellprime.conic import ConicParams, lucas_to_conic
 from pellprime.primality import (
     Outcome,
@@ -228,3 +229,19 @@ def test_composite_verdicts_carry_evidence():
                 assert v.evidence
             if v.outcome is INVALID:
                 assert v.evidence
+
+
+def test_factor_free_verdicts_are_shared_and_the_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(primality, "_shared", {})  # filled below, then dropped
+    fib = LucasParams(1, -1)
+    assert lucas_test(21, fib) is lucas_test(21, fib)  # fails its congruence
+    assert lucas_test(101, fib) is lucas_test(109, fib)  # both pass, (5/n) = 1
+    assert lucas_test(101, fib) is not lucas_test(107, fib)  # (5/107) = -1
+    with_factor = fermat_test(15, 3)
+    assert with_factor.factor == 3
+    assert with_factor == fermat_test(15, 3)
+    assert with_factor is not fermat_test(15, 3)
+    for i in range(primality._SHARED_MAX + 10):
+        verdict = primality._composite(f"evidence {i}")
+        assert verdict.evidence == f"evidence {i}" and verdict.factor is None
+    assert len(primality._shared) == primality._SHARED_MAX

@@ -3,7 +3,8 @@
 The reference scan runs the test on every odd n without a sieve hint and
 asks the primality oracle about every passer; the sieved scan must report
 the same pseudoprimes and the same counts (apart from ``sieved``, which
-only the sieve produces).
+only the sieve produces).  Hinted verdicts must equal unhinted ones apart
+from ``stage``, and a sieve-settled probable prime must be a prime.
 """
 
 import random
@@ -102,17 +103,52 @@ def test_unhinted_methods_match_reference(method, params):
         assert assert_matches_reference(method, params, lo, hi) == 0
 
 
+def u_companion(method, params):
+    """Whether build_test runs the u-companion matrix test for params."""
+    default = "v-companion" if params.get("selfridge") else "u-companion"
+    variant = params.get("variant") or default
+    return method == "matrix" and variant == "u-companion"
+
+
+def assert_hinted_equals_unhinted(method, params, lo, hi, limit):
+    test, _ = build_test(method, params)
+    segment = Segment(lo, hi, limit)
+    primes_pass = not u_companion(method, params)
+    skipped = 0
+    for n in range(lo, hi + 1, 2):
+        plain, hinted = test(n), test(n, sieve=segment)
+        assert replace(hinted, stage=plain.stage) == plain, n
+        if hinted.stage == plain.stage:
+            # Every prime the sieve proves skips the ladder once it passes
+            # the preconditions, except on the u-companion matrix test.
+            assert not (primes_pass and plain.is_probable_prime
+                        and plain.stage == "test"
+                        and segment.proves_prime(n)), n
+            continue
+        assert hinted.stage == "sieve", n
+        if plain.is_probable_prime:
+            assert primes_pass and is_prime(n), n
+            skipped += 1
+        else:
+            assert plain.outcome is Outcome.COMPOSITE, n
+    assert (skipped > 0) == (primes_pass and lo < segment.prime_below)
+
+
 @pytest.mark.parametrize("lo, hi", [(3, 3001), (2**34 + 1, 2**34 + 3001),
                                     RANGES[-1]])
 @pytest.mark.parametrize("method, params", SIEVED_CONFIGS)
 def test_hinted_verdicts_equal_unhinted(method, params, lo, hi):
-    test, _ = build_test(method, params)
-    segment = Segment(lo, hi, sieve_limit(hi))
-    for n in range(lo, hi + 1, 2):
-        plain, hinted = test(n), test(n, sieve=segment)
-        assert replace(hinted, stage=plain.stage) == plain, n
-        assert hinted.stage == plain.stage or (
-            hinted.stage == "sieve" and plain.outcome is Outcome.COMPOSITE)
+    assert_hinted_equals_unhinted(method, params, lo, hi, sieve_limit(hi))
+
+
+# These segments sieve below isqrt(hi): they hold primes <= limit, and n on
+# both sides of (limit + 1)**2, where the prime proof stops.
+@pytest.mark.parametrize("lo, hi, limit", [(3, 3001, 40),
+                                           (97**2 - 800, 97**2 + 800, 96)])
+@pytest.mark.parametrize("method, params", SIEVED_CONFIGS)
+def test_hinted_verdicts_where_the_prime_proof_stops(method, params, lo, hi,
+                                                      limit):
+    assert_hinted_equals_unhinted(method, params, lo, hi, limit)
 
 
 @pytest.mark.parametrize("lo, hi, limit", [
@@ -128,14 +164,16 @@ def test_segment_factors_and_cofactor(lo, hi, limit):
             factors.append(primes[segment.factor[j]])
             j = segment.next[j]
         assert sorted(factors) == [p for p in primes if n % p == 0 and p < n]
+        assert segment.factors(n) == factors
         c = n
         for p in factors:
             while c % p == 0:
                 c //= p
-        assert segment.cofactor[i] == c
+        assert segment.cofactor(n) == c
         known = segment.is_composite(n)
         assert known is None or known == (not is_prime(n))
         assert known is not None or n >= (limit + 1) ** 2
+        assert segment.proves_prime(n) == (is_prime(n) and known is False)
 
 
 # (1, -10) has D = 41, a prime above the segment's limit, so 41 | n puts it
