@@ -6,114 +6,33 @@ selection, plus a deterministic scan engine that reproduces pseudoprime
 lists and counts over ranges and parameter grids.
 """
 
-from .conic import (
-    ConicParams,
-    brahmagupta,
-    conic_norm,
-    conic_pow,
-    conic_to_lucas,
-    lucas_to_conic,
-    rational_point,
-)
-from .modarith import (
-    Factor,
-    gcd,
-    inv_mod,
-    is_perfect_square,
-    jacobi,
-    mul_mod,
-    pow_mod,
-)
+from .conic import ConicParams
 from .primality import (
     Outcome,
     Verdict,
     double_lucas_test,
-    fermat_test,
-    generalized_pell_test,
     lucas_test,
     matrix_test,
-    pell_test,
-    pell_variant_test,
-    strong_base_test,
-    strong_pell_test,
     strong_pell_test_param,
 )
-from .recurrence import (
-    LucasParams,
-    Mat2,
-    MatrixParams,
-    lucas_pair,
-    mat_mul,
-    mat_pow,
-    tilde_pair,
-)
-from .search import (
-    GridReport,
-    ScanReport,
-    build_test,
-    grid_scan,
-    is_prime,
-    primes_up_to,
-    scan_range,
-)
-from .selectors import (
-    double_lucas_selfridge,
-    gen_pell_selfridge,
-    lucas_selfridge,
-    matrix_selfridge,
-    selfridge_classic,
-    selfridge_gen_pell,
-    selfridge_matrix,
-)
+from .recurrence import LucasParams, MatrixParams
+from .search import build_test, grid_scan, scan_range
+from .selectors import gen_pell_selfridge
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConicParams",
-    "Factor",
-    "GridReport",
     "LucasParams",
-    "Mat2",
     "MatrixParams",
     "Outcome",
-    "ScanReport",
     "Verdict",
-    "brahmagupta",
     "build_test",
-    "conic_norm",
-    "conic_pow",
-    "conic_to_lucas",
-    "double_lucas_selfridge",
     "double_lucas_test",
-    "fermat_test",
-    "gcd",
     "gen_pell_selfridge",
-    "generalized_pell_test",
     "grid_scan",
-    "inv_mod",
-    "is_perfect_square",
-    "is_prime",
-    "jacobi",
-    "lucas_pair",
-    "lucas_selfridge",
     "lucas_test",
-    "lucas_to_conic",
-    "mat_mul",
-    "mat_pow",
-    "matrix_selfridge",
     "matrix_test",
-    "mul_mod",
-    "pell_test",
-    "pell_variant_test",
-    "pow_mod",
-    "primes_up_to",
-    "rational_point",
     "scan_range",
-    "selfridge_classic",
-    "selfridge_gen_pell",
-    "selfridge_matrix",
-    "strong_base_test",
-    "strong_pell_test",
     "strong_pell_test_param",
-    "tilde_pair",
 ]

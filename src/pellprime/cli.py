@@ -13,12 +13,10 @@ import json
 import sys
 
 from .primality import Outcome
+from .search import GRID_METHODS, METHODS, VARIANTS
 from .search import build_test, grid_scan, scan_range
 
 SCHEMA = "v1"
-
-METHODS = ("fermat", "strong-base", "lucas", "double-lucas", "matrix",
-           "pell", "strong-pell", "gen-pell", "pell-variant")
 
 _EXIT_CODE = {
     Outcome.PROBABLE_PRIME: 0,
@@ -28,7 +26,7 @@ _EXIT_CODE = {
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", required=True, choices=METHODS)
+    p.add_argument("--method", required=True, choices=tuple(METHODS))
     p.add_argument("-P", type=int, help="sequence parameter P")
     p.add_argument("-Q", type=int, help="sequence parameter Q")
     p.add_argument("-R", type=int, help="matrix parameter R")
@@ -39,7 +37,7 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--selfridge", action="store_true",
                    help="select parameters per n (Selfridge-style); "
                         "mutually exclusive with explicit parameter flags")
-    p.add_argument("--variant", choices=("u-companion", "v-companion"),
+    p.add_argument("--variant", choices=VARIANTS,
                    help="matrix-test companion-congruence variant")
 
 
@@ -48,11 +46,7 @@ def _params_from_args(args: argparse.Namespace) -> dict:
     if args.selfridge and any(v is not None for v in explicit.values()):
         raise ValueError("--selfridge is mutually exclusive with explicit "
                          "parameter flags")
-    params = {k: v for k, v in explicit.items() if v is not None}
-    params["selfridge"] = args.selfridge
-    if args.variant:
-        params["variant"] = args.variant
-    return params
+    return {**explicit, "selfridge": args.selfridge, "variant": args.variant}
 
 
 def _parse_axis(text: str) -> list[int]:
@@ -93,15 +87,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.set_defaults(func=cmd_scan)
 
     p_grid = sub.add_parser("grid", help="pseudoprime counts over a parameter grid")
-    p_grid.add_argument("--method", required=True,
-                        choices=("lucas", "double-lucas", "matrix"))
+    p_grid.add_argument("--method", required=True, choices=GRID_METHODS)
     p_grid.add_argument("--p-range", required=True, metavar="LO:HI|LIST")
     p_grid.add_argument("--q-range", required=True, metavar="LO:HI|LIST")
     p_grid.add_argument("--r-set", metavar="LIST", help="R values (matrix only)")
     p_grid.add_argument("--limit", type=int, required=True)
     p_grid.add_argument("--jobs", type=int, default=1)
     p_grid.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p_grid.add_argument("--variant", choices=("u-companion", "v-companion"))
+    p_grid.add_argument("--variant", choices=VARIANTS)
     p_grid.set_defaults(func=cmd_grid)
     return parser
 

@@ -9,8 +9,8 @@ identity (1, 0) and inverse (x, -y).  General-norm points are allowed
 everywhere; tests that need norm 1 enforce it themselves.
 
 :func:`conic_pow` reads powers off the Lucas ladder rather than repeating
-the product; :func:`brahmagupta` is kept as the reference it is tested
-against.
+the product; the tests check it against the repeated product, which lives
+with the other reference oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -21,15 +21,7 @@ from math import gcd
 from .modarith import Factor
 from .recurrence import _lucas_u
 
-__all__ = [
-    "ConicParams",
-    "brahmagupta",
-    "conic_norm",
-    "conic_pow",
-    "conic_to_lucas",
-    "lucas_to_conic",
-    "rational_point",
-]
+__all__ = ["ConicParams", "conic_pow", "rational_point"]
 
 Point = tuple[int, int]
 
@@ -54,13 +46,6 @@ class ConicParams:
         return (self.x * self.x - self.D * self.y * self.y) % n
 
 
-def brahmagupta(p1: Point, p2: Point, D: int, n: int) -> Point:
-    """Brahmagupta product of two points, reduced mod n."""
-    x1, y1 = p1
-    x2, y2 = p2
-    return ((x1 * x2 + D * y1 * y2) % n, (x1 * y2 + x2 * y1) % n)
-
-
 def conic_pow(p: Point, k: int, D: int, n: int) -> Point:
     """k-fold Brahmagupta power of p mod n; k = 0 gives the identity (1, 0).
 
@@ -71,12 +56,6 @@ def conic_pow(p: Point, k: int, D: int, n: int) -> Point:
     x, y = p
     u, u_next = _lucas_u(2 * x, x * x - D * y * y, k, n)
     return ((u_next - x * u) % n, y * u % n)
-
-
-def conic_norm(p: Point, D: int, n: int) -> int:
-    """x^2 - D*y^2 mod n."""
-    x, y = p
-    return (x * x - D * y * y) % n
 
 
 def rational_point(a: int, D: int, n: int) -> Point | Factor:
@@ -93,26 +72,3 @@ def rational_point(a: int, D: int, n: int) -> Point | Factor:
         return Factor(g if g else n)
     inv = pow(den, -1, n)
     return ((a * a + D) * inv % n, 2 * a * inv % n)
-
-
-def lucas_to_conic(P: int, n: int) -> ConicParams:
-    """Conic parameters equivalent to Lucas parameters (P, Q=1) mod n.
-
-    D = P^2 - 4 with base point (P/2, 1/2); its norm is 1 mod any odd n
-    since (P/2)^2 - (P^2-4)/4 = 1.
-    """
-    inv2 = (n + 1) // 2  # inverse of 2 for odd n
-    return ConicParams(P * P - 4, P * inv2 % n, inv2)
-
-
-def conic_to_lucas(params: ConicParams, n: int) -> tuple[int, int] | Factor:
-    """Lucas parameters (P, Q) mod n equivalent to a conic base point.
-
-    P = 2x and Q = x^2 - D*y^2 (the norm; 1 for norm-1 points).  The
-    underlying change of basis needs y invertible, so a nontrivial
-    gcd(y, n) is returned as Factor evidence instead.
-    """
-    g = gcd(params.y % n, n)
-    if g != 1:
-        return Factor(g)
-    return (2 * params.x % n, params.norm_mod(n))

@@ -11,19 +11,16 @@ read it from a periodic table), and a missing inverse is reported as a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd
 
 __all__ = [
     "JACOBI_TABLE_BOUND",
     "MAX_MODULUS",
     "Factor",
     "gcd",
-    "inv_mod",
-    "is_perfect_square",
     "jacobi",
     "mul_mod",
     "pow_mod",
-    "validate_modulus",
 ]
 
 MAX_MODULUS = 2**63 - 1
@@ -41,16 +38,6 @@ class Factor:
     value: int
 
 
-def validate_modulus(n: int) -> None:
-    """Raise ValueError unless n is an odd integer with 3 <= n < 2**63."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"modulus must be an int, got {type(n).__name__}")
-    if n < 3 or n > MAX_MODULUS:
-        raise ValueError(f"modulus out of range [3, 2**63): {n}")
-    if n % 2 == 0:
-        raise ValueError(f"modulus must be odd: {n}")
-
-
 def mul_mod(a: int, b: int, n: int) -> int:
     """a*b mod n, exact for any ints (negative inputs are canonicalized)."""
     return a * b % n
@@ -61,15 +48,6 @@ def pow_mod(a: int, e: int, n: int) -> int:
     if e < 0:
         raise ValueError("exponent must be non-negative")
     return pow(a, e, n)
-
-
-def inv_mod(a: int, n: int) -> int | Factor:
-    """Inverse of a mod n, or Factor(gcd(a, n)) when none exists."""
-    a %= n
-    g = gcd(a, n)
-    if g != 1:
-        return Factor(g if g else n)  # a == 0 -> gcd(0, n) == n
-    return pow(a, -1, n)
 
 
 # Largest |a| whose symbols jacobi() tabulates (tables are built lazily).
@@ -115,11 +93,3 @@ def _jacobi(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
-
-
-def is_perfect_square(m: int) -> bool:
-    """True iff m is the square of an integer (False for negative m)."""
-    if m < 0:
-        return False
-    r = isqrt(m)
-    return r * r == m

@@ -51,6 +51,7 @@ __all__ = [
     "strong_base_test",
     "strong_pell_test",
     "strong_pell_test_param",
+    "strong_probable_prime",
 ]
 
 
@@ -200,19 +201,24 @@ def strong_base_test(n: int, a: int) -> Verdict:
     g = gcd(a, n)
     if g != 1:
         return _composite(f"gcd(a, n) = {g}", factor=g)
-    s = n - 1
-    r = 0
-    while s % 2 == 0:
-        s //= 2
-        r += 1
+    if strong_probable_prime(n, a):
+        return _pp()
+    return _composite("a^s ≢ 1 and a^(2^k s) ≢ -1 for all k < r")
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    """The congruences of :func:`strong_base_test` alone, for odd n >= 3;
+    the scan's primality oracle runs them for each of its bases."""
+    r = ((n - 1) & (1 - n)).bit_length() - 1
+    s = (n - 1) >> r
     x = pow_mod(a, s, n)
     if x == 1 or x == n - 1:
-        return _pp()
+        return True
     for _ in range(r - 1):
         x = x * x % n
         if x == n - 1:
-            return _pp()
-    return _composite("a^s ≢ 1 and a^(2^k s) ≢ -1 for all k < r")
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

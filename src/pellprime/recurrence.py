@@ -7,8 +7,8 @@ are Lucas(2x, x^2 - D*y^2).  :func:`_lucas_u` walks the bits of k once,
 with three residue products per bit; :func:`lucas_pair` and
 :func:`tilde_pair` are thin adapters over it, and
 :func:`rank_of_apparition` walks it down the divisors of p - (D/p).  The
-2x2 matrix power (:func:`mat_pow`, on row-major 4-tuples (a, b, c, d) of
-residues) is kept as the reference the ladder is tested against.
+tests check the ladder against the 2x2 matrix power, which lives with the
+other reference oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -18,21 +18,12 @@ from dataclasses import dataclass
 from .modarith import jacobi
 
 __all__ = [
-    "IDENTITY",
     "LucasParams",
-    "Mat2",
     "MatrixParams",
     "lucas_pair",
-    "mat_apply",
-    "mat_mul",
-    "mat_pow",
     "rank_of_apparition",
     "tilde_pair",
 ]
-
-Mat2 = tuple[int, int, int, int]
-
-IDENTITY: Mat2 = (1, 0, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -67,50 +58,6 @@ class MatrixParams:
     @property
     def discriminant(self) -> int:
         return self.P * self.P - 4 * self.Q * self.R
-
-
-def mat_mul(A: Mat2, B: Mat2, n: int) -> Mat2:
-    """Product of two 2x2 matrices mod n."""
-    a, b, c, d = A
-    e, f, g, h = B
-    return (
-        (a * e + b * g) % n,
-        (a * f + b * h) % n,
-        (c * e + d * g) % n,
-        (c * f + d * h) % n,
-    )
-
-
-def mat_pow(M: Mat2, k: int, n: int) -> Mat2:
-    """M**k mod n by binary exponentiation; k must be >= 0."""
-    if k < 0:
-        raise ValueError("matrix exponent must be non-negative")
-    a, b, c, d = (x % n for x in M)
-    ra, rb, rc, rd = 1 % n, 0, 0, 1 % n
-    while k:
-        if k & 1:
-            ra, rb, rc, rd = (
-                (ra * a + rb * c) % n,
-                (ra * b + rb * d) % n,
-                (rc * a + rd * c) % n,
-                (rc * b + rd * d) % n,
-            )
-        k >>= 1
-        if k:
-            a, b, c, d = (
-                (a * a + b * c) % n,
-                (a * b + b * d) % n,
-                (c * a + d * c) % n,
-                (c * b + d * d) % n,
-            )
-    return (ra, rb, rc, rd)
-
-
-def mat_apply(M: Mat2, v: tuple[int, int], n: int) -> tuple[int, int]:
-    """M applied to a column vector mod n."""
-    a, b, c, d = M
-    x, y = v
-    return ((a * x + b * y) % n, (c * x + d * y) % n)
 
 
 def _lucas_u(P: int, Q: int, k: int, n: int) -> tuple[int, int]:

@@ -40,8 +40,11 @@ import hashlib
 import json
 import os
 import time
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from itertools import product
 from typing import Callable, Iterator
 
 from .conic import ConicParams
@@ -59,6 +62,7 @@ from .primality import (
     strong_base_test,
     strong_pell_test,
     strong_pell_test_param,
+    strong_probable_prime,
 )
 from .recurrence import LucasParams, MatrixParams
 from .selectors import (
@@ -70,8 +74,9 @@ from .selectors import (
 from .sieve import Segment, primes_up_to, sieve_limit
 
 __all__ = [
-    "DEFAULT_CHUNK_ODDS",
-    "GridReport",
+    "GRID_METHODS",
+    "METHODS",
+    "VARIANTS",
     "ScanReport",
     "build_test",
     "grid_scan",
@@ -114,112 +119,101 @@ def is_prime(n: int) -> bool:
         return True
     if n % 2 == 0:
         return False
-    s = n - 1
-    r = 0
-    while s % 2 == 0:
-        s //= 2
-        r += 1
     bases = _MR_BASES
     for bound, k in _MR_BOUNDS:
         if n < bound:
             bases = _MR_BASES[:k]
             break
-    for a in bases:
-        x = pow(a, s, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return all(strong_probable_prime(n, a) for a in bases)
 
 
 # ---------------------------------------------------------------------------
-# method registry
+# method table
 
 
-def _canon(pairs: list[tuple[str, object]]) -> str:
-    return ",".join(f"{k}={v}" for k, v in pairs)
+# One way to give a method's parameters: the names it requires, in canonical
+# order; a fixed canonical string, or None for "name=value,..."; and make,
+# which build_test calls with the names' values (selfridge's aside) to get
+# test(n, *, sieve=None), so that it sees the names a tracer swapped in.
+_Form = namedtuple("_Form", "names canonical make")
 
 
-def _require(params: dict, keys: tuple[str, ...], method: str) -> list:
-    missing = [k for k in keys if params.get(k) is None]
-    if missing:
-        raise ValueError(f"method {method!r} needs parameters {missing}")
-    return [params[k] for k in keys]
+def _hinted(test: Callable[..., Verdict], params) -> Callable[..., Verdict]:
+    """Per-n callable that passes the scan's sieve hint on to ``test``."""
+    return lambda n, *, sieve=None: test(n, params, sieve=sieve)
+
+
+# build_test takes a method's first form whose names are all given.  The
+# keys, in this order, are the CLI's --method choices.
+METHODS: dict[str, tuple[_Form, ...]] = {
+    "fermat": (_Form(("a",), None, lambda a: (
+        lambda n, *, sieve=None: fermat_test(n, a))),),
+    "strong-base": (_Form(("a",), None, lambda a: (
+        lambda n, *, sieve=None: strong_base_test(n, a))),),
+    "lucas": (
+        _Form(("selfridge",), "selfridge", lambda: lucas_selfridge),
+        _Form(("P", "Q"), None,
+              lambda P, Q: _hinted(lucas_test, LucasParams(P, Q)))),
+    "double-lucas": (
+        _Form(("selfridge",), "selfridge", lambda: double_lucas_selfridge),
+        _Form(("P", "Q"), None,
+              lambda P, Q: _hinted(double_lucas_test, LucasParams(P, Q)))),
+    "matrix": (
+        _Form(("selfridge", "variant"), None, lambda variant: (
+            lambda n, *, sieve=None: matrix_selfridge(n, variant, sieve=sieve))),
+        _Form(("P", "Q", "R", "variant"), None, lambda P, Q, R, variant: (
+            _hinted(partial(matrix_test, variant=variant),
+                    MatrixParams(P, Q, R))))),
+    "pell": (_Form(("D", "x", "y"), None,
+                   lambda D, x, y: _hinted(pell_test, ConicParams(D, x, y))),),
+    "strong-pell": (
+        _Form(("D", "a"), None, lambda D, a: (
+            lambda n, *, sieve=None: strong_pell_test_param(n, D, a))),
+        _Form(("D", "x", "y"), None,
+              lambda D, x, y: _hinted(strong_pell_test, ConicParams(D, x, y)))),
+    "gen-pell": (
+        _Form(("selfridge",), "selfridge", lambda: gen_pell_selfridge),
+        _Form(("D", "x", "y"), None, lambda D, x, y: _hinted(
+            generalized_pell_test, ConicParams(D, x, y)))),
+    "pell-variant": (_Form((), "none", lambda: (
+        lambda n, *, sieve=None: pell_variant_test(n))),),
+}
+
+VARIANTS = ("u-companion", "v-companion")  # of the matrix test
 
 
 def build_test(method: str, params: dict) -> tuple[Callable[..., Verdict], str]:
     """Resolve (method, params) to a per-n callable and a canonical string.
 
     ``params`` uses the CLI vocabulary: P, Q, R, D, x, y, a, selfridge,
-    variant.  The callable is ``test(n, *, sieve=None)``; methods that
-    cannot use a sieve hint ignore it.  Raises ValueError for unknown
-    methods or incomplete parameters.
+    variant; None, or a false selfridge, counts as not given.  The
+    callable is ``test(n, *, sieve=None)``; methods that cannot use a sieve
+    hint ignore it.  ``variant`` defaults to v-companion with selfridge and
+    to u-companion without.  Raises ValueError for an unknown method or
+    variant, missing parameters, or one the matching form does not use.
     """
-    selfridge = bool(params.get("selfridge"))
-    variant = params.get("variant") or "u-companion"
-
-    if method == "fermat":
-        (a,) = _require(params, ("a",), method)
-        return lambda n, *, sieve=None: fermat_test(n, a), _canon([("a", a)])
-    if method == "strong-base":
-        (a,) = _require(params, ("a",), method)
-        return (lambda n, *, sieve=None: strong_base_test(n, a),
-                _canon([("a", a)]))
-    if method == "lucas":
-        if selfridge:
-            return lucas_selfridge, "selfridge"
-        P, Q = _require(params, ("P", "Q"), method)
-        lp = LucasParams(P, Q)
-        return (lambda n, *, sieve=None: lucas_test(n, lp, sieve=sieve),
-                _canon([("P", P), ("Q", Q)]))
-    if method == "double-lucas":
-        if selfridge:
-            return double_lucas_selfridge, "selfridge"
-        P, Q = _require(params, ("P", "Q"), method)
-        lp = LucasParams(P, Q)
-        return (lambda n, *, sieve=None: double_lucas_test(n, lp, sieve=sieve),
-                _canon([("P", P), ("Q", Q)]))
-    if method == "matrix":
-        if selfridge:
-            mv = params.get("variant") or "v-companion"
-            return (lambda n, *, sieve=None: matrix_selfridge(
-                        n, variant=mv, sieve=sieve),
-                    _canon([("selfridge", "true"), ("variant", mv)]))
-        P, Q, R = _require(params, ("P", "Q", "R"), method)
-        mp = MatrixParams(P, Q, R)
-        return (lambda n, *, sieve=None: matrix_test(
-                    n, mp, variant=variant, sieve=sieve),
-                _canon([("P", P), ("Q", Q), ("R", R), ("variant", variant)]))
-    if method == "pell":
-        D, x, y = _require(params, ("D", "x", "y"), method)
-        cp = ConicParams(D, x, y)
-        return (lambda n, *, sieve=None: pell_test(n, cp, sieve=sieve),
-                _canon([("D", D), ("x", x), ("y", y)]))
-    if method == "strong-pell":
-        if params.get("a") is not None:
-            D, a = _require(params, ("D", "a"), method)
-            return (lambda n, *, sieve=None: strong_pell_test_param(n, D, a),
-                    _canon([("D", D), ("a", a)]))
-        D, x, y = _require(params, ("D", "x", "y"), method)
-        cp = ConicParams(D, x, y)
-        return (lambda n, *, sieve=None: strong_pell_test(n, cp, sieve=sieve),
-                _canon([("D", D), ("x", x), ("y", y)]))
-    if method == "gen-pell":
-        if selfridge:
-            return gen_pell_selfridge, "selfridge"
-        D, x, y = _require(params, ("D", "x", "y"), method)
-        cp = ConicParams(D, x, y)
-        return (lambda n, *, sieve=None: generalized_pell_test(
-                    n, cp, sieve=sieve),
-                _canon([("D", D), ("x", x), ("y", y)]))
-    if method == "pell-variant":
-        return lambda n, *, sieve=None: pell_variant_test(n), "none"
-    raise ValueError(f"unknown method: {method!r}")
+    forms = METHODS.get(method)
+    if forms is None:
+        raise ValueError(f"unknown method: {method!r}")
+    given = {k: v for k, v in params.items() if v is not None}
+    if given.pop("selfridge", False):
+        given["selfridge"] = "true"
+    if "variant" in given and given["variant"] not in VARIANTS:
+        raise ValueError(f"unknown variant: {given['variant']!r}")
+    for names, canonical, make in forms:
+        values = dict(given)
+        if "variant" in names:
+            values.setdefault("variant", "v-companion" if "selfridge" in names
+                              else "u-companion")
+        if not values.keys() >= set(names):
+            continue
+        if values.keys() - set(names):
+            raise ValueError(f"method {method!r} with {list(names)} does not "
+                             f"use {sorted(values.keys() - set(names))}")
+        test = make(*(values[k] for k in names if k != "selfridge"))
+        return test, canonical or ",".join(f"{k}={values[k]}" for k in names)
+    raise ValueError(f"method {method!r} needs parameters "
+                     + " or ".join(str(list(f.names)) for f in forms))
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +273,6 @@ class GridReport:
     limit: int
     cells: tuple[dict, ...]
     elapsed: float = 0.0
-
-    def cell(self, **coords) -> dict:
-        for c in self.cells:
-            if all(c.get(k) == v for k, v in coords.items()):
-                return c
-        raise KeyError(f"no grid cell {coords}")
 
     def to_dict(self, include_elapsed: bool = True) -> dict:
         d = {
@@ -417,11 +405,10 @@ def scan_range(method: str, params: dict, lo: int, hi: int, *,
 # grids
 
 
-def _degenerate_cell(method: str, cell: dict) -> bool:
-    p, q, r = cell.get("P", 0), cell.get("Q", 0), cell.get("R", 1)
-    if method == "matrix":
-        return r == 0 or q == 0 or p * p - 4 * q * r == 0
-    return q == 0 or p * p - 4 * q == 0
+# Methods with a form that takes P, Q[, R] and at most a variant besides:
+# a grid spans those parameters.
+GRID_METHODS = tuple(m for m, forms in METHODS.items() if any(
+    {"P", "Q"} <= set(f.names) <= {"R", "P", "Q", "variant"} for f in forms))
 
 
 def grid_scan(method: str, p_values: list[int], q_values: list[int],
@@ -432,33 +419,29 @@ def grid_scan(method: str, p_values: list[int], q_values: list[int],
     Degenerate cells (zero discriminant, Q or R zero) are skipped and
     marked rather than scanned.  ``jobs`` must be at least 1.
     """
+    if method not in GRID_METHODS:
+        raise ValueError(f"grid_scan does not support method {method!r}")
+    names = [a for a in "RPQ" if any(a in f.names for f in METHODS[method])]
     if not p_values or not q_values:
         raise ValueError("axes must be non-empty")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if method == "matrix":
-        if not r_values:
-            raise ValueError("matrix grid needs an R axis")
-        axes = (("R", tuple(r_values)), ("P", tuple(p_values)), ("Q", tuple(q_values)))
-        coords = [{"R": r, "P": p, "Q": q}
-                  for r in r_values for p in p_values for q in q_values]
-    elif method in ("lucas", "double-lucas"):
-        axes = (("P", tuple(p_values)), ("Q", tuple(q_values)))
-        coords = [{"P": p, "Q": q} for p in p_values for q in q_values]
-    else:
-        raise ValueError(f"grid_scan does not support method {method!r}")
+    if "R" in names and not r_values:
+        raise ValueError(f"{method} grid needs an R axis")
+    values = {"R": r_values, "P": p_values, "Q": q_values}
+    axes = tuple((a, tuple(values[a])) for a in names)
+    extra = {} if variant is None else {"variant": variant}
+    build_test(method, dict.fromkeys(names, 1) | extra)  # validates early
 
     start = time.monotonic()
     cells = []
-    for cell in coords:
-        record = dict(cell)
-        if _degenerate_cell(method, cell):
+    for combo in product(*(values[a] for a in names)):
+        record = dict(zip(names, combo))
+        p, q, r = record["P"], record["Q"], record.get("R", 1)
+        if q == 0 or r == 0 or p * p - 4 * q * r == 0:
             record.update(skipped=True, count=None)
         else:
-            params = dict(cell)
-            if variant is not None:
-                params["variant"] = variant
-            report = scan_range(method, params, 3, limit, jobs=jobs)
+            report = scan_range(method, record | extra, 3, limit, jobs=jobs)
             record.update(skipped=False, count=report.count)
         cells.append(record)
     return GridReport(method=method, axes=axes, limit=limit,

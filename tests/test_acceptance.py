@@ -18,7 +18,8 @@ import time
 
 import pytest
 
-from pellprime.conic import ConicParams, brahmagupta, conic_norm, lucas_to_conic, rational_point
+from oracles import brahmagupta, conic_norm, lucas_to_conic
+from pellprime.conic import ConicParams, rational_point
 from pellprime.modarith import Factor, jacobi, mul_mod, pow_mod
 from pellprime.primality import (
     Outcome,

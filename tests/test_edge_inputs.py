@@ -15,10 +15,9 @@ from dataclasses import replace
 
 import pytest
 
-from pellprime.conic import brahmagupta
+from oracles import brahmagupta, mat_apply, mat_pow
 from pellprime.modarith import _jacobi
 from pellprime.primality import Outcome, Verdict
-from pellprime.recurrence import mat_apply, mat_pow
 from pellprime.search import build_test, is_prime
 from pellprime.selectors import (
     selfridge_classic,

