@@ -27,6 +27,33 @@ for the n that need it).  It serves twice:
   Both kinds are counted as ``sieved``.  Above 2**40 the sieve proves no
   prime, and primes run the full test.
 
+For those tests a chunk kernel (:func:`_kernel`) reaches the same verdicts
+for a whole chunk at once, on big-int bitmasks over the chunk's odd n,
+because calling the test n by n costs more than everything it decides.
+Nearly every verdict follows from facts that are periodic in n or already
+held by the sieve.  (d/n) repeats every 4|d| integers, so a Selfridge walk
+over a chunk is a few periodic patterns; perfect squares and the zero
+symbols it meets are its short-circuited composites.  In each class of one
+discriminant, the n sharing a prime with the class's gcd value (Q, QR or
+the base point's norm) are settled as the test's preconditions settle
+them.  An n with no recorded factor is a sieve-proved prime, and only an n
+with a recorded factor takes one :meth:`Segment.rules_out` call.  Each
+form's description sits in :data:`METHODS`.  The hinted per-n test runs
+only on what is left:
+
+* the n at or below a discriminant's bound (its |d|, |Q'| or |scale|),
+  where a shared factor may be n itself;
+* the n with no recorded factor at or above (limit + 1)**2, and the primes
+  of the u-companion matrix test;
+* the composites whose recorded factors do not rule them out, about one n
+  in 10**5 to 10**6 near 2**34;
+* every n of fermat, strong-base, pell-variant, strong-pell with (D, a),
+  and of parameters the tests reject n by n (a zero discriminant, Q' or
+  scale, or a pell base point of norm other than 1).
+
+:func:`_per_n`, the per-n loop over a whole chunk, is the reference the
+kernel is tested against.
+
 Long scans can persist a resume cursor to a checkpoint file after every
 chunk.  The checkpoint stores only the cursor and the scan identity (method,
 parameters, and a hash of both), so a resumed scan covers [cursor, hi]; the
@@ -44,11 +71,13 @@ from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
+from itertools import compress, islice, product, repeat
+from math import isqrt
+from operator import not_
 from typing import Callable, Iterator
 
 from .conic import ConicParams
-from .modarith import MAX_MODULUS
+from .modarith import MAX_MODULUS, jacobi_masks, sharing_mask
 from .primality import (
     Outcome,
     Verdict,
@@ -66,9 +95,12 @@ from .primality import (
 )
 from .recurrence import LucasParams, MatrixParams
 from .selectors import (
+    CANDIDATE_CAP,
+    classic_candidates,
     double_lucas_selfridge,
     gen_pell_selfridge,
     lucas_selfridge,
+    matrix_candidates,
     matrix_selfridge,
 )
 from .sieve import Segment, primes_up_to, sieve_limit
@@ -132,15 +164,61 @@ def is_prime(n: int) -> bool:
 
 
 # One way to give a method's parameters: the names it requires, in canonical
-# order; a fixed canonical string, or None for "name=value,..."; and make,
-# which build_test calls with the names' values (selfridge's aside) to get
-# test(n, *, sieve=None), so that it sees the names a tracer swapped in.
-_Form = namedtuple("_Form", "names canonical make")
+# order; a fixed canonical string, or None for "name=value,..."; make, which
+# build_test calls with the names' values (selfridge's aside) to get
+# test(n, *, sieve=None), so that it sees the names a tracer swapped in; and
+# bulk, which the scan calls with the same values to get the form's _Bulk,
+# or None when the scan runs the test on every n.
+_Form = namedtuple("_Form", "names canonical make bulk", defaults=(None,))
+
+# How the scan's chunk kernel settles the n of a form whose test takes the
+# sieve hint.  ``D`` is the fixed discriminant, or for a Selfridge form the
+# function that returns its candidate sequence.  ``lucas(d)`` is the
+# (P', Q', scale) for discriminant d of the test's first congruence,
+# scale*U_k(P', Q') ≡ 0 (mod n) with k = n - (d/n) for every such form;
+# the test's preconditions also settle, with outcome ``shared``, the n that
+# share a prime with Q' (Q for Lucas, QR for matrix, the base point's norm
+# for the conics).  ``primes_pass`` is whether every prime that meets the
+# preconditions passes the test.
+_Bulk = namedtuple("_Bulk", "D lucas shared primes_pass")
+_INVALID, _COMPOSITE = Outcome.PARAMS_INVALID, Outcome.COMPOSITE
 
 
 def _hinted(test: Callable[..., Verdict], params) -> Callable[..., Verdict]:
     """Per-n callable that passes the scan's sieve hint on to ``test``."""
     return lambda n, *, sieve=None: test(n, params, sieve=sieve)
+
+
+def _fixed(D: int, P: int, Q: int, scale: int, shared: Outcome = _INVALID,
+           primes_pass: bool = True) -> _Bulk | None:
+    """The _Bulk of a form with one discriminant D; None when D, Q' or the
+    scale is 0, parameters for which the test rejects n by n."""
+    if not (D and Q and scale):
+        return None
+    return _Bulk(D, lambda d: (P, Q, scale), shared, primes_pass)
+
+
+def _conic(D: int, x: int, y: int, shared: Outcome) -> _Bulk | None:
+    """The _Bulk of a conic test: y*U_k of Lucas(2x, x^2 - D*y^2)."""
+    return _fixed(D, 2 * x, x * x - D * y * y, y, shared)
+
+
+def _norm_one(D: int, x: int, y: int) -> _Bulk | None:
+    """pell and strong-pell reject every n beyond |norm - 1| unless the
+    base point has norm 1, and then no n shares a prime with the norm."""
+    return _conic(D, x, y, _INVALID) if x * x - D * y * y == 1 else None
+
+
+def _classic(d: int) -> tuple[int, int, int]:
+    return 1, (1 - d) // 4, 1  # P = 1, Q = (1 - D)/4
+
+
+def _selfridge_matrix(d: int) -> tuple[int, int, int]:
+    return 1, (1 - d) // 4, 2  # P = 1, QR = 2(1 - D)/8, R = 2
+
+
+def _selfridge_conic(d: int) -> tuple[int, int, int]:
+    return 6, 9 - 4 * d, 2  # base point (3, 2) of norm 9 - 4D
 
 
 # build_test takes a method's first form whose names are all given.  The
@@ -151,35 +229,77 @@ METHODS: dict[str, tuple[_Form, ...]] = {
     "strong-base": (_Form(("a",), None, lambda a: (
         lambda n, *, sieve=None: strong_base_test(n, a))),),
     "lucas": (
-        _Form(("selfridge",), "selfridge", lambda: lucas_selfridge),
+        _Form(("selfridge",), "selfridge", lambda: lucas_selfridge,
+              lambda: _Bulk(classic_candidates, _classic, _INVALID, True)),
         _Form(("P", "Q"), None,
-              lambda P, Q: _hinted(lucas_test, LucasParams(P, Q)))),
+              lambda P, Q: _hinted(lucas_test, LucasParams(P, Q)),
+              lambda P, Q: _fixed(P * P - 4 * Q, P, Q, 1))),
     "double-lucas": (
-        _Form(("selfridge",), "selfridge", lambda: double_lucas_selfridge),
+        _Form(("selfridge",), "selfridge", lambda: double_lucas_selfridge,
+              lambda: _Bulk(classic_candidates, _classic, _INVALID, True)),
         _Form(("P", "Q"), None,
-              lambda P, Q: _hinted(double_lucas_test, LucasParams(P, Q)))),
+              lambda P, Q: _hinted(double_lucas_test, LucasParams(P, Q)),
+              lambda P, Q: _fixed(P * P - 4 * Q, P, Q, 1))),
     "matrix": (
         _Form(("selfridge", "variant"), None, lambda variant: (
-            lambda n, *, sieve=None: matrix_selfridge(n, variant, sieve=sieve))),
+            lambda n, *, sieve=None: matrix_selfridge(n, variant, sieve=sieve)),
+            lambda variant: _Bulk(matrix_candidates, _selfridge_matrix,
+                                  _INVALID, variant == "v-companion")),
         _Form(("P", "Q", "R", "variant"), None, lambda P, Q, R, variant: (
             _hinted(partial(matrix_test, variant=variant),
-                    MatrixParams(P, Q, R))))),
+                    MatrixParams(P, Q, R))),
+            lambda P, Q, R, variant: _fixed(
+                P * P - 4 * Q * R, P, Q * R, R,
+                primes_pass=variant == "v-companion"))),
     "pell": (_Form(("D", "x", "y"), None,
-                   lambda D, x, y: _hinted(pell_test, ConicParams(D, x, y))),),
+                   lambda D, x, y: _hinted(pell_test, ConicParams(D, x, y)),
+                   _norm_one),),
     "strong-pell": (
         _Form(("D", "a"), None, lambda D, a: (
             lambda n, *, sieve=None: strong_pell_test_param(n, D, a))),
         _Form(("D", "x", "y"), None,
-              lambda D, x, y: _hinted(strong_pell_test, ConicParams(D, x, y)))),
+              lambda D, x, y: _hinted(strong_pell_test, ConicParams(D, x, y)),
+              _norm_one)),
     "gen-pell": (
-        _Form(("selfridge",), "selfridge", lambda: gen_pell_selfridge),
+        _Form(("selfridge",), "selfridge", lambda: gen_pell_selfridge,
+              lambda: _Bulk(classic_candidates, _selfridge_conic, _COMPOSITE,
+                            True)),
         _Form(("D", "x", "y"), None, lambda D, x, y: _hinted(
-            generalized_pell_test, ConicParams(D, x, y)))),
+            generalized_pell_test, ConicParams(D, x, y)),
+            lambda D, x, y: _conic(D, x, y, _COMPOSITE))),
     "pell-variant": (_Form((), "none", lambda: (
         lambda n, *, sieve=None: pell_variant_test(n))),),
 }
 
 VARIANTS = ("u-companion", "v-companion")  # of the matrix test
+
+
+def _resolve(method: str, params: dict) -> tuple[_Form, list, str]:
+    """The form build_test takes, its arguments and the canonical string."""
+    forms = METHODS.get(method)
+    if forms is None:
+        raise ValueError(f"unknown method: {method!r}")
+    given = {k: v for k, v in params.items() if v is not None}
+    if given.pop("selfridge", False):
+        given["selfridge"] = "true"
+    if "variant" in given and given["variant"] not in VARIANTS:
+        raise ValueError(f"unknown variant: {given['variant']!r}")
+    for form in forms:
+        names = form.names
+        values = dict(given)
+        if "variant" in names:
+            values.setdefault("variant", "v-companion" if "selfridge" in names
+                              else "u-companion")
+        if not values.keys() >= set(names):
+            continue
+        if values.keys() - set(names):
+            raise ValueError(f"method {method!r} with {list(names)} does not "
+                             f"use {sorted(values.keys() - set(names))}")
+        args = [values[k] for k in names if k != "selfridge"]
+        return form, args, form.canonical or ",".join(
+            f"{k}={values[k]}" for k in names)
+    raise ValueError(f"method {method!r} needs parameters "
+                     + " or ".join(str(list(f.names)) for f in forms))
 
 
 def build_test(method: str, params: dict) -> tuple[Callable[..., Verdict], str]:
@@ -192,28 +312,8 @@ def build_test(method: str, params: dict) -> tuple[Callable[..., Verdict], str]:
     to u-companion without.  Raises ValueError for an unknown method or
     variant, missing parameters, or one the matching form does not use.
     """
-    forms = METHODS.get(method)
-    if forms is None:
-        raise ValueError(f"unknown method: {method!r}")
-    given = {k: v for k, v in params.items() if v is not None}
-    if given.pop("selfridge", False):
-        given["selfridge"] = "true"
-    if "variant" in given and given["variant"] not in VARIANTS:
-        raise ValueError(f"unknown variant: {given['variant']!r}")
-    for names, canonical, make in forms:
-        values = dict(given)
-        if "variant" in names:
-            values.setdefault("variant", "v-companion" if "selfridge" in names
-                              else "u-companion")
-        if not values.keys() >= set(names):
-            continue
-        if values.keys() - set(names):
-            raise ValueError(f"method {method!r} with {list(names)} does not "
-                             f"use {sorted(values.keys() - set(names))}")
-        test = make(*(values[k] for k in names if k != "selfridge"))
-        return test, canonical or ",".join(f"{k}={values[k]}" for k in names)
-    raise ValueError(f"method {method!r} needs parameters "
-                     + " or ".join(str(list(f.names)) for f in forms))
+    form, args, canonical = _resolve(method, params)
+    return form.make(*args), canonical
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +330,10 @@ class ScanReport:
     ``params_invalid``, ``short_circuited`` (verdicts produced during
     parameter selection), ``sieved`` (verdicts the factor sieve settled
     without the ladder: composites a factor rules out, and primes it
-    proves) and ``pseudoprimes``.
+    proves) and ``pseudoprimes``.  Each count is what the hinted test
+    gives n by n, whether the chunk kernel settled n in bulk or the test
+    ran on it; so the counts, like the list, are the same for any ``jobs``
+    and chunk size.
     """
 
     method: str
@@ -266,19 +369,25 @@ class ScanReport:
 
 @dataclass(frozen=True)
 class GridReport:
-    """Counts of pseudoprimes per parameter cell, with degenerate cells skipped."""
+    """Counts of pseudoprimes per parameter cell, with degenerate cells skipped.
+
+    ``variant`` is the matrix variant every cell ran, None for the other
+    methods.
+    """
 
     method: str
     axes: tuple[tuple[str, tuple[int, ...]], ...]
     limit: int
     cells: tuple[dict, ...]
     elapsed: float = 0.0
+    variant: str | None = None
 
     def to_dict(self, include_elapsed: bool = True) -> dict:
         d = {
             "method": self.method,
             "axes": [{"name": name, "values": list(vals)} for name, vals in self.axes],
             "limit": self.limit,
+            "variant": self.variant,
             "cells": list(self.cells),
         }
         if include_elapsed:
@@ -298,12 +407,13 @@ def _new_stats() -> dict[str, int]:
     return dict.fromkeys(_STAT_KEYS, 0)
 
 
-def _scan_chunk(method: str, params: dict, lo: int, hi: int,
-                limit: int) -> tuple[list[int], dict[str, int]]:
-    """Scan odd candidates in [lo, hi] (single process), sieving to limit."""
-    test, _ = build_test(method, params)
-    sieve = Segment(lo, hi, limit)
-    odds = range(lo | 1, hi + 1, 2)
+def _per_n(test: Callable[..., Verdict], sieve: Segment,
+           odds) -> tuple[list[int], dict[str, int]]:
+    """Run the hinted test on each n of ``odds`` (ascending) and tally.
+
+    The scan's path for the n the kernel leaves, and for methods it does
+    not cover; over a whole chunk it is the kernel's reference.
+    """
     found: list[int] = []
     passed = failed = selector = sieved = 0
     PASS, FAIL = Outcome.PROBABLE_PRIME, Outcome.COMPOSITE
@@ -328,6 +438,119 @@ def _scan_chunk(method: str, params: dict, lo: int, hi: int,
         "params_invalid": len(odds) - passed - failed,
         "short_circuited": selector, "sieved": sieved,
         "pseudoprimes": len(found)}
+
+
+_UNSET = bytes.maketrans(b"0", b"\x00")
+
+
+def _members(mask: int, lo: int) -> Iterator[int]:
+    """The odd n = lo + 2i for the set bits i of mask, ascending."""
+    bits = bin(mask)[:1:-1].encode().translate(_UNSET)
+    return compress(range(lo, lo + 2 * len(bits), 2), bits)
+
+
+def _kernel(bulk: _Bulk, sieve: Segment, lo: int,
+            size: int) -> tuple[dict[str, int], list[int]]:
+    """Settle the odd n = lo + 2i, i < size, on bitmasks over i.
+
+    Returns the counts of what it settled and the n it leaves to the
+    per-n test, ascending: those at or below the bound of a discriminant
+    they reach (its |d|, |Q'| or |scale|), where a shared factor may be n
+    itself; those with no recorded factor that the sieve does not prove
+    prime, or that are prime when primes need not pass; and those with a
+    recorded factor that ``rules_out`` does not rule out.
+    """
+    stats = _new_stats()
+    full = (1 << size) - 1
+
+    def upto(bound: int) -> int:  # the n <= bound
+        return (1 << max(0, min(size, (bound - lo) // 2 + 1))) - 1
+
+    def bound(d: int) -> int:
+        return max(abs(d), *map(abs, bulk.lucas(d)[1:]))
+
+    classes = []  # (d, (d/n), the n of this class)
+    if isinstance(bulk.D, int):
+        d = bulk.D
+        rest = upto(bound(d))
+        minus, zero = jacobi_masks(d, lo, size)
+        left = full ^ rest
+        classes = [(d, 1, left & ~(minus | zero)), (d, -1, left & minus),
+                   (d, 0, left & zero)]
+    else:
+        # Perfect squares, then each n at the first candidate d with
+        # (d/n) = -1; (d/n) = 0 with n > |d| is a proper factor.
+        short = rest = 0
+        r = isqrt(lo - 1) + 1 | 1
+        while r * r < lo + 2 * size:
+            short |= 1 << (r * r - lo >> 1)
+            r += 2
+        left = full ^ short
+        for d in islice(bulk.D(), CANDIDATE_CAP):
+            if not left:
+                break
+            small = left & upto(bound(d))
+            rest |= small
+            left ^= small
+            minus, zero = jacobi_masks(d, lo, size)
+            classes.append((d, -1, left & minus))
+            short |= left & zero
+            left &= ~(minus | zero)
+        rest |= left  # beyond the cap: the per-n walk raises
+        stats["short_circuited"] = short.bit_count()
+        stats["composite"] = short.bit_count()
+
+    unfactored = sieve.unfactored()
+    proved = unfactored & upto(sieve.prime_below - 1)
+    shared = "params_invalid" if bulk.shared is _INVALID else "composite"
+    survivors: list[int] = []
+    for d, j, mask in classes:
+        if not mask:
+            continue
+        P, Q, scale = bulk.lucas(d)
+        sharing = mask & sharing_mask(Q, lo, size)
+        stats[shared] += sharing.bit_count()
+        mask ^= sharing
+        if not j:  # (d/n) = 0 for a fixed d: a proper factor of n
+            stats["composite"] += mask.bit_count()
+            continue
+        if bulk.primes_pass:
+            primes = mask & proved
+            stats["probable_prime"] += primes.bit_count()
+            stats["sieved"] += primes.bit_count()
+            mask ^= primes
+        rest |= mask & unfactored
+        ns = list(_members(mask & ~unfactored, lo))
+        ruled = list(map(sieve.rules_out, ns, repeat(P), repeat(Q),
+                         map(j.__rsub__, ns), repeat(scale)))
+        count = sum(ruled)
+        stats["composite"] += count
+        stats["sieved"] += count
+        survivors += compress(ns, map(not_, ruled))
+    rest_n = sorted([*_members(rest, lo), *survivors])
+    stats["tested"] = size - len(rest_n)
+    return stats, rest_n
+
+
+def _scan_chunk(method: str, params: dict, lo: int, hi: int,
+                limit: int) -> tuple[list[int], dict[str, int]]:
+    """Scan odd candidates in [lo, hi] (single process), sieving to limit.
+
+    The chunk kernel settles what it can in bulk and the hinted per-n test
+    runs on the rest; methods without a _Bulk run it on every n.
+    """
+    form, args, _ = _resolve(method, params)
+    test = form.make(*args)
+    sieve = Segment(lo, hi, limit)
+    lo |= 1
+    bulk = form.bulk and form.bulk(*args)
+    if bulk is None or lo > hi:
+        return _per_n(test, sieve, range(lo, hi + 1, 2))
+    stats, rest = _kernel(bulk, sieve, lo, (hi - lo) // 2 + 1)
+    found, rest_stats = _per_n(test, sieve, rest)
+    for k, v in rest_stats.items():
+        stats[k] += v
+    return found, stats
 
 
 def _chunks(lo: int, hi: int, chunk_odds: int) -> Iterator[tuple[int, int]]:
@@ -417,7 +640,8 @@ def grid_scan(method: str, p_values: list[int], q_values: list[int],
     """One scan_range per (P, Q[, R]) cell up to limit; counts per cell.
 
     Degenerate cells (zero discriminant, Q or R zero) are skipped and
-    marked rather than scanned.  ``jobs`` must be at least 1.
+    marked rather than scanned.  ``jobs`` must be at least 1, and
+    ``r_values`` are for the matrix grid only.
     """
     if method not in GRID_METHODS:
         raise ValueError(f"grid_scan does not support method {method!r}")
@@ -428,10 +652,15 @@ def grid_scan(method: str, p_values: list[int], q_values: list[int],
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if "R" in names and not r_values:
         raise ValueError(f"{method} grid needs an R axis")
+    if "R" not in names and r_values:
+        raise ValueError(f"{method} grid does not use R values")
     values = {"R": r_values, "P": p_values, "Q": q_values}
     axes = tuple((a, tuple(values[a])) for a in names)
     extra = {} if variant is None else {"variant": variant}
-    build_test(method, dict.fromkeys(names, 1) | extra)  # validates early
+    # validates early, and resolves the variant the cells run
+    form, args, _ = _resolve(method, dict.fromkeys(names, 1) | extra)
+    variant = dict(zip([k for k in form.names if k != "selfridge"],
+                       args)).get("variant")
 
     start = time.monotonic()
     cells = []
@@ -445,7 +674,8 @@ def grid_scan(method: str, p_values: list[int], q_values: list[int],
             record.update(skipped=False, count=report.count)
         cells.append(record)
     return GridReport(method=method, axes=axes, limit=limit,
-                      cells=tuple(cells), elapsed=time.monotonic() - start)
+                      cells=tuple(cells), elapsed=time.monotonic() - start,
+                      variant=variant)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ Selfridge Lucas test) go on to the full test.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from bisect import bisect_right
 from itertools import compress
@@ -44,6 +45,9 @@ _odd_primes = array("I")
 _odd_primes_limit = 2
 _ranks: dict[tuple[int, int], array] = {}
 _MAX_RANK_TABLES = 64
+# Maps the sign byte of each entry of Segment.head to a binary digit: 1 for
+# a negative entry (no recorded factor).
+_SIGN_DIGITS = bytes(0x31 if b >= 0x80 else 0x30 for b in range(256))
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -122,6 +126,13 @@ class Segment:
                 append_next(head[i])
                 head[i] = len(factor)
                 append_factor(idx)
+
+    def unfactored(self) -> int:
+        """Bitmask over the index of the n with no recorded factor."""
+        width = self.head.itemsize
+        sign = width - 1 if sys.byteorder == "little" else 0
+        signs = memoryview(self.head).cast("B")[sign::width].tobytes()
+        return int(signs.translate(_SIGN_DIGITS)[::-1], 2)
 
     def factors(self, n: int) -> list[int]:
         """The prime factors of n that are <= limit, largest first."""

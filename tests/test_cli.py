@@ -193,6 +193,32 @@ def test_format_changes_serialization_not_content(capsys):
     assert json_count == csv_count
 
 
+def test_grid_rejects_r_values_the_method_does_not_use(capsys):
+    for method in ("lucas", "double-lucas"):
+        code, out, err = run_cli(capsys, "grid", "--method", method,
+                                 "--p-range", "1", "--q-range=-1",
+                                 "--r-set", "5", "--limit", "500")
+        assert code == 2, method
+        assert out == "", method
+        assert "does not use R" in err, method
+
+
+def test_grid_meta_records_the_matrix_variant(capsys):
+    argv = ("grid", "--method", "matrix", "--p-range", "1", "--q-range=-2",
+            "--r-set=-1", "--limit", "500", "--format", "jsonl")
+    metas = []
+    for extra in ((), ("--variant", "v-companion")):
+        code, out, _ = run_cli(capsys, *argv, *extra)
+        assert code == 0
+        metas.append([r for r in jsonl(out) if r["type"] == "grid_meta"][0])
+    default, v_companion = metas
+    assert (default["variant"], v_companion["variant"]) == ("u-companion",
+                                                            "v-companion")
+    differ = {k for k in default.keys() | v_companion.keys()
+              if default.get(k) != v_companion.get(k)}
+    assert differ <= {"variant", "elapsed_s"} and "variant" in differ
+
+
 def test_grid_matrix_needs_r_set(capsys):
     code, _, err = run_cli(capsys, "grid", "--method", "matrix",
                            "--p-range", "1", "--q-range", "2",

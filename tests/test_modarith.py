@@ -11,8 +11,10 @@ from pellprime.modarith import (
     _jacobi,
     gcd,
     jacobi,
+    jacobi_masks,
     mul_mod,
     pow_mod,
+    sharing_mask,
 )
 
 
@@ -133,6 +135,37 @@ def test_jacobi_off_the_table_for_even_or_non_positive_n():
             _jacobi(a, 0)
         with pytest.raises(ZeroDivisionError):
             jacobi(a, 0)
+
+
+# (odd lo, size): one odd n, a run from 1, a chunk near 2**34, and a short
+# run shorter than the period of most a below.
+MASK_RANGES = [(1, 1), (1, 700), (2**34 + 1, 2**11), (999, 5)]
+
+
+# On and off the table, a = 0, and a period longer than every range.
+@pytest.mark.parametrize("a", [-7, 5, 1, -1, 2, -2, 9, JACOBI_TABLE_BOUND,
+                               -JACOBI_TABLE_BOUND - 1, 1000, 0, 2**40 + 1])
+def test_jacobi_masks_equal_each_symbol(a):
+    for lo, size in MASK_RANGES:
+        minus, zero = jacobi_masks(a, lo, size)
+        assert minus >> size == zero >> size == 0
+        for i in range(size):
+            j = jacobi(a, lo + 2 * i)
+            assert (minus >> i & 1, zero >> i & 1) == (j == -1, j == 0), (
+                lo, i)
+
+
+# Primes found by trial division (3, 5, 1031), a prime left over (1031 and
+# 2**61 - 1 as the last factor), and parts with primes all beyond the trial
+# bound (1031*1033, 2**61 - 1 itself), which each n checks by gcd.
+@pytest.mark.parametrize("g", [1, -1, 2, -12, 45, 3 * 1031, 1031 * 1033,
+                               2**61 - 1, -5 * (2**61 - 1), 2**70])
+def test_sharing_mask_equals_each_gcd(g):
+    for lo, size in MASK_RANGES + [(1031 * 1033 - 2 * 1031, 2**11)]:
+        mask = sharing_mask(g, lo, size)
+        assert mask >> size == 0
+        for i in range(size):
+            assert mask >> i & 1 == (gcd(g, lo + 2 * i) > 1), (lo, i)
 
 
 def test_gcd_examples():

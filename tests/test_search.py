@@ -277,3 +277,6 @@ def test_grid_scan_rejects_unknown_method():
         grid_scan("lucas", [], [1], 500)
     with pytest.raises(ValueError):
         grid_scan("lucas", [1], [2], 500, jobs=0)
+    for method in ("lucas", "double-lucas"):
+        with pytest.raises(ValueError):
+            grid_scan(method, [1], [-1], 500, r_values=[5])

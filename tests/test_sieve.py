@@ -4,7 +4,9 @@ The reference scan runs the test on every odd n without a sieve hint and
 asks the primality oracle about every passer; the sieved scan must report
 the same pseudoprimes and the same counts (apart from ``sieved``, which
 only the sieve produces).  Hinted verdicts must equal unhinted ones apart
-from ``stage``, and a sieve-settled probable prime must be a prime.
+from ``stage``, and a sieve-settled probable prime must be a prime.  The
+scan's chunk kernel must give exactly what the hinted test gives on every
+n of the chunk, ``sieved`` included.
 """
 
 import random
@@ -15,6 +17,7 @@ import pytest
 
 from pellprime.primality import Outcome
 from pellprime.recurrence import LucasParams, lucas_pair, rank_of_apparition
+from pellprime import search
 from pellprime.search import build_test, is_prime, primes_up_to, scan_range
 from pellprime.sieve import SIEVE_CAP, Segment, sieve_limit
 
@@ -103,6 +106,62 @@ def test_unhinted_methods_match_reference(method, params):
         assert assert_matches_reference(method, params, lo, hi) == 0
 
 
+def chunk_cases(rng):
+    """(lo, hi, limit) of random chunks of 1 to 2**12 odd n (log-uniform,
+    so that small chunks come up as often as large ones): one anywhere
+    in [3, 2**41], one holding an odd square, one from just above 3 that
+    holds the bounds of the small discriminants, and one holding
+    (2**20 + 1)**2, where the sieve stops proving primes.  The limit is
+    that of a scan ending at or beyond the chunk.  Two chunks sieved below
+    isqrt(hi) come first, as in the hinted test where the prime proof
+    stops: 97**2 has no factor <= 96."""
+    yield 3, 3001, 40
+    yield 97**2 - 800, 97**2 + 800, 96
+
+    def size():
+        return round(2 ** rng.uniform(0, 12))
+
+    def chunk(lo, size, inside=None):
+        if inside is not None:
+            lo = inside - 2 * rng.randrange(size)
+        hi = (lo | 1) + 2 * (size - 1)
+        return lo, hi, sieve_limit(rng.randint(hi, 2 * hi))
+
+    for _ in range(2):
+        yield chunk(rng.randrange(3, 2**41), size())
+        yield chunk(0, size(), inside=rng.randrange(3, 2**20, 2) ** 2)
+        yield chunk(rng.randrange(3, 40), max(size(), 64))
+        yield chunk(0, size(), inside=(2**20 + 1) ** 2)
+
+
+@pytest.mark.parametrize("method, params", SIEVED_CONFIGS)
+def test_chunk_kernel_matches_the_per_n_test(method, params):
+    rng = random.Random(f"kernel/{method}/{sorted(params.items())}")
+    test, _ = build_test(method, params)
+    form, args, _ = search._resolve(method, params)
+    assert form.bulk(*args) is not None
+    for lo, hi, limit in chunk_cases(rng):
+        per_n = search._per_n(test, Segment(lo, hi, limit),
+                              range(lo | 1, hi + 1, 2))
+        assert search._scan_chunk(method, params, lo, hi, limit) == per_n, (
+            lo, hi, limit)
+
+
+@pytest.mark.parametrize("method, params", [
+    ("gen-pell", {"selfridge": True}), ("matrix", {"selfridge": True}),
+    ("lucas", {"P": -3, "Q": -2}), ("pell", {"D": 3, "x": 2, "y": 1})])
+def test_chunk_kernel_leaves_almost_no_n_to_the_per_n_test(method, params):
+    # A chunk of the benchmark's size near 2**34: every n is settled in
+    # bulk but the few composites whose factors do not rule them out.
+    lo, size = 2**34 + 1, 2**11
+    hi = lo + 2 * (size - 1)
+    segment = Segment(lo, hi, sieve_limit(hi))
+    form, args, _ = search._resolve(method, params)
+    stats, rest = search._kernel(form.bulk(*args), segment, lo, size)
+    assert len(rest) <= 2 and stats["tested"] == size - len(rest)
+    assert all(segment.is_composite(n) for n in rest)
+
+
 def u_companion(method, params):
     """Whether build_test runs the u-companion matrix test for params."""
     default = "v-companion" if params.get("selfridge") else "u-companion"
@@ -156,6 +215,7 @@ def test_hinted_verdicts_where_the_prime_proof_stops(method, params, lo, hi,
     (2**40 + 1, 2**40 + 301, 1000)])
 def test_segment_factors_and_cofactor(lo, hi, limit):
     segment = Segment(lo, hi, limit)
+    unfactored = segment.unfactored()
     primes = [p for p in primes_up_to(limit) if p > 2]
     for n in range(lo, hi + 1, 2):
         i = (n - lo) // 2
@@ -165,6 +225,7 @@ def test_segment_factors_and_cofactor(lo, hi, limit):
             j = segment.next[j]
         assert sorted(factors) == [p for p in primes if n % p == 0 and p < n]
         assert segment.factors(n) == factors
+        assert unfactored >> i & 1 == (not factors)
         c = n
         for p in factors:
             while c % p == 0:
