@@ -12,16 +12,13 @@ Every test takes an odd integer n >= 3 plus parameters and returns a
 A verdict never claims primality outright: composites passing a given test
 with given parameters are exactly the pseudoprimes the scan module hunts.
 
-The tests whose first congruence is U_k ≡ 0 for a Lucas sequence (lucas,
-double-lucas, matrix, pell, strong-pell and gen-pell) take a keyword-only
-``sieve``: a :class:`~pellprime.sieve.Segment` covering n.  After every
-precondition, and before the ladder, such a test asks the segment whether
-a prime factor of n already proves that congruence false; if so it returns
-the COMPOSITE verdict the ladder would have given, with ``stage="sieve"``.
-When the segment instead proves n prime, a test that every prime passes
-once its preconditions hold returns the PROBABLE_PRIME verdict, also with
-``stage="sieve"``.  Every one of them but the u-companion matrix test is
-such a test; each docstring names the theorem.
+Every test runs its ladder on every n that meets its preconditions.  A
+scan settles most n of the tests whose first congruence is U_k ≡ 0 for a
+Lucas sequence (lucas, double-lucas, matrix, pell, strong-pell and
+gen-pell) without calling them, from the factors its sieve records (see
+:mod:`pellprime.search`).  It lets a sieve-proved prime pass only for a
+test that every prime meeting its preconditions passes; each such test's
+docstring names the theorem, and the u-companion matrix test is not one.
 """
 
 from __future__ import annotations
@@ -29,14 +26,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import gcd
-from typing import TYPE_CHECKING
 
 from .conic import ConicParams, conic_pow, rational_point
 from .modarith import MAX_MODULUS, Factor, jacobi, pow_mod
 from .recurrence import LucasParams, MatrixParams, lucas_pair, tilde_pair
-
-if TYPE_CHECKING:
-    from .sieve import Segment
 
 __all__ = [
     "Outcome",
@@ -69,9 +62,7 @@ class Verdict:
     names the failed congruence or violated precondition; ``jacobi_branch``
     records the (D/n) value that selected the exponent, when applicable;
     ``stage`` is "selector" for verdicts short-circuited during parameter
-    selection, "sieve" for verdicts a scan's factor sieve settled before
-    the ladder ran (composites a factor rules out, and primes the sieve
-    proves), and "test" otherwise.
+    selection and "test" otherwise.
     """
 
     outcome: Outcome
@@ -93,47 +84,30 @@ _SHARED_MAX = 1024
 
 
 def _verdict(outcome: Outcome, evidence: str | None = None,
-             branch: int | None = None, stage: str = "test") -> Verdict:
-    key = (outcome, evidence, branch, stage)
+             branch: int | None = None) -> Verdict:
+    key = (outcome, evidence, branch)
     verdict = _shared.get(key)
     if verdict is None:
-        verdict = Verdict(outcome, evidence=evidence, jacobi_branch=branch,
-                          stage=stage)
+        verdict = Verdict(outcome, evidence=evidence, jacobi_branch=branch)
         if len(_shared) < _SHARED_MAX:
             _shared[key] = verdict
     return verdict
 
 
-def _pp(branch: int | None = None, stage: str = "test") -> Verdict:
-    return _verdict(Outcome.PROBABLE_PRIME, branch=branch, stage=stage)
+def _pp(branch: int | None = None) -> Verdict:
+    return _verdict(Outcome.PROBABLE_PRIME, branch=branch)
 
 
 def _composite(evidence: str, factor: int | None = None,
-               branch: int | None = None, stage: str = "test") -> Verdict:
+               branch: int | None = None) -> Verdict:
     if factor is None:
-        return _verdict(Outcome.COMPOSITE, evidence, branch, stage)
+        return _verdict(Outcome.COMPOSITE, evidence, branch)
     return Verdict(Outcome.COMPOSITE, evidence=evidence, factor=factor,
-                   jacobi_branch=branch, stage=stage)
+                   jacobi_branch=branch)
 
 
 def _invalid(evidence: str) -> Verdict:
     return _verdict(Outcome.PARAMS_INVALID, evidence)
-
-
-def _sieved(sieve: Segment, n: int, j: int, evidence: str, P: int,
-            Q: int, k: int, scale: int = 1, primes_pass: bool = True
-            ) -> Verdict | None:
-    """The verdict a scan's sieve settles before the ladder, if any.
-
-    A prime the sieve proves passes (when ``primes_pass``: every prime
-    coprime to 2QD satisfies the test's congruences); a composite with a
-    factor that proves scale*U_k(P, Q) ≢ 0 fails with ``evidence``.
-    """
-    if sieve.rules_out(n, P, Q, k, scale):
-        return _composite(evidence, branch=j, stage="sieve")
-    if primes_pass and sieve.proves_prime(n):
-        return _pp(j, "sieve")
-    return None
 
 
 def _check_n(n: int) -> Verdict | None:
@@ -237,42 +211,34 @@ def _lucas_pre(n: int, params: LucasParams) -> tuple[int, Verdict | None]:
 _U_NONZERO = "U_{n-(D/n)} ≢ 0 (mod n)"
 
 
-def lucas_test(n: int, params: LucasParams, *,
-               sieve: Segment | None = None) -> Verdict:
+def lucas_test(n: int, params: LucasParams) -> Verdict:
     """Lucas test: probable prime iff U_{n-(D/n)} ≡ 0 (mod n).
 
     D = P^2 - 4Q; composites passing are the Lucas pseudoprimes for
     (P, Q).  With the Selfridge parameters this is OEIS A217120.  A prime
-    p ∤ 2QD has U_{p-(D/p)} ≡ 0 (mod p), so a sieve-proved prime passes.
+    p ∤ 2QD has U_{p-(D/p)} ≡ 0 (mod p), so every such prime passes.
     """
     j, early = _lucas_pre(n, params)
     if early:
         return early
-    if sieve is not None and (settled := _sieved(
-            sieve, n, j, _U_NONZERO, params.P, params.Q, n - j)):
-        return settled
     u_k, _ = lucas_pair(params, n - j, n)
     if u_k != 0:
         return _composite(_U_NONZERO, branch=j)
     return _pp(j)
 
 
-def double_lucas_test(n: int, params: LucasParams, *,
-                      sieve: Segment | None = None) -> Verdict:
+def double_lucas_test(n: int, params: LucasParams) -> Verdict:
     """Lucas test strengthened with the companion congruence.
 
     Probable prime iff U_{n-1} ≡ 0 and U_n ≡ 1 when (D/n) = 1, or
     U_{n+1} ≡ 0 and U_{n+2} ≡ Q when (D/n) = -1.  Strictly stronger than
     :func:`lucas_test` for the same parameters.  A prime p ∤ 2QD has
-    U_p ≡ (D/p) and, when (D/p) = -1, V_{p+1} ≡ 2Q, hence U_{p+2} ≡ Q; so a
-    sieve-proved prime passes.
+    U_p ≡ (D/p) and, when (D/p) = -1, V_{p+1} ≡ 2Q, hence U_{p+2} ≡ Q; so
+    every such prime passes.
     """
     j, early = _lucas_pre(n, params)
     if early:
         return early
-    if sieve is not None and (settled := _sieved(
-            sieve, n, j, _U_NONZERO, params.P, params.Q, n - j)):
-        return settled
     if j == 1:
         u, u_next = lucas_pair(params, n - 1, n)  # (U_{n-1}, U_n)
         target = 1 % n
@@ -286,8 +252,8 @@ def double_lucas_test(n: int, params: LucasParams, *,
     return _pp(j)
 
 
-def matrix_test(n: int, params: MatrixParams, variant: str = "u-companion", *,
-                sieve: Segment | None = None) -> Verdict:
+def matrix_test(n: int, params: MatrixParams,
+                variant: str = "u-companion") -> Verdict:
     """Test built on the sequences of the matrix [[P, -Q], [R, 0]].
 
     Both variants branch on the Jacobi symbol of Δ = P^2 - 4QR and require
@@ -298,10 +264,8 @@ def matrix_test(n: int, params: MatrixParams, variant: str = "u-companion", *,
       variant is a pseudoprime family rather than a primality test.
     * ``"v-companion"``: V~_{n-1} ≡ 1, resp. V~_{n+1} ≡ QR.  Primes coprime to
       2QRΔ always pass (V~_k = U_{k+1} of Lucas(P, QR), and the
-      :func:`double_lucas_test` argument applies), so a sieve-proved prime
-      passes without the ladder; R = 1 recovers :func:`double_lucas_test`.
-
-    A sieve-proved prime still runs the u-companion ladder.
+      :func:`double_lucas_test` argument applies); R = 1 recovers
+      :func:`double_lucas_test`.
     """
     if variant not in ("u-companion", "v-companion"):
         raise ValueError(f"unknown variant: {variant!r}")
@@ -314,12 +278,6 @@ def matrix_test(n: int, params: MatrixParams, variant: str = "u-companion", *,
     j, early = _branch(params.discriminant, n)
     if early:
         return early
-    evidence = "U~_{n-(Δ/n)} ≢ 0 (mod n)"
-    # U~_k = R * U_k of Lucas(P, QR)
-    if sieve is not None and (settled := _sieved(
-            sieve, n, j, evidence, params.P, qr, n - j, params.R,
-            primes_pass=variant == "v-companion")):
-        return settled
     if j == 1:
         v, u = tilde_pair(params, n - 1, n)  # (V~_{n-1}, U~_{n-1})
         target = 1 % n
@@ -327,7 +285,7 @@ def matrix_test(n: int, params: MatrixParams, variant: str = "u-companion", *,
         v, u = tilde_pair(params, n + 1, n)  # (V~_{n+1}, U~_{n+1})
         target = qr % n
     if u != 0:
-        return _composite(evidence, branch=j)
+        return _composite("U~_{n-(Δ/n)} ≢ 0 (mod n)", branch=j)
     # U~_{k+1} = R * V~_k, so the u-companion conditions on U~_n / U~_{n+2}
     # are R*V~ against the same targets.
     companion = params.R * v % n if variant == "u-companion" else v
@@ -353,57 +311,35 @@ def _norm_one_pre(n: int, params: ConicParams) -> tuple[int, Verdict | None]:
     return _branch(params.D, n)
 
 
-def _conic_sieved(sieve: Segment, n: int, params: ConicParams, j: int,
-                  k: int, evidence: str) -> Verdict | None:
-    """:func:`_sieved` for the y-coordinate of the point power (x, y)^k.
-
-    That coordinate is y*U_k of Lucas(2x, x^2 - D*y^2); the unreduced
-    parameters agree with the reduced point modulo every factor of n.
-    """
-    x, y = params.x, params.y
-    return _sieved(sieve, n, j, evidence, 2 * x, x * x - params.D * y * y,
-                   k, y)
-
-
-def pell_test(n: int, params: ConicParams, *,
-              sieve: Segment | None = None) -> Verdict:
+def pell_test(n: int, params: ConicParams) -> Verdict:
     """Pell test: y-coordinate of the point power (x, y)^(n-(D/n)) vanishes.
 
     Requires a norm-1 base point.  Equivalent to the Lucas test with
     P = 2x mod n and Q = 1; its discriminant 4Dy^2 is prime to a prime p
-    that passes the preconditions, so a sieve-proved prime passes.
+    that passes the preconditions, so every such prime passes.
     """
     j, early = _norm_one_pre(n, params)
     if early:
         return early
-    evidence = "y_{n-(D/n)} ≢ 0 (mod n)"
-    if sieve is not None and (settled := _conic_sieved(
-            sieve, n, params, j, n - j, evidence)):
-        return settled
     _, y = conic_pow(params.point(n), n - j, params.D, n)
     if y != 0:
-        return _composite(evidence, branch=j)
+        return _composite("y_{n-(D/n)} ≢ 0 (mod n)", branch=j)
     return _pp(j)
 
 
-def strong_pell_test(n: int, params: ConicParams, *,
-                     sieve: Segment | None = None) -> Verdict:
+def strong_pell_test(n: int, params: ConicParams) -> Verdict:
     """Strong Pell test: (x, y)^(n-(D/n)) ≡ (1, 0) (mod n).
 
     Requires a norm-1 base point; equivalent to :func:`double_lucas_test`
     with P = 2x mod n and Q = 1.  Modulo a prime p ∤ D the norm-1 points
-    form a group of order p - (D/p), so a sieve-proved prime passes.
+    form a group of order p - (D/p), so every such prime passes.
     """
     j, early = _norm_one_pre(n, params)
     if early:
         return early
-    evidence = "(x, y)^{n-(D/n)} ≢ (1, 0) (mod n)"
-    if sieve is not None and (settled := _conic_sieved(
-            sieve, n, params, j, n - j, evidence)):
-        return settled
     x, y = conic_pow(params.point(n), n - j, params.D, n)
     if (x, y) != (1 % n, 0):
-        return _composite(evidence, branch=j)
+        return _composite("(x, y)^{n-(D/n)} ≢ (1, 0) (mod n)", branch=j)
     return _pp(j)
 
 
@@ -425,15 +361,14 @@ def strong_pell_test_param(n: int, D: int, a: int) -> Verdict:
     return strong_pell_test(n, ConicParams(D, pt[0], pt[1]))
 
 
-def generalized_pell_test(n: int, params: ConicParams, *,
-                          sieve: Segment | None = None) -> Verdict:
+def generalized_pell_test(n: int, params: ConicParams) -> Verdict:
     """Conic test for a base point of arbitrary norm Q coprime to n.
 
     Probable prime iff (x, y)^(n+1) ≡ (Q, 0) when (D/n) = -1, or
     (x, y)^(n-1) ≡ (1, 0) when (D/n) = 1.  Modulo a prime p ∤ DQ, z = x +
     y√D is a unit of F_p[√D]: z^(p-1) = 1 when that ring splits, and
-    z^(p+1) = z·z^p = N(z) = Q when it is the field F_{p^2}; so a
-    sieve-proved prime passes.
+    z^(p+1) = z·z^p = N(z) = Q when it is the field F_{p^2}; so every
+    such prime passes.
     """
     bad = _check_n(n)
     if bad:
@@ -454,12 +389,9 @@ def generalized_pell_test(n: int, params: ConicParams, *,
         k, target = n - 1, (1 % n, 0)
     else:
         k, target = n + 1, (q, 0)
-    evidence = "conic power ≢ (norm branch target) (mod n)"
-    if sieve is not None and (settled := _conic_sieved(
-            sieve, n, params, j, k, evidence)):
-        return settled
     if conic_pow((x0, y0), k, params.D, n) != target:
-        return _composite(evidence, branch=j)
+        return _composite("conic power ≢ (norm branch target) (mod n)",
+                          branch=j)
     return _pp(j)
 
 

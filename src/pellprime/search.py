@@ -11,35 +11,34 @@ over its odd n with the odd primes up to min(isqrt(hi), SIEVE_CAP), where
 hi is the scan's upper end, not the chunk's, so every count is the same for
 any ``jobs`` and chunk size.  The sieve records each n's prime factors up
 to that limit (the cofactor left after dividing them out is computed only
-for the n that need it).  It serves twice:
+for the n that need it).  It decides whether a passing n is composite: for
+hi up to 2**40 the limit is isqrt(hi), and an n with no recorded factor is
+prime, so no primality oracle runs; above, :func:`is_prime` decides the n
+the sieve cannot.
 
-* it decides whether a passing n is composite.  For hi up to 2**40 the
-  limit is isqrt(hi), and an n with no recorded factor is prime, so no
-  primality oracle runs; above, :func:`is_prime` decides the n the sieve
-  cannot.
-* the Lucas-family tests take it as a hint.  They run every precondition,
-  then settle n with ``stage="sieve"`` without running their ladder in two
-  cases.  They return COMPOSITE when the rank of apparition of a factor of
-  n does not divide the index of their first congruence (see
-  :mod:`pellprime.sieve`).  They return PROBABLE_PRIME when the sieve
-  proves n prime, because every prime coprime to 2QD passes them; only the
-  u-companion matrix test, which primes can fail, runs its ladder on them.
-  Both kinds are counted as ``sieved``.  Above 2**40 the sieve proves no
-  prime, and primes run the full test.
+For the tests whose first congruence is U_k ≡ 0 for a Lucas sequence
+(lucas, double-lucas, matrix, pell, strong-pell, gen-pell), a chunk kernel
+(:func:`_kernel`) reaches the test's verdicts for a whole chunk at once, on
+big-int bitmasks over the chunk's odd n, because calling the test n by n
+costs more than everything it decides.  Nearly every verdict follows from
+facts that are periodic in n or already held by the sieve.  (d/n) repeats
+every 4|d| integers, so a Selfridge walk over a chunk is a few periodic
+patterns; perfect squares and the zero symbols it meets are its
+short-circuited composites.  In each class of one discriminant, the n
+sharing a prime with the class's gcd value (Q, QR or the base point's
+norm) are settled as the test's preconditions settle them.  The kernel is
+the only code whose verdicts come from the sieve's record, and it counts
+them as ``sieved``:
 
-For those tests a chunk kernel (:func:`_kernel`) reaches the same verdicts
-for a whole chunk at once, on big-int bitmasks over the chunk's odd n,
-because calling the test n by n costs more than everything it decides.
-Nearly every verdict follows from facts that are periodic in n or already
-held by the sieve.  (d/n) repeats every 4|d| integers, so a Selfridge walk
-over a chunk is a few periodic patterns; perfect squares and the zero
-symbols it meets are its short-circuited composites.  In each class of one
-discriminant, the n sharing a prime with the class's gcd value (Q, QR or
-the base point's norm) are settled as the test's preconditions settle
-them.  An n with no recorded factor is a sieve-proved prime, and only an n
-with a recorded factor takes one :meth:`Segment.rules_out` call.  Each
-form's description sits in :data:`METHODS`.  The hinted per-n test runs
-only on what is left:
+* an n below (limit + 1)**2 with no recorded factor is prime, and passes
+  when every prime that meets the preconditions passes the test (all but
+  the u-companion matrix test; each test's docstring names the theorem);
+* an n with a recorded factor takes one :meth:`Segment.rules_out` call,
+  and fails the first congruence when the rank of apparition of a factor
+  does not divide the congruence's index (see :mod:`pellprime.sieve`).
+
+Each form's description sits in :data:`METHODS`.  The per-n test runs only
+on what is left:
 
 * the n at or below a discriminant's bound (its |d|, |Q'| or |scale|),
   where a shared factor may be n itself;
@@ -48,11 +47,8 @@ only on what is left:
 * the composites whose recorded factors do not rule them out, about one n
   in 10**5 to 10**6 near 2**34;
 * every n of fermat, strong-base, pell-variant, strong-pell with (D, a),
-  and of parameters the tests reject n by n (a zero discriminant, Q' or
-  scale, or a pell base point of norm other than 1).
-
-:func:`_per_n`, the per-n loop over a whole chunk, is the reference the
-kernel is tested against.
+  and of parameters with a zero discriminant, Q' or scale, or a pell base
+  point of norm other than 1.
 
 Long scans can persist a resume cursor to a checkpoint file after every
 chunk.  The checkpoint stores only the cursor and the scan identity (method,
@@ -166,27 +162,22 @@ def is_prime(n: int) -> bool:
 # One way to give a method's parameters: the names it requires, in canonical
 # order; a fixed canonical string, or None for "name=value,..."; make, which
 # build_test calls with the names' values (selfridge's aside) to get
-# test(n, *, sieve=None), so that it sees the names a tracer swapped in; and
-# bulk, which the scan calls with the same values to get the form's _Bulk,
-# or None when the scan runs the test on every n.
+# test(n), so that it sees the names a tracer swapped in; and bulk, which
+# the scan calls with the same values to get the form's _Bulk, or None when
+# the scan runs the test on every n.
 _Form = namedtuple("_Form", "names canonical make bulk", defaults=(None,))
 
-# How the scan's chunk kernel settles the n of a form whose test takes the
-# sieve hint.  ``D`` is the fixed discriminant, or for a Selfridge form the
-# function that returns its candidate sequence.  ``lucas(d)`` is the
-# (P', Q', scale) for discriminant d of the test's first congruence,
-# scale*U_k(P', Q') ≡ 0 (mod n) with k = n - (d/n) for every such form;
+# How the scan's chunk kernel settles the n of a Lucas-family form.  ``D``
+# is the fixed discriminant, or for a Selfridge form the function that
+# returns its candidate sequence.  ``lucas(d)`` is the (P', Q', scale) for
+# discriminant d of the test's first congruence, scale*U_k(P', Q') ≡ 0
+# (mod n) with k = n - (d/n) for every such form;
 # the test's preconditions also settle, with outcome ``shared``, the n that
 # share a prime with Q' (Q for Lucas, QR for matrix, the base point's norm
 # for the conics).  ``primes_pass`` is whether every prime that meets the
 # preconditions passes the test.
 _Bulk = namedtuple("_Bulk", "D lucas shared primes_pass")
 _INVALID, _COMPOSITE = Outcome.PARAMS_INVALID, Outcome.COMPOSITE
-
-
-def _hinted(test: Callable[..., Verdict], params) -> Callable[..., Verdict]:
-    """Per-n callable that passes the scan's sieve hint on to ``test``."""
-    return lambda n, *, sieve=None: test(n, params, sieve=sieve)
 
 
 def _fixed(D: int, P: int, Q: int, scale: int, shared: Outcome = _INVALID,
@@ -224,51 +215,47 @@ def _selfridge_conic(d: int) -> tuple[int, int, int]:
 # build_test takes a method's first form whose names are all given.  The
 # keys, in this order, are the CLI's --method choices.
 METHODS: dict[str, tuple[_Form, ...]] = {
-    "fermat": (_Form(("a",), None, lambda a: (
-        lambda n, *, sieve=None: fermat_test(n, a))),),
-    "strong-base": (_Form(("a",), None, lambda a: (
-        lambda n, *, sieve=None: strong_base_test(n, a))),),
+    "fermat": (_Form(("a",), None, lambda a: partial(fermat_test, a=a)),),
+    "strong-base": (_Form(("a",), None,
+                          lambda a: partial(strong_base_test, a=a)),),
     "lucas": (
         _Form(("selfridge",), "selfridge", lambda: lucas_selfridge,
               lambda: _Bulk(classic_candidates, _classic, _INVALID, True)),
         _Form(("P", "Q"), None,
-              lambda P, Q: _hinted(lucas_test, LucasParams(P, Q)),
+              lambda P, Q: partial(lucas_test, params=LucasParams(P, Q)),
               lambda P, Q: _fixed(P * P - 4 * Q, P, Q, 1))),
     "double-lucas": (
         _Form(("selfridge",), "selfridge", lambda: double_lucas_selfridge,
               lambda: _Bulk(classic_candidates, _classic, _INVALID, True)),
-        _Form(("P", "Q"), None,
-              lambda P, Q: _hinted(double_lucas_test, LucasParams(P, Q)),
-              lambda P, Q: _fixed(P * P - 4 * Q, P, Q, 1))),
+        _Form(("P", "Q"), None, lambda P, Q: partial(
+            double_lucas_test, params=LucasParams(P, Q)),
+            lambda P, Q: _fixed(P * P - 4 * Q, P, Q, 1))),
     "matrix": (
-        _Form(("selfridge", "variant"), None, lambda variant: (
-            lambda n, *, sieve=None: matrix_selfridge(n, variant, sieve=sieve)),
-            lambda variant: _Bulk(matrix_candidates, _selfridge_matrix,
-                                  _INVALID, variant == "v-companion")),
+        _Form(("selfridge", "variant"), None,
+              lambda variant: partial(matrix_selfridge, variant=variant),
+              lambda variant: _Bulk(matrix_candidates, _selfridge_matrix,
+                                    _INVALID, variant == "v-companion")),
         _Form(("P", "Q", "R", "variant"), None, lambda P, Q, R, variant: (
-            _hinted(partial(matrix_test, variant=variant),
-                    MatrixParams(P, Q, R))),
+            partial(matrix_test, params=MatrixParams(P, Q, R),
+                    variant=variant)),
             lambda P, Q, R, variant: _fixed(
                 P * P - 4 * Q * R, P, Q * R, R,
                 primes_pass=variant == "v-companion"))),
-    "pell": (_Form(("D", "x", "y"), None,
-                   lambda D, x, y: _hinted(pell_test, ConicParams(D, x, y)),
-                   _norm_one),),
+    "pell": (_Form(("D", "x", "y"), None, lambda D, x, y: partial(
+        pell_test, params=ConicParams(D, x, y)), _norm_one),),
     "strong-pell": (
-        _Form(("D", "a"), None, lambda D, a: (
-            lambda n, *, sieve=None: strong_pell_test_param(n, D, a))),
-        _Form(("D", "x", "y"), None,
-              lambda D, x, y: _hinted(strong_pell_test, ConicParams(D, x, y)),
-              _norm_one)),
+        _Form(("D", "a"), None,
+              lambda D, a: partial(strong_pell_test_param, D=D, a=a)),
+        _Form(("D", "x", "y"), None, lambda D, x, y: partial(
+            strong_pell_test, params=ConicParams(D, x, y)), _norm_one)),
     "gen-pell": (
         _Form(("selfridge",), "selfridge", lambda: gen_pell_selfridge,
               lambda: _Bulk(classic_candidates, _selfridge_conic, _COMPOSITE,
                             True)),
-        _Form(("D", "x", "y"), None, lambda D, x, y: _hinted(
-            generalized_pell_test, ConicParams(D, x, y)),
+        _Form(("D", "x", "y"), None, lambda D, x, y: partial(
+            generalized_pell_test, params=ConicParams(D, x, y)),
             lambda D, x, y: _conic(D, x, y, _COMPOSITE))),
-    "pell-variant": (_Form((), "none", lambda: (
-        lambda n, *, sieve=None: pell_variant_test(n))),),
+    "pell-variant": (_Form((), "none", lambda: pell_variant_test),),
 }
 
 VARIANTS = ("u-companion", "v-companion")  # of the matrix test
@@ -302,15 +289,16 @@ def _resolve(method: str, params: dict) -> tuple[_Form, list, str]:
                      + " or ".join(str(list(f.names)) for f in forms))
 
 
-def build_test(method: str, params: dict) -> tuple[Callable[..., Verdict], str]:
+def build_test(method: str,
+               params: dict) -> tuple[Callable[[int], Verdict], str]:
     """Resolve (method, params) to a per-n callable and a canonical string.
 
     ``params`` uses the CLI vocabulary: P, Q, R, D, x, y, a, selfridge,
     variant; None, or a false selfridge, counts as not given.  The
-    callable is ``test(n, *, sieve=None)``; methods that cannot use a sieve
-    hint ignore it.  ``variant`` defaults to v-companion with selfridge and
-    to u-companion without.  Raises ValueError for an unknown method or
-    variant, missing parameters, or one the matching form does not use.
+    callable is ``test(n)``.  ``variant`` defaults to v-companion with
+    selfridge and to u-companion without.  Raises ValueError for an
+    unknown method or variant, missing parameters, or one the matching
+    form does not use.
     """
     form, args, canonical = _resolve(method, params)
     return form.make(*args), canonical
@@ -328,12 +316,12 @@ class ScanReport:
     strictly increasing.  ``stats`` counts candidates by outcome:
     ``tested`` (all odd candidates), ``probable_prime``, ``composite``,
     ``params_invalid``, ``short_circuited`` (verdicts produced during
-    parameter selection), ``sieved`` (verdicts the factor sieve settled
-    without the ladder: composites a factor rules out, and primes it
-    proves) and ``pseudoprimes``.  Each count is what the hinted test
-    gives n by n, whether the chunk kernel settled n in bulk or the test
-    ran on it; so the counts, like the list, are the same for any ``jobs``
-    and chunk size.
+    parameter selection), ``sieved`` (the verdicts the chunk kernel took
+    from the factor sieve's record without calling the test: composites a
+    recorded factor rules out, and primes the sieve proves) and
+    ``pseudoprimes``.  Every other count is what the test gives n by n,
+    whether the kernel settled n in bulk or the test ran on it.  The
+    counts, like the list, are the same for any ``jobs`` and chunk size.
     """
 
     method: str
@@ -407,22 +395,19 @@ def _new_stats() -> dict[str, int]:
     return dict.fromkeys(_STAT_KEYS, 0)
 
 
-def _per_n(test: Callable[..., Verdict], sieve: Segment,
+def _per_n(test: Callable[[int], Verdict], sieve: Segment,
            odds) -> tuple[list[int], dict[str, int]]:
-    """Run the hinted test on each n of ``odds`` (ascending) and tally.
+    """Run the test on each n of ``odds`` (ascending) and tally.
 
     The scan's path for the n the kernel leaves, and for methods it does
-    not cover; over a whole chunk it is the kernel's reference.
+    not cover.  ``sieve`` only decides whether a passing n is composite.
     """
     found: list[int] = []
-    passed = failed = selector = sieved = 0
+    passed = failed = selector = 0
     PASS, FAIL = Outcome.PROBABLE_PRIME, Outcome.COMPOSITE
     for n in odds:
-        verdict = test(n, sieve=sieve)
-        stage = verdict.stage
-        if stage == "sieve":
-            sieved += 1
-        elif stage == "selector":
+        verdict = test(n)
+        if verdict.stage == "selector":
             selector += 1
         if verdict.outcome is FAIL:
             failed += 1
@@ -436,7 +421,7 @@ def _per_n(test: Callable[..., Verdict], sieve: Segment,
     return found, {
         "tested": len(odds), "probable_prime": passed, "composite": failed,
         "params_invalid": len(odds) - passed - failed,
-        "short_circuited": selector, "sieved": sieved,
+        "short_circuited": selector, "sieved": 0,
         "pseudoprimes": len(found)}
 
 
@@ -536,8 +521,8 @@ def _scan_chunk(method: str, params: dict, lo: int, hi: int,
                 limit: int) -> tuple[list[int], dict[str, int]]:
     """Scan odd candidates in [lo, hi] (single process), sieving to limit.
 
-    The chunk kernel settles what it can in bulk and the hinted per-n test
-    runs on the rest; methods without a _Bulk run it on every n.
+    The chunk kernel settles what it can in bulk and the per-n test runs
+    on the rest; methods without a _Bulk run it on every n.
     """
     form, args, _ = _resolve(method, params)
     test = form.make(*args)
@@ -573,10 +558,12 @@ def scan_range(method: str, params: dict, lo: int, hi: int, *,
 
     An odd composite passing the test is a pseudoprime (the chunk's sieve,
     or beyond 2**40 the primality oracle, confirms compositeness; both only
-    look at passers).  ``jobs`` > 1
-    fans chunks out to worker processes; the result is independent of
-    ``jobs``, which must be at least 1.  ``on_pseudoprime`` is invoked for
-    each find, in ascending order.
+    look at passers).  Work goes in chunks of ``chunk_odds`` odd n, and
+    ``jobs`` > 1 fans them out to worker processes; both must be at least
+    1, and neither changes the result.  With ``checkpoint`` the scan
+    resumes from the file's cursor, which may not lie beyond hi + 1, and
+    records it after every chunk.  ``on_pseudoprime`` is invoked for each
+    find, in ascending order.
     """
     if not (isinstance(lo, int) and isinstance(hi, int)):
         raise ValueError("lo and hi must be ints")
@@ -586,18 +573,24 @@ def scan_range(method: str, params: dict, lo: int, hi: int, *,
         raise ValueError("scanning beyond 2**63 is unsupported")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if chunk_odds < 1:
+        raise ValueError(f"chunk_odds must be >= 1, got {chunk_odds}")
     _, canonical = build_test(method, params)  # validates early
 
     if checkpoint is not None:
         cursor = read_checkpoint(checkpoint, method, canonical)
         if cursor is not None:
+            if cursor > hi + 1:
+                raise ValueError(
+                    f"checkpoint {checkpoint} is past the end of this scan "
+                    f"(cursor {cursor} > hi + 1 = {hi + 1})")
             lo = max(lo, cursor)
 
     limit = sieve_limit(hi)
     start = time.monotonic()
     stats = _new_stats()
     found: list[int] = []
-    chunk_list = list(_chunks(lo, hi, chunk_odds)) if lo <= hi else []
+    chunk_list = list(_chunks(lo, hi, chunk_odds))
 
     def _absorb(chunk_hi: int, result: tuple[list[int], dict[str, int]]) -> None:
         chunk_found, chunk_stats = result

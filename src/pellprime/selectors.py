@@ -9,18 +9,18 @@ factor with n short-circuits to a Composite verdict.
 Deliberately NO trial-division prefilter: pseudoprimes for these selected
 parameters routinely have small factors (323 = 17*19 heads the Lucas list),
 so any divisibility shortcut would change the reported lists.  The scan's
-rank-of-apparition sieve (:mod:`sieve`) is not such a shortcut: it rejects
-a composite n only when a prime p | n proves the test's own congruence
-U_k ≡ 0 (mod n) false, because the rank of apparition of p does not divide
-k.  It runs after the selector, on the selected parameters, and gives the
-verdict the test would give.  For 323 with D = 5, P = 1, Q = -1 the ranks
-are 9 and 18, both dividing k = 324, so 323 survives and is reported.
+rank-of-apparition sieve (:mod:`pellprime.sieve`) is not such a shortcut:
+the scan's chunk kernel rejects a composite n only when a prime p | n
+proves the test's own congruence U_k ≡ 0 (mod n) false, for the
+parameters this walk selects, because the rank of apparition of p does
+not divide k.  For 323 with D = 5, P = 1, Q = -1 the ranks are 9 and 18,
+both dividing k = 324, so 323 survives and is reported.
 """
 
 from __future__ import annotations
 
 from math import gcd, isqrt
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from .conic import ConicParams
 from .modarith import MAX_MODULUS, jacobi
@@ -33,9 +33,6 @@ from .primality import (
     matrix_test,
 )
 from .recurrence import LucasParams, MatrixParams
-
-if TYPE_CHECKING:
-    from .sieve import Segment
 
 __all__ = [
     "CANDIDATE_CAP",
@@ -155,24 +152,23 @@ def selfridge_gen_pell(n: int) -> ConicParams | Verdict:
     return ConicParams(d, 3, 2)
 
 
-def lucas_selfridge(n: int, *, sieve: Segment | None = None) -> Verdict:
+def lucas_selfridge(n: int) -> Verdict:
     """Lucas test with classic Selfridge parameters (pseudoprimes: A217120)."""
     params = selfridge_classic(n)
     if isinstance(params, Verdict):
         return params
-    return lucas_test(n, params, sieve=sieve)
+    return lucas_test(n, params)
 
 
-def double_lucas_selfridge(n: int, *, sieve: Segment | None = None) -> Verdict:
+def double_lucas_selfridge(n: int) -> Verdict:
     """Double Lucas test with classic Selfridge parameters (A212423)."""
     params = selfridge_classic(n)
     if isinstance(params, Verdict):
         return params
-    return double_lucas_test(n, params, sieve=sieve)
+    return double_lucas_test(n, params)
 
 
-def matrix_selfridge(n: int, variant: str = "v-companion", *,
-                     sieve: Segment | None = None) -> Verdict:
+def matrix_selfridge(n: int, variant: str = "v-companion") -> Verdict:
     """Matrix test with the adapted Selfridge parameters (P=1, R=2).
 
     Defaults to the "v-companion" variant: with R = 2 the u-companion
@@ -182,12 +178,12 @@ def matrix_selfridge(n: int, variant: str = "v-companion", *,
     params = selfridge_matrix(n)
     if isinstance(params, Verdict):
         return params
-    return matrix_test(n, params, variant=variant, sieve=sieve)
+    return matrix_test(n, params, variant=variant)
 
 
-def gen_pell_selfridge(n: int, *, sieve: Segment | None = None) -> Verdict:
+def gen_pell_selfridge(n: int) -> Verdict:
     """Generalized Pell test with Selfridge-selected D and base point (3, 2)."""
     params = selfridge_gen_pell(n)
     if isinstance(params, Verdict):
         return params
-    return generalized_pell_test(n, params, sieve=sieve)
+    return generalized_pell_test(n, params)

@@ -3,20 +3,19 @@
 A :class:`Segment` sieves the odd n of one scan chunk by the odd primes up to
 a limit.  It records, in flat arrays, which n have a prime factor <= limit
 and those factors; the cofactor left when they are divided out is computed
-on demand.  When the limit reaches isqrt(hi), an n without such a factor is
-prime (:meth:`Segment.proves_prime`), so the scan needs no primality oracle
-and the tests need no ladder for it: a prime coprime to 2QD passes every
-Lucas-family congruence.
+on demand.  An n below (limit + 1)**2 without such a factor is prime: the
+scan's chunk kernel passes it on a test that every prime passes, and when
+the limit reaches isqrt(hi) the scan needs no primality oracle.
 
-:meth:`Segment.rules_out` is the check the Lucas-family tests run just
-before their ladder.  If U_k(P, Q) ≡ 0 (mod n), then U_k ≡ 0 (mod p) for
-every prime p | n, and for p ∤ Q that holds exactly when the rank of
-apparition of p divides k (Baillie and Wagstaff, *Lucas pseudoprimes*,
-1980).  A composite n with any prime factor p ∤ Q whose rank does not
-divide k therefore fails the test's first congruence, and the test can say
-so without running the ladder.  The condition is a theorem about n, not a
-heuristic: composites whose factors all pass it (323 = 17*19 for the
-Selfridge Lucas test) go on to the full test.
+:meth:`Segment.rules_out` is the check the scan's chunk kernel makes in
+place of a Lucas-family test's ladder.  If U_k(P, Q) ≡ 0 (mod n), then
+U_k ≡ 0 (mod p) for every prime p | n, and for p ∤ Q that holds exactly
+when the rank of apparition of p divides k (Baillie and Wagstaff, *Lucas
+pseudoprimes*, 1980).  A composite n with any prime factor p ∤ Q whose
+rank does not divide k therefore fails the test's first congruence, and
+the kernel can say so without running the ladder.  The condition is a
+theorem about n, not a heuristic: composites whose factors all pass it
+(323 = 17*19 for the Selfridge Lucas test) go on to the full test.
 """
 
 from __future__ import annotations
@@ -151,15 +150,6 @@ class Segment:
             while not n % p:
                 n //= p
         return n
-
-    def proves_prime(self, n: int) -> bool:
-        """True when the sieve proves n prime.
-
-        That is, n > 1 has no prime factor <= limit other than itself, and
-        n < (limit + 1)**2.  Since the limit is at most SIEVE_CAP, this is
-        never True for n >= (SIEVE_CAP + 1)**2, just above 2**40.
-        """
-        return self.head[(n - self.lo) >> 1] < 0 and 1 < n < self.prime_below
 
     def is_composite(self, n: int) -> bool | None:
         """True or False when the sieve decides n, None when it cannot."""

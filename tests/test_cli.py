@@ -157,6 +157,22 @@ def test_scan_checkpoint_roundtrip(tmp_path, capsys):
     assert "different scan" in err
 
 
+def test_scan_refuses_a_checkpoint_past_its_end(tmp_path, capsys):
+    ckpt = tmp_path / "scan.ckpt"
+    args = ("scan", "--method", "lucas", "--selfridge", "--checkpoint",
+            str(ckpt))
+    code, _, _ = run_cli(capsys, *args, "--to", "100000")
+    assert code == 0
+    assert ckpt.read_text().startswith("cursor=100001 ")
+    # a finished scan may be run again: it resumes at hi + 1 and scans nothing
+    code, out, _ = run_cli(capsys, *args, "--to", "100000")
+    assert code == 0 and jsonl(out)[-1]["count"] == 0
+    # a shorter scan must not silently cover nothing
+    code, out, err = run_cli(capsys, *args, "--to", "50000")
+    assert code == 2 and out == ""
+    assert "past the end" in err
+
+
 def test_grid_csv_layout(capsys):
     code, out, _ = run_cli(capsys, "grid", "--method", "lucas",
                            "--p-range=-3:-2", "--q-range=-1,1",

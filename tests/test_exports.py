@@ -2,11 +2,13 @@
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
 
 import pellprime
+from pellprime.search import METHODS, build_test
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "pellprime"
@@ -21,16 +23,40 @@ def test_every_exported_name_exists():
             assert hasattr(module, name), (module.__name__, name)
 
 
+def _imports(path):
+    """The last dotted name of every module a source file imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            if node.module is None:  # from . import name
+                names.update(alias.name for alias in node.names)
+    return {name.split(".")[-1] for name in names}
+
+
 def test_no_package_module_imports_the_test_oracles():
     for path in SRC.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            assert not any(n.split(".")[-1] == "oracles" for n in names), path
+        assert "oracles" not in _imports(path), path
+
+
+def test_only_the_scan_imports_the_sieve():
+    # The scan's chunk kernel is the only code that settles verdicts from
+    # the sieve's record.
+    for path in SRC.glob("*.py"):
+        if path.name != "search.py":
+            assert "sieve" not in _imports(path), path
+
+
+def test_no_per_n_test_takes_a_sieve():
+    values = {"P": 1, "Q": 2, "R": 1, "D": 3, "x": 2, "y": 1, "a": 2,
+              "selfridge": True, "variant": "v-companion"}
+    for method, forms in METHODS.items():
+        for form in forms:
+            test, _ = build_test(method, {k: values[k] for k in form.names})
+            assert "sieve" not in inspect.signature(test).parameters, (
+                method, form.names)
 
 
 def _library_block():

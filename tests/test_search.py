@@ -159,6 +159,10 @@ def test_scan_range_validates_input():
     for jobs in (0, -3):
         with pytest.raises(ValueError):
             scan_range("lucas", {"P": 4, "Q": 1}, 3, 100, jobs=jobs)
+    for chunk_odds in (0, -1):
+        with pytest.raises(ValueError):
+            scan_range("lucas", {"P": 4, "Q": 1}, 3, 100,
+                       chunk_odds=chunk_odds)
     with pytest.raises(ValueError):
         scan_range("lucas", {"P": 4, "Q": 1}, 3, 2**63 + 1)
 

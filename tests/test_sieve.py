@@ -1,31 +1,25 @@
-"""The scan's factor sieve against the brute-force reference.
+"""The scan's factor sieve and chunk kernel against the brute-force reference.
 
-The reference scan runs the test on every odd n without a sieve hint and
-asks the primality oracle about every passer; the sieved scan must report
-the same pseudoprimes and the same counts (apart from ``sieved``, which
-only the sieve produces).  Hinted verdicts must equal unhinted ones apart
-from ``stage``, and a sieve-settled probable prime must be a prime.  The
-scan's chunk kernel must give exactly what the hinted test gives on every
-n of the chunk, ``sieved`` included.
+The reference scan (:func:`oracles.reference_scan`) runs the test on every
+odd n and asks the primality oracle about every passer, and it counts as
+``sieved`` the n whose verdict a recorded factor or a sieve-proved prime
+settles.  A sieved scan, and the chunk kernel on any chunk, must report
+the same pseudoprimes and the same counts.
 """
 
 import random
-from dataclasses import replace
 from math import isqrt
 
 import pytest
 
-from pellprime.primality import Outcome
+from oracles import reference_scan
 from pellprime.recurrence import LucasParams, lucas_pair, rank_of_apparition
 from pellprime import search
-from pellprime.search import build_test, is_prime, primes_up_to, scan_range
+from pellprime.search import is_prime, primes_up_to, scan_range
 from pellprime.sieve import SIEVE_CAP, Segment, sieve_limit
 
-STAT_KEYS = ("tested", "probable_prime", "composite", "params_invalid",
-             "short_circuited", "pseudoprimes")
-
-# Every method whose tests take the sieve hint, with Selfridge and with
-# fixed parameters.
+# Every method the chunk kernel covers, with Selfridge and with fixed
+# parameters.
 SIEVED_CONFIGS = [
     ("lucas", {"selfridge": True}),
     ("lucas", {"P": 4, "Q": 1}),
@@ -57,31 +51,12 @@ RANGES = [
 ]
 
 
-def reference_scan(method, params, lo, hi):
-    """Brute force: every odd n through the unhinted test, then the oracle."""
-    test, _ = build_test(method, params)
-    stats = dict.fromkeys(STAT_KEYS, 0)
-    found = []
-    for n in range(lo | 1, hi + 1, 2):
-        verdict = test(n)
-        stats["tested"] += 1
-        stats[{Outcome.PROBABLE_PRIME: "probable_prime",
-               Outcome.COMPOSITE: "composite",
-               Outcome.PARAMS_INVALID: "params_invalid"}[verdict.outcome]] += 1
-        stats["short_circuited"] += verdict.stage == "selector"
-        if verdict.is_probable_prime and not is_prime(n):
-            found.append(n)
-            stats["pseudoprimes"] += 1
-    return found, stats
-
-
 def assert_matches_reference(method, params, lo, hi, **kwargs):
     report = scan_range(method, params, lo, hi, **kwargs)
-    found, stats = reference_scan(method, params, lo, hi)
+    found, stats = reference_scan(method, params, lo, hi, sieve_limit(hi))
     assert list(report.pseudoprimes) == found
-    sieved = report.stats.pop("sieved")
     assert report.stats == stats
-    return sieved
+    return stats["sieved"]
 
 
 def test_the_last_range_is_beyond_the_cap():
@@ -101,7 +76,8 @@ def test_sieved_scan_matches_reference(method, params, lo, hi):
     ("fermat", {"a": 2}), ("strong-base", {"a": 3}),
     ("strong-pell", {"D": 3, "a": 3}), ("pell-variant", {})])
 def test_unhinted_methods_match_reference(method, params):
-    # These tests ignore the hint; the sieve only replaces the oracle.
+    # The kernel does not cover these methods; the sieve only replaces the
+    # oracle.
     for lo, hi in (RANGES[0], RANGES[-1]):
         assert assert_matches_reference(method, params, lo, hi) == 0
 
@@ -113,8 +89,8 @@ def chunk_cases(rng):
     holds the bounds of the small discriminants, and one holding
     (2**20 + 1)**2, where the sieve stops proving primes.  The limit is
     that of a scan ending at or beyond the chunk.  Two chunks sieved below
-    isqrt(hi) come first, as in the hinted test where the prime proof
-    stops: 97**2 has no factor <= 96."""
+    isqrt(hi) come first, where the prime proof stops inside the chunk:
+    97**2 has no factor <= 96."""
     yield 3, 3001, 40
     yield 97**2 - 800, 97**2 + 800, 96
 
@@ -137,13 +113,11 @@ def chunk_cases(rng):
 @pytest.mark.parametrize("method, params", SIEVED_CONFIGS)
 def test_chunk_kernel_matches_the_per_n_test(method, params):
     rng = random.Random(f"kernel/{method}/{sorted(params.items())}")
-    test, _ = build_test(method, params)
     form, args, _ = search._resolve(method, params)
     assert form.bulk(*args) is not None
     for lo, hi, limit in chunk_cases(rng):
-        per_n = search._per_n(test, Segment(lo, hi, limit),
-                              range(lo | 1, hi + 1, 2))
-        assert search._scan_chunk(method, params, lo, hi, limit) == per_n, (
+        assert (search._scan_chunk(method, params, lo, hi, limit)
+                == reference_scan(method, params, lo, hi, limit)), (
             lo, hi, limit)
 
 
@@ -160,54 +134,6 @@ def test_chunk_kernel_leaves_almost_no_n_to_the_per_n_test(method, params):
     stats, rest = search._kernel(form.bulk(*args), segment, lo, size)
     assert len(rest) <= 2 and stats["tested"] == size - len(rest)
     assert all(segment.is_composite(n) for n in rest)
-
-
-def u_companion(method, params):
-    """Whether build_test runs the u-companion matrix test for params."""
-    default = "v-companion" if params.get("selfridge") else "u-companion"
-    variant = params.get("variant") or default
-    return method == "matrix" and variant == "u-companion"
-
-
-def assert_hinted_equals_unhinted(method, params, lo, hi, limit):
-    test, _ = build_test(method, params)
-    segment = Segment(lo, hi, limit)
-    primes_pass = not u_companion(method, params)
-    skipped = 0
-    for n in range(lo, hi + 1, 2):
-        plain, hinted = test(n), test(n, sieve=segment)
-        assert replace(hinted, stage=plain.stage) == plain, n
-        if hinted.stage == plain.stage:
-            # Every prime the sieve proves skips the ladder once it passes
-            # the preconditions, except on the u-companion matrix test.
-            assert not (primes_pass and plain.is_probable_prime
-                        and plain.stage == "test"
-                        and segment.proves_prime(n)), n
-            continue
-        assert hinted.stage == "sieve", n
-        if plain.is_probable_prime:
-            assert primes_pass and is_prime(n), n
-            skipped += 1
-        else:
-            assert plain.outcome is Outcome.COMPOSITE, n
-    assert (skipped > 0) == (primes_pass and lo < segment.prime_below)
-
-
-@pytest.mark.parametrize("lo, hi", [(3, 3001), (2**34 + 1, 2**34 + 3001),
-                                    RANGES[-1]])
-@pytest.mark.parametrize("method, params", SIEVED_CONFIGS)
-def test_hinted_verdicts_equal_unhinted(method, params, lo, hi):
-    assert_hinted_equals_unhinted(method, params, lo, hi, sieve_limit(hi))
-
-
-# These segments sieve below isqrt(hi): they hold primes <= limit, and n on
-# both sides of (limit + 1)**2, where the prime proof stops.
-@pytest.mark.parametrize("lo, hi, limit", [(3, 3001, 40),
-                                           (97**2 - 800, 97**2 + 800, 96)])
-@pytest.mark.parametrize("method, params", SIEVED_CONFIGS)
-def test_hinted_verdicts_where_the_prime_proof_stops(method, params, lo, hi,
-                                                      limit):
-    assert_hinted_equals_unhinted(method, params, lo, hi, limit)
 
 
 @pytest.mark.parametrize("lo, hi, limit", [
@@ -234,7 +160,6 @@ def test_segment_factors_and_cofactor(lo, hi, limit):
         known = segment.is_composite(n)
         assert known is None or known == (not is_prime(n))
         assert known is not None or n >= (limit + 1) ** 2
-        assert segment.proves_prime(n) == (is_prime(n) and known is False)
 
 
 # (1, -10) has D = 41, a prime above the segment's limit, so 41 | n puts it
