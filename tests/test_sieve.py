@@ -4,7 +4,8 @@ The reference scan (:func:`oracles.reference_scan`) runs the test on every
 odd n and asks the primality oracle about every passer, and it counts as
 ``sieved`` the n whose verdict a recorded factor or a sieve-proved prime
 settles.  A sieved scan, and the chunk kernel on any chunk, must report
-the same pseudoprimes and the same counts.
+the same pseudoprimes and the same counts.  Each n the kernel settles
+from the sieve must get the verdict the per-n test gives it.
 """
 
 import random
@@ -12,10 +13,11 @@ from math import isqrt
 
 import pytest
 
-from oracles import reference_scan
+from oracles import kernel_sieves, reference_scan
+from pellprime.primality import Outcome
 from pellprime.recurrence import LucasParams, lucas_pair, rank_of_apparition
 from pellprime import search
-from pellprime.search import is_prime, primes_up_to, scan_range
+from pellprime.search import build_test, is_prime, primes_up_to, scan_range
 from pellprime.sieve import SIEVE_CAP, Segment, sieve_limit
 
 # Every method the chunk kernel covers, with Selfridge and with fixed
@@ -134,6 +136,59 @@ def test_chunk_kernel_leaves_almost_no_n_to_the_per_n_test(method, params):
     stats, rest = search._kernel(form.bulk(*args), segment, lo, size)
     assert len(rest) <= 2 and stats["tested"] == size - len(rest)
     assert all(segment.is_composite(n) for n in rest)
+
+
+def u_companion(method, params):
+    """Whether build_test runs the u-companion matrix test for params."""
+    default = "v-companion" if params.get("selfridge") else "u-companion"
+    variant = params.get("variant") or default
+    return method == "matrix" and variant == "u-companion"
+
+
+def assert_hinted_equals_unhinted(method, params, lo, hi, limit):
+    """Each n whose verdict the kernel takes from the sieve gets the verdict
+    the per-n test gives, and the kernel does not leave it to that test."""
+    test, _ = build_test(method, params)
+    segment = Segment(lo, hi, limit)
+    form, args, _ = search._resolve(method, params)
+    lo |= 1
+    stats, rest = search._kernel(form.bulk(*args), segment, lo,
+                                 (hi - lo) // 2 + 1)
+    rest = set(rest)
+    primes_pass = not u_companion(method, params)
+    settled = skipped = 0
+    for n in range(lo, hi + 1, 2):
+        plain = test(n)
+        if not kernel_sieves(method, params, segment, n, plain):
+            continue
+        assert n not in rest, n
+        settled += 1
+        if is_prime(n):
+            # A prime the sieve proves skips the ladder only when every
+            # prime passes the test.
+            assert primes_pass and plain.is_probable_prime, n
+            skipped += 1
+        else:
+            assert plain.outcome is Outcome.COMPOSITE, n
+    assert stats["sieved"] == settled
+    assert (skipped > 0) == (primes_pass and lo < segment.prime_below)
+
+
+@pytest.mark.parametrize("lo, hi", [(3, 3001), (2**34 + 1, 2**34 + 3001),
+                                    RANGES[-1]])
+@pytest.mark.parametrize("method, params", SIEVED_CONFIGS)
+def test_hinted_verdicts_equal_unhinted(method, params, lo, hi):
+    assert_hinted_equals_unhinted(method, params, lo, hi, sieve_limit(hi))
+
+
+# These segments sieve below isqrt(hi): they hold primes <= limit, and n on
+# both sides of (limit + 1)**2, where the prime proof stops.
+@pytest.mark.parametrize("lo, hi, limit", [(3, 3001, 40),
+                                           (97**2 - 800, 97**2 + 800, 96)])
+@pytest.mark.parametrize("method, params", SIEVED_CONFIGS)
+def test_hinted_verdicts_where_the_prime_proof_stops(method, params, lo, hi,
+                                                      limit):
+    assert_hinted_equals_unhinted(method, params, lo, hi, limit)
 
 
 @pytest.mark.parametrize("lo, hi, limit", [
