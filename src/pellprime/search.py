@@ -2,19 +2,28 @@
 
 A scan runs one configured test over every odd n in [lo, hi] and reports the
 composites that pass, in ascending order.  Work is split into fixed-size
-chunks of odd candidates so results are identical no matter how many worker
-processes execute them; reports serialize canonically with wall-clock time
-excluded.
+chunks of odd candidates, and consecutive chunks into stripes, so results
+are identical no matter how many worker processes execute them; reports
+serialize canonically with wall-clock time excluded.
 
-Each chunk first runs a segmented sieve (:class:`~pellprime.sieve.Segment`)
-over its odd n with the odd primes up to min(isqrt(hi), SIEVE_CAP), where
-hi is the scan's upper end, not the chunk's, so every count is the same for
-any ``jobs`` and chunk size.  The sieve records each n's prime factors up
-to that limit (the cofactor left after dividing them out is computed only
-for the n that need it).  It decides whether a passing n is composite: for
-hi up to 2**40 the limit is isqrt(hi), and an n with no recorded factor is
-prime, so no primality oracle runs; above, :func:`is_prime` decides the n
-the sieve cannot.
+A stripe is the unit of work, for ``jobs=1`` and for the pool alike: one
+process sieves it and scans its chunks in order (:func:`_scan_stripe`).
+It holds ceil(limit / span) chunks, where span = 2 * chunk_odds is a
+chunk's width in integers, so every sieving prime has about one multiple
+in a stripe or more and finds its first one once per stripe
+(:func:`~pellprime.sieve.stripe`).  Where the span reaches the limit, as
+in every scan below 2**34 in the default chunks, a stripe is one chunk.
+Results still arrive chunk by chunk: finds are reported, counts added and
+the checkpoint written after each chunk, in ascending order.
+
+The sieve uses the odd primes up to min(isqrt(hi), SIEVE_CAP), where hi is
+the scan's upper end, not the stripe's or the chunk's, so every count is
+the same for any ``jobs`` and chunk size.  It records each n's prime
+factors up to that limit (the cofactor left after dividing them out is
+computed only for the n that need it).  It decides whether a passing n is
+composite: for hi up to 2**40 the limit is isqrt(hi), and an n with no
+recorded factor is prime, so no primality oracle runs; above,
+:func:`is_prime` decides the n the sieve cannot.
 
 For the tests whose first congruence is U_k ≡ 0 for a Lucas sequence
 (lucas, double-lucas, matrix, pell, strong-pell, gen-pell), a chunk kernel
@@ -33,9 +42,10 @@ them as ``sieved``:
 * an n below (limit + 1)**2 with no recorded factor is prime, and passes
   when every prime that meets the preconditions passes the test (all but
   the u-companion matrix test; each test's docstring names the theorem);
-* an n with a recorded factor takes one :meth:`Segment.rules_out` call,
-  and fails the first congruence when the rank of apparition of a factor
-  does not divide the congruence's index (see :mod:`pellprime.sieve`).
+* an n with a recorded factor takes one call of the class's
+  :meth:`Segment.checker`, and fails the first congruence when the rank of
+  apparition of a factor does not divide the congruence's index (see
+  :mod:`pellprime.sieve`).
 
 Each form's description sits in :data:`METHODS`.  The per-n test runs only
 on what is left:
@@ -51,10 +61,11 @@ on what is left:
   point of norm other than 1.
 
 Long scans can persist a resume cursor to a checkpoint file after every
-chunk.  The checkpoint stores only the cursor and the scan identity (method,
-parameters, and a hash of both), so a resumed scan covers [cursor, hi]; the
-CLI streams pseudoprimes as they are found, which keeps interrupted runs
-lossless end to end.
+chunk.  The checkpoint stores only the cursor and the scan identity
+(method, parameters, and a hash of both), so a resumed scan covers
+[cursor, hi] and cuts its stripes from the cursor; the CLI streams
+pseudoprimes as they are found, which keeps interrupted runs lossless end
+to end.
 """
 
 from __future__ import annotations
@@ -67,7 +78,7 @@ from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, islice, product, repeat
+from itertools import compress, islice, product
 from math import isqrt
 from operator import not_
 from typing import Callable, Iterator
@@ -99,7 +110,7 @@ from .selectors import (
     matrix_candidates,
     matrix_selfridge,
 )
-from .sieve import Segment, primes_up_to, sieve_limit
+from .sieve import Segment, primes_up_to, sieve_limit, stripe
 
 __all__ = [
     "GRID_METHODS",
@@ -443,7 +454,7 @@ def _kernel(bulk: _Bulk, sieve: Segment, lo: int,
     they reach (its |d|, |Q'| or |scale|), where a shared factor may be n
     itself; those with no recorded factor that the sieve does not prove
     prime, or that are prime when primes need not pass; and those with a
-    recorded factor that ``rules_out`` does not rule out.
+    recorded factor that the class's checker does not rule out.
     """
     stats = _new_stats()
     full = (1 << size) - 1
@@ -506,8 +517,7 @@ def _kernel(bulk: _Bulk, sieve: Segment, lo: int,
             mask ^= primes
         rest |= mask & unfactored
         ns = list(_members(mask & ~unfactored, lo))
-        ruled = list(map(sieve.rules_out, ns, repeat(P), repeat(Q),
-                         map(j.__rsub__, ns), repeat(scale)))
+        ruled = list(map(sieve.checker(P, Q, scale), ns, map(j.__rsub__, ns)))
         count = sum(ruled)
         stats["composite"] += count
         stats["sieved"] += count
@@ -517,37 +527,32 @@ def _kernel(bulk: _Bulk, sieve: Segment, lo: int,
     return stats, rest_n
 
 
-def _scan_chunk(method: str, params: dict, lo: int, hi: int,
-                limit: int) -> tuple[list[int], dict[str, int]]:
-    """Scan odd candidates in [lo, hi] (single process), sieving to limit.
+def _scan_stripe(method: str, params: dict, lo: int, hi: int, limit: int,
+                 chunk_odds: int) -> Iterator[tuple[int, list[int],
+                                                     dict[str, int]]]:
+    """Scan the odd n in [lo, hi] (single process) as one stripe of chunks
+    of ``chunk_odds`` odd n, sieving to limit: (the chunk's hi, its finds,
+    its counts) for each chunk, in order, as the stripe reaches it.
 
     The chunk kernel settles what it can in bulk and the per-n test runs
     on the rest; methods without a _Bulk run it on every n.
     """
     form, args, _ = _resolve(method, params)
     test = form.make(*args)
-    sieve = Segment(lo, hi, limit)
-    lo |= 1
     bulk = form.bulk and form.bulk(*args)
-    if bulk is None or lo > hi:
-        return _per_n(test, sieve, range(lo, hi + 1, 2))
-    stats, rest = _kernel(bulk, sieve, lo, (hi - lo) // 2 + 1)
-    found, rest_stats = _per_n(test, sieve, rest)
-    for k, v in rest_stats.items():
-        stats[k] += v
-    return found, stats
+    for sieve in stripe(lo, hi, limit, chunk_odds):
+        odds = rest = range(sieve.lo, sieve.hi + 1, 2)
+        stats = _new_stats()
+        if bulk is not None and odds:
+            stats, rest = _kernel(bulk, sieve, sieve.lo, len(odds))
+        found, rest_stats = _per_n(test, sieve, rest)
+        for k, v in rest_stats.items():
+            stats[k] += v
+        yield sieve.hi, found, stats
 
 
-def _chunks(lo: int, hi: int, chunk_odds: int) -> Iterator[tuple[int, int]]:
-    span = 2 * chunk_odds
-    a = lo
-    while a <= hi:
-        yield a, min(a + span - 1, hi)
-        a += span
-
-
-def _scan_chunk_star(args):
-    return _scan_chunk(*args)
+def _stripe_results(args) -> list[tuple[int, list[int], dict[str, int]]]:
+    return list(_scan_stripe(*args))
 
 
 def scan_range(method: str, params: dict, lo: int, hi: int, *,
@@ -556,14 +561,16 @@ def scan_range(method: str, params: dict, lo: int, hi: int, *,
                on_pseudoprime: Callable[[int], None] | None = None) -> ScanReport:
     """Scan every odd n in [lo, hi] with the configured test.
 
-    An odd composite passing the test is a pseudoprime (the chunk's sieve,
-    or beyond 2**40 the primality oracle, confirms compositeness; both only
-    look at passers).  Work goes in chunks of ``chunk_odds`` odd n, and
-    ``jobs`` > 1 fans them out to worker processes; both must be at least
-    1, and neither changes the result.  With ``checkpoint`` the scan
-    resumes from the file's cursor, which may not lie beyond hi + 1, and
-    records it after every chunk.  ``on_pseudoprime`` is invoked for each
-    find, in ascending order.
+    An odd composite passing the test is a pseudoprime (the sieve, or
+    beyond 2**40 the primality oracle, confirms compositeness; both only
+    look at passers).  Work goes in chunks of ``chunk_odds`` odd n, grouped
+    into stripes of ceil(sieve limit / (2 * chunk_odds)) consecutive
+    chunks; one process sieves and scans a whole stripe, and ``jobs`` > 1
+    fans the stripes out to worker processes.  Both must be at least 1,
+    and neither changes the result.  With ``checkpoint`` the scan resumes
+    from the file's cursor, which may not lie beyond hi + 1, and records it
+    after every chunk.  ``on_pseudoprime`` is invoked for each find, in
+    ascending order, chunk by chunk.
     """
     if not (isinstance(lo, int) and isinstance(hi, int)):
         raise ValueError("lo and hi must be ints")
@@ -590,10 +597,14 @@ def scan_range(method: str, params: dict, lo: int, hi: int, *,
     start = time.monotonic()
     stats = _new_stats()
     found: list[int] = []
-    chunk_list = list(_chunks(lo, hi, chunk_odds))
+    # A stripe is ceil(limit / span) chunks of span = 2*chunk_odds integers,
+    # so that every prime <= limit has about one multiple in it or more.
+    width = -(-limit // (2 * chunk_odds)) * 2 * chunk_odds
+    stripes = [(method, params, a, min(a + width - 1, hi), limit, chunk_odds)
+               for a in range(lo, hi + 1, width)]
 
-    def _absorb(chunk_hi: int, result: tuple[list[int], dict[str, int]]) -> None:
-        chunk_found, chunk_stats = result
+    def _absorb(chunk_hi: int, chunk_found: list[int],
+                chunk_stats: dict[str, int]) -> None:
         for n in chunk_found:
             if on_pseudoprime is not None:
                 on_pseudoprime(n)
@@ -603,14 +614,15 @@ def scan_range(method: str, params: dict, lo: int, hi: int, *,
         if checkpoint is not None:
             write_checkpoint(checkpoint, chunk_hi + 1, method, canonical)
 
-    if jobs > 1 and len(chunk_list) > 1:
-        args = [(method, params, a, b, limit) for a, b in chunk_list]
+    if jobs > 1 and len(stripes) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for (a, b), result in zip(chunk_list, pool.map(_scan_chunk_star, args)):
-                _absorb(b, result)
+            for results in pool.map(_stripe_results, stripes):
+                for result in results:
+                    _absorb(*result)
     else:
-        for a, b in chunk_list:
-            _absorb(b, _scan_chunk(method, params, a, b, limit))
+        for args in stripes:
+            for result in _scan_stripe(*args):
+                _absorb(*result)
 
     return ScanReport(method=method, params=canonical, lo=lo, hi=hi,
                       pseudoprimes=tuple(found), stats=stats,

@@ -1,13 +1,36 @@
-"""Segmented factor sieve for scans, and the rank-of-apparition check on it.
+"""Segmented factor sieve for scans, in stripes of chunks, and the
+rank-of-apparition check on it.
 
-A :class:`Segment` sieves the odd n of one scan chunk by the odd primes up to
-a limit.  It records, in flat arrays, which n have a prime factor <= limit
-and those factors; the cofactor left when they are divided out is computed
-on demand.  An n below (limit + 1)**2 without such a factor is prime: the
+A scan sieves its odd n with the odd primes up to a limit.  :func:`stripe`
+sieves a run of consecutive chunks, a stripe, in one process and at once,
+and yields each chunk's :class:`Segment` in order; a worker owns whole
+stripes.  A segment records which n have a prime factor <= limit and those
+factors; the cofactor left when they are divided out is computed on
+demand.  An n below (limit + 1)**2 without such a factor is prime: the
 scan's chunk kernel passes it on a test that every prime passes, and when
 the limit reaches isqrt(hi) the scan needs no primality oracle.
 
-:meth:`Segment.rules_out` is the check the scan's chunk kernel makes in
+Each prime costs a few Python steps per stripe, never one per multiple:
+
+* the first odd multiple of every prime ((-lo) % p, in effect) is computed
+  for all the primes at once, with C-level ``map``;
+* a prime below the stripe's length pushes itself onto the factor chains
+  of all its multiples with a few slice operations;
+* a prime at or above that length has at most one multiple in the stripe.
+  The primes with none are filtered out without a Python step each, and
+  each of the rest records its one multiple.
+
+This is the bucket sieve of Oliveira e Silva, Herzog and Pardi (Math.
+Comp. 83, 2014) cut to what pays in Python.  There a large prime waits in
+a bucket for the chunk that holds its next multiple, so that each chunk's
+record stays in cache.  Here the cost is interpreter steps, not cache
+misses, and a stripe of ceil(limit / span) chunks (span = 2 * chunk_odds)
+is short enough, at most about limit/2 + chunk_odds odd n, to sieve as
+one record: no prime is carried from chunk to chunk, and none finds its
+first multiple more than once per stripe.  ``Segment(lo, hi, limit)`` is
+the one-chunk stripe.  The record's layout is private to this module.
+
+:meth:`Segment.checker` is the check the scan's chunk kernel makes in
 place of a Lucas-family test's ladder.  If U_k(P, Q) ≡ 0 (mod n), then
 U_k ≡ 0 (mod p) for every prime p | n, and for p ∤ Q that holds exactly
 when the rank of apparition of p divides k (Baillie and Wagstaff, *Lucas
@@ -22,14 +45,16 @@ from __future__ import annotations
 
 import sys
 from array import array
-from bisect import bisect_right
-from itertools import compress
+from bisect import bisect_left, bisect_right
+from itertools import compress, islice, repeat
 from math import gcd, isqrt
+from operator import mod, rshift, sub
+from typing import Callable, Iterator
 
 from .modarith import jacobi
 from .recurrence import _lucas_u, rank_of_apparition
 
-__all__ = ["SIEVE_CAP", "Segment", "primes_up_to", "sieve_limit"]
+__all__ = ["SIEVE_CAP", "Segment", "primes_up_to", "sieve_limit", "stripe"]
 
 # Largest sieving prime: scans above 2**40 sieve only part of the way and
 # fall back on the primality oracle for n with no factor <= SIEVE_CAP.
@@ -44,7 +69,10 @@ _odd_primes = array("I")
 _odd_primes_limit = 2
 _ranks: dict[tuple[int, int], array] = {}
 _MAX_RANK_TABLES = 64
-# Maps the sign byte of each entry of Segment.head to a binary digit: 1 for
+# 0, 1, 2, ...: the entry numbers a prime's multiples take, sliced out
+# rather than built for every segment.
+_iota = array("i")
+# Maps the sign byte of each entry of Segment._head to a binary digit: 1 for
 # a negative entry (no recorded factor).
 _SIGN_DIGITS = bytes(0x31 if b >= 0x80 else 0x30 for b in range(256))
 
@@ -86,58 +114,98 @@ def sieve_limit(hi: int) -> int:
     return min(isqrt(hi), SIEVE_CAP)
 
 
+def stripe(lo: int, hi: int, limit: int, chunk_odds: int) -> Iterator[Segment]:
+    """The Segment of each chunk of [lo, hi], in order, sieved to limit.
+
+    The chunks are [a, min(a + 2*chunk_odds - 1, hi)] for a = lo, lo +
+    2*chunk_odds, ...  The whole stripe is sieved at once, and each chunk's
+    Segment reads its part of that record.
+    """
+    whole = Segment(lo, hi, limit)
+    for a in range(lo, hi + 1, 2 * chunk_odds):
+        part = Segment.__new__(Segment)
+        part.lo, part.hi = a | 1, min(a + 2 * chunk_odds - 1, hi)
+        part.prime_below, part._origin = whole.prime_below, whole._origin
+        part._head, part._factor, part._next = (whole._head, whole._factor,
+                                                whole._next)
+        yield part
+
+
 class Segment:
     """Factor sieve of the odd n in [lo, hi] by the odd primes <= limit.
 
-    Per odd n (index (n - lo) // 2) it keeps ``head``, the start of a chain
-    of its prime factors <= limit through ``factor`` (an index into the
-    shared prime table) and ``next`` (-1 ends a chain and marks n without
-    such a factor).  n itself is never recorded as its own factor.
+    n itself is never recorded as its own factor.  ``lo`` is the first odd
+    n and ``hi`` the upper end; a chunk of a :func:`stripe` reads the
+    stripe's record.
     """
 
-    __slots__ = ("lo", "prime_below", "head", "factor", "next")
+    __slots__ = ("lo", "hi", "prime_below", "_origin", "_head", "_factor",
+                 "_next")
 
     def __init__(self, lo: int, hi: int, limit: int) -> None:
+        global _iota
         lo |= 1
         size = max((hi - lo) // 2 + 1, 0)
         count = _primes_through(limit)  # may replace _odd_primes
         primes = _odd_primes[:count]
-        self.lo = lo
+        self.lo = self._origin = lo
+        self.hi = hi
         # An n, or a cofactor, below this with no prime factor <= limit is
         # 1 or prime.
         self.prime_below = (limit + 1) ** 2
-        self.head = head = array("i", [-1]) * size
-        self.factor = factor = array("I")
-        self.next = nxt = array("i")
-        # Offset from lo of the first multiple of each prime, for all primes
-        # at once; only the primes with a multiple below lo + 2*size enter
-        # the Python loop.
-        offsets = list(map((-lo).__mod__, primes))
-        append_factor, append_next = factor.append, nxt.append
-        for idx in compress(range(count), map((2 * size).__gt__, offsets)):
-            p = primes[idx]
-            first = offsets[idx]
-            if first & 1:  # lo is odd: step to the odd multiple
-                first += p
-            if lo + first == p:  # p is not its own factor
-                first += 2 * p
-            for i in range(first >> 1, size, p):
-                append_next(head[i])
-                head[i] = len(factor)
-                append_factor(idx)
+        # Per odd n (index (n - lo) // 2) the start of a chain of its prime
+        # factors <= limit through _factor (an index into the shared prime
+        # table) and _next; -1 ends a chain, and in _head marks n without
+        # such a factor.
+        self._head = head = array("i", [-1]) * size
+        self._factor = factor = array("I")
+        self._next = nxt = array("i")
+        # The index i of each prime's first odd multiple lo + 2i >= lo:
+        # i ≡ (p - lo)/2 (mod p).
+        starts = list(map(mod, map(rshift, map(sub, primes, repeat(lo)),
+                                   repeat(1)), primes))
+        for j in range(bisect_left(primes, lo), count):
+            starts[j] += primes[j]  # p is not its own factor
+        # A prime below size pushes itself onto the chains of all its
+        # multiples with a few slice operations.  A larger one has at most
+        # one multiple here, and only the primes that do are looked at.
+        short = bisect_left(primes, size)
+        entries = sum(map(len, map(range, starts[:short], repeat(size),
+                                   primes[:short])))
+        if len(_iota) < entries:
+            _iota = array("i", range(entries))
+        end = 0
+        for j in compress(range(short), map(size.__gt__, starts)):
+            i, p = starts[j], primes[j]
+            chained = head[i::p]
+            new = end + len(chained)
+            nxt += chained
+            head[i::p] = _iota[end:new]
+            factor += array("I", (j,)) * (new - end)
+            end = new
+        for j in compress(range(short, count),
+                          map(size.__gt__, islice(starts, short, None))):
+            i = starts[j]
+            nxt.append(head[i])
+            head[i] = end
+            factor.append(j)
+            end += 1
 
     def unfactored(self) -> int:
         """Bitmask over the index of the n with no recorded factor."""
-        width = self.head.itemsize
-        sign = width - 1 if sys.byteorder == "little" else 0
-        signs = memoryview(self.head).cast("B")[sign::width].tobytes()
+        width = self._head.itemsize
+        first = ((self.lo - self._origin) >> 1) * width
+        size = max((self.hi - self.lo) // 2 + 1, 0) * width
+        first += width - 1 if sys.byteorder == "little" else 0
+        signs = memoryview(self._head).cast("B")[
+            first:first + size:width].tobytes()
         return int(signs.translate(_SIGN_DIGITS)[::-1], 2)
 
     def factors(self, n: int) -> list[int]:
-        """The prime factors of n that are <= limit, largest first."""
-        primes, factor, nxt = _odd_primes, self.factor, self.next
+        """The distinct prime factors of n that are <= limit."""
+        primes, factor, nxt = _odd_primes, self._factor, self._next
         found = []
-        j = self.head[(n - self.lo) >> 1]
+        j = self._head[(n - self._origin) >> 1]
         while j >= 0:
             found.append(primes[factor[j]])
             j = nxt[j]
@@ -153,39 +221,48 @@ class Segment:
 
     def is_composite(self, n: int) -> bool | None:
         """True or False when the sieve decides n, None when it cannot."""
-        i = (n - self.lo) >> 1
-        if self.head[i] >= 0:
+        if self._head[(n - self._origin) >> 1] >= 0:
             return True
         return None if n >= self.prime_below else False
 
-    def rules_out(self, n: int, P: int, Q: int, k: int, scale: int = 1) -> bool:
-        """True when scale*U_k(P, Q) ≢ 0 (mod n) is proved by a factor of n.
+    def checker(self, P: int, Q: int,
+                scale: int = 1) -> Callable[[int, int], bool]:
+        """rules_out(n, k) for the n of this segment and Lucas (P, Q).
 
-        That is, some prime q | n with q ∤ Q*scale has U_k ≢ 0 (mod q): a
-        factor q <= limit whose rank does not divide k, or a cofactor q
-        known to be prime.  False means nothing is proved.
+        rules_out(n, k) is True when scale*U_k(P, Q) ≢ 0 (mod n) is proved
+        by a factor of n: some prime q | n with q ∤ Q*scale has U_k ≢ 0
+        (mod q), that is a factor q <= limit whose rank does not divide k,
+        or a cofactor q known to be prime.  False means nothing is proved.
+        The rank table of (P, Q) is looked up once, here.
         """
-        j = self.head[(n - self.lo) >> 1]
-        if j < 0:
-            return False  # prime, or no factor <= limit to look at
         qs = Q * scale
         ranks = _rank_table(P, Q)
-        primes, factor, nxt = _odd_primes, self.factor, self.next
-        while j >= 0:
-            idx = factor[j]
-            p = primes[idx]
-            if qs % p:
-                rank = ranks[idx]
-                if not rank:
-                    rank = ranks[idx] = rank_of_apparition(P, Q, p)
-                if k % rank:
-                    return True
-            j = nxt[j]
-        c = self.cofactor(n)
-        if c == 1 or c >= self.prime_below or not qs % c:
-            return False
-        # c is prime; its rank divides c - (D/c), and is c when c | D.
-        e = jacobi(P * P - 4 * Q, c)
-        if not e:
-            return k % c != 0
-        return _lucas_u(P, Q, gcd(k, c - e), c)[0] != 0
+        primes, head, factor, nxt = (_odd_primes, self._head, self._factor,
+                                     self._next)
+        origin, prime_below, cofactor = (self._origin, self.prime_below,
+                                         self.cofactor)
+
+        def rules_out(n: int, k: int) -> bool:
+            j = head[(n - origin) >> 1]
+            if j < 0:
+                return False  # prime, or no factor <= limit to look at
+            while j >= 0:
+                idx = factor[j]
+                p = primes[idx]
+                if qs % p:
+                    rank = ranks[idx]
+                    if not rank:
+                        rank = ranks[idx] = rank_of_apparition(P, Q, p)
+                    if k % rank:
+                        return True
+                j = nxt[j]
+            c = cofactor(n)
+            if c == 1 or c >= prime_below or not qs % c:
+                return False
+            # c is prime; its rank divides c - (D/c), and is c when c | D.
+            e = jacobi(P * P - 4 * Q, c)
+            if not e:
+                return k % c != 0
+            return _lucas_u(P, Q, gcd(k, c - e), c)[0] != 0
+
+        return rules_out

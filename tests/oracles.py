@@ -17,6 +17,7 @@ from pellprime.conic import ConicParams
 from pellprime.modarith import Factor
 from pellprime.primality import Outcome, Verdict
 from pellprime.recurrence import LucasParams, MatrixParams
+from pellprime import search
 from pellprime.search import build_test, is_prime
 from pellprime.selectors import (
     selfridge_classic,
@@ -171,7 +172,7 @@ def kernel_sieves(method: str, params: dict, segment: Segment, n: int,
     primes_pass = not (method == "matrix" and variant == "u-companion")
     if primes_pass and segment.is_composite(n) is False:
         return True
-    return segment.rules_out(n, P, Q, n - j, scale)
+    return segment.checker(P, Q, scale)(n, n - j)
 
 
 def reference_scan(method: str, params: dict, lo: int, hi: int,
@@ -192,4 +193,14 @@ def reference_scan(method: str, params: dict, lo: int, hi: int,
         if verdict.is_probable_prime and not is_prime(n):
             found.append(n)
             stats["pseudoprimes"] += 1
+    return found, stats
+
+
+def scan_chunk(method: str, params: dict, lo: int, hi: int,
+               limit: int) -> tuple[list[int], dict[str, int]]:
+    """The finds and counts the scan gives [lo, hi] as a one-chunk stripe
+    sieved to limit, for comparison with :func:`reference_scan`."""
+    ((chunk_hi, found, stats),) = search._scan_stripe(
+        method, params, lo, hi, limit, (hi - lo) // 2 + 1)
+    assert chunk_hi == hi
     return found, stats

