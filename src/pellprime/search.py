@@ -7,12 +7,15 @@ are identical no matter how many worker processes execute them; reports
 serialize canonically with wall-clock time excluded.
 
 A stripe is the unit of work, for ``jobs=1`` and for the pool alike: one
-process sieves it and scans its chunks in order (:func:`_scan_stripe`).
-It holds ceil(limit / span) chunks, where span = 2 * chunk_odds is a
-chunk's width in integers, so every sieving prime has about one multiple
-in a stripe or more and finds its first one once per stripe
-(:func:`~pellprime.sieve.stripe`).  Where the span reaches the limit, as
-in every scan below 2**34 in the default chunks, a stripe is one chunk.
+process builds one :class:`~pellprime.sieve.Segment` for it and scans its
+chunks in order, each chunk reading its window of that record
+(:func:`_scan_stripe`).  A stripe holds ceil(limit / span) chunks, where
+span = 2 * chunk_odds is a chunk's width in integers, so every sieving
+prime has about one multiple in a stripe or more and finds its first one
+once per stripe.  Where the span reaches the limit, as in every scan below
+2**34 in the default chunks, a stripe is one chunk.  Chunk and stripe stay
+apart: one kernel call per stripe was measured to scan about a quarter
+slower than one per chunk of 2**14 to 2**16 odd n.
 Results still arrive chunk by chunk: finds are reported, counts added and
 the checkpoint written after each chunk, in ascending order.
 
@@ -47,8 +50,11 @@ them as ``sieved``:
   apparition of a factor does not divide the congruence's index (see
   :mod:`pellprime.sieve`).
 
-Each form's description sits in :data:`METHODS`.  The per-n test runs only
-on what is left:
+Each form's description sits in :data:`METHODS`.  A Selfridge form maps
+each candidate discriminant to the test's parameters with the selector's
+own map (:mod:`pellprime.selectors`), and :func:`_first` reads their first
+congruence, so the parameters the kernel settles n with are the ones the
+per-n walk would pick.  The per-n test runs only on what is left:
 
 * the n at or below a discriminant's bound (its |d|, |Q'| or |scale|),
   where a shared factor may be n itself;
@@ -104,13 +110,16 @@ from .recurrence import LucasParams, MatrixParams
 from .selectors import (
     CANDIDATE_CAP,
     classic_candidates,
+    classic_params,
     double_lucas_selfridge,
+    gen_pell_params,
     gen_pell_selfridge,
     lucas_selfridge,
     matrix_candidates,
+    matrix_params,
     matrix_selfridge,
 )
-from .sieve import Segment, primes_up_to, sieve_limit, stripe
+from .sieve import Segment, sieve_limit
 
 __all__ = [
     "GRID_METHODS",
@@ -120,7 +129,6 @@ __all__ = [
     "build_test",
     "grid_scan",
     "is_prime",
-    "primes_up_to",
     "read_checkpoint",
     "scan_range",
     "write_checkpoint",
@@ -180,47 +188,47 @@ _Form = namedtuple("_Form", "names canonical make bulk", defaults=(None,))
 
 # How the scan's chunk kernel settles the n of a Lucas-family form.  ``D``
 # is the fixed discriminant, or for a Selfridge form the function that
-# returns its candidate sequence.  ``lucas(d)`` is the (P', Q', scale) for
-# discriminant d of the test's first congruence, scale*U_k(P', Q') ≡ 0
-# (mod n) with k = n - (d/n) for every such form;
-# the test's preconditions also settle, with outcome ``shared``, the n that
-# share a prime with Q' (Q for Lucas, QR for matrix, the base point's norm
-# for the conics).  ``primes_pass`` is whether every prime that meets the
-# preconditions passes the test.
-_Bulk = namedtuple("_Bulk", "D lucas shared primes_pass")
+# returns its candidate sequence.  ``params(d)`` is the test's parameters
+# at discriminant d (for a Selfridge form, the selector's map), and
+# :func:`_first` their first congruence; the test's preconditions also
+# settle, with outcome ``shared``, the n that share a prime with its Q'.
+# ``primes_pass`` is whether every prime that meets the preconditions
+# passes the test.
+_Bulk = namedtuple("_Bulk", "D params shared primes_pass")
 _INVALID, _COMPOSITE = Outcome.PARAMS_INVALID, Outcome.COMPOSITE
 
 
-def _fixed(D: int, P: int, Q: int, scale: int, shared: Outcome = _INVALID,
+def _first(params: LucasParams | MatrixParams | ConicParams
+           ) -> tuple[int, int, int, int]:
+    """(D, P', Q', scale) such that the test's first congruence is
+    scale*U_k(P', Q') ≡ 0 (mod n), with k = n - (D/n).
+
+    Q' is Q for Lucas, QR for matrix (U~_k = R*U_k of Lucas(P, QR)) and
+    the base point's norm for the conics (y*U_k of Lucas(2x, x^2 - D*y^2)
+    is the y of (x, y)^k).
+    """
+    if isinstance(params, ConicParams):
+        D, x, y = params.D, params.x, params.y
+        return D, 2 * x, x * x - D * y * y, y
+    R = getattr(params, "R", 1)
+    return params.discriminant, params.P, params.Q * R, R
+
+
+def _fixed(params: LucasParams | MatrixParams | ConicParams,
+           shared: Outcome = _INVALID,
            primes_pass: bool = True) -> _Bulk | None:
-    """The _Bulk of a form with one discriminant D; None when D, Q' or the
+    """The _Bulk of a form with fixed parameters; None when D, Q' or the
     scale is 0, parameters for which the test rejects n by n."""
+    D, _, Q, scale = _first(params)
     if not (D and Q and scale):
         return None
-    return _Bulk(D, lambda d: (P, Q, scale), shared, primes_pass)
-
-
-def _conic(D: int, x: int, y: int, shared: Outcome) -> _Bulk | None:
-    """The _Bulk of a conic test: y*U_k of Lucas(2x, x^2 - D*y^2)."""
-    return _fixed(D, 2 * x, x * x - D * y * y, y, shared)
+    return _Bulk(D, lambda d: params, shared, primes_pass)
 
 
 def _norm_one(D: int, x: int, y: int) -> _Bulk | None:
     """pell and strong-pell reject every n beyond |norm - 1| unless the
     base point has norm 1, and then no n shares a prime with the norm."""
-    return _conic(D, x, y, _INVALID) if x * x - D * y * y == 1 else None
-
-
-def _classic(d: int) -> tuple[int, int, int]:
-    return 1, (1 - d) // 4, 1  # P = 1, Q = (1 - D)/4
-
-
-def _selfridge_matrix(d: int) -> tuple[int, int, int]:
-    return 1, (1 - d) // 4, 2  # P = 1, QR = 2(1 - D)/8, R = 2
-
-
-def _selfridge_conic(d: int) -> tuple[int, int, int]:
-    return 6, 9 - 4 * d, 2  # base point (3, 2) of norm 9 - 4D
+    return _fixed(ConicParams(D, x, y)) if x * x - D * y * y == 1 else None
 
 
 # build_test takes a method's first form whose names are all given.  The
@@ -231,27 +239,28 @@ METHODS: dict[str, tuple[_Form, ...]] = {
                           lambda a: partial(strong_base_test, a=a)),),
     "lucas": (
         _Form(("selfridge",), "selfridge", lambda: lucas_selfridge,
-              lambda: _Bulk(classic_candidates, _classic, _INVALID, True)),
+              lambda: _Bulk(classic_candidates, classic_params, _INVALID,
+                            True)),
         _Form(("P", "Q"), None,
               lambda P, Q: partial(lucas_test, params=LucasParams(P, Q)),
-              lambda P, Q: _fixed(P * P - 4 * Q, P, Q, 1))),
+              lambda P, Q: _fixed(LucasParams(P, Q)))),
     "double-lucas": (
         _Form(("selfridge",), "selfridge", lambda: double_lucas_selfridge,
-              lambda: _Bulk(classic_candidates, _classic, _INVALID, True)),
+              lambda: _Bulk(classic_candidates, classic_params, _INVALID,
+                            True)),
         _Form(("P", "Q"), None, lambda P, Q: partial(
             double_lucas_test, params=LucasParams(P, Q)),
-            lambda P, Q: _fixed(P * P - 4 * Q, P, Q, 1))),
+            lambda P, Q: _fixed(LucasParams(P, Q)))),
     "matrix": (
         _Form(("selfridge", "variant"), None,
               lambda variant: partial(matrix_selfridge, variant=variant),
-              lambda variant: _Bulk(matrix_candidates, _selfridge_matrix,
+              lambda variant: _Bulk(matrix_candidates, matrix_params,
                                     _INVALID, variant == "v-companion")),
         _Form(("P", "Q", "R", "variant"), None, lambda P, Q, R, variant: (
             partial(matrix_test, params=MatrixParams(P, Q, R),
                     variant=variant)),
             lambda P, Q, R, variant: _fixed(
-                P * P - 4 * Q * R, P, Q * R, R,
-                primes_pass=variant == "v-companion"))),
+                MatrixParams(P, Q, R), primes_pass=variant == "v-companion"))),
     "pell": (_Form(("D", "x", "y"), None, lambda D, x, y: partial(
         pell_test, params=ConicParams(D, x, y)), _norm_one),),
     "strong-pell": (
@@ -261,11 +270,11 @@ METHODS: dict[str, tuple[_Form, ...]] = {
             strong_pell_test, params=ConicParams(D, x, y)), _norm_one)),
     "gen-pell": (
         _Form(("selfridge",), "selfridge", lambda: gen_pell_selfridge,
-              lambda: _Bulk(classic_candidates, _selfridge_conic, _COMPOSITE,
+              lambda: _Bulk(classic_candidates, gen_pell_params, _COMPOSITE,
                             True)),
         _Form(("D", "x", "y"), None, lambda D, x, y: partial(
             generalized_pell_test, params=ConicParams(D, x, y)),
-            lambda D, x, y: _conic(D, x, y, _COMPOSITE))),
+            lambda D, x, y: _fixed(ConicParams(D, x, y), _COMPOSITE))),
     "pell-variant": (_Form((), "none", lambda: pell_variant_test),),
 }
 
@@ -449,6 +458,10 @@ def _kernel(bulk: _Bulk, sieve: Segment, lo: int,
             size: int) -> tuple[dict[str, int], list[int]]:
     """Settle the odd n = lo + 2i, i < size, on bitmasks over i.
 
+    ``sieve`` is the stripe's record, and the chunk reads its window
+    ``sieve.unfactored(lo, size)``.  Each discriminant the chunk reaches
+    is described once, by :func:`_first` of ``bulk.params(d)``.
+
     Returns the counts of what it settled and the n it leaves to the
     per-n test, ascending: those at or below the bound of a discriminant
     they reach (its |d|, |Q'| or |scale|), where a shared factor may be n
@@ -462,17 +475,19 @@ def _kernel(bulk: _Bulk, sieve: Segment, lo: int,
     def upto(bound: int) -> int:  # the n <= bound
         return (1 << max(0, min(size, (bound - lo) // 2 + 1))) - 1
 
-    def bound(d: int) -> int:
-        return max(abs(d), *map(abs, bulk.lucas(d)[1:]))
+    def at(d: int) -> tuple[int, tuple[int, int, int]]:
+        """The n at or below d's bound, and (P', Q', scale) at d."""
+        _, P, Q, scale = _first(bulk.params(d))
+        return upto(max(abs(d), abs(Q), abs(scale))), (P, Q, scale)
 
-    classes = []  # (d, (d/n), the n of this class)
+    classes = []  # ((P', Q', scale), (d/n), the n of this class)
     if isinstance(bulk.D, int):
         d = bulk.D
-        rest = upto(bound(d))
+        rest, lucas = at(d)
         minus, zero = jacobi_masks(d, lo, size)
         left = full ^ rest
-        classes = [(d, 1, left & ~(minus | zero)), (d, -1, left & minus),
-                   (d, 0, left & zero)]
+        classes = [(lucas, 1, left & ~(minus | zero)),
+                   (lucas, -1, left & minus), (lucas, 0, left & zero)]
     else:
         # Perfect squares, then each n at the first candidate d with
         # (d/n) = -1; (d/n) = 0 with n > |d| is a proper factor.
@@ -485,25 +500,25 @@ def _kernel(bulk: _Bulk, sieve: Segment, lo: int,
         for d in islice(bulk.D(), CANDIDATE_CAP):
             if not left:
                 break
-            small = left & upto(bound(d))
+            small, lucas = at(d)
+            small &= left
             rest |= small
             left ^= small
             minus, zero = jacobi_masks(d, lo, size)
-            classes.append((d, -1, left & minus))
+            classes.append((lucas, -1, left & minus))
             short |= left & zero
             left &= ~(minus | zero)
         rest |= left  # beyond the cap: the per-n walk raises
         stats["short_circuited"] = short.bit_count()
         stats["composite"] = short.bit_count()
 
-    unfactored = sieve.unfactored()
+    unfactored = sieve.unfactored(lo, size)
     proved = unfactored & upto(sieve.prime_below - 1)
     shared = "params_invalid" if bulk.shared is _INVALID else "composite"
     survivors: list[int] = []
-    for d, j, mask in classes:
+    for (P, Q, scale), j, mask in classes:
         if not mask:
             continue
-        P, Q, scale = bulk.lucas(d)
         sharing = mask & sharing_mask(Q, lo, size)
         stats[shared] += sharing.bit_count()
         mask ^= sharing
@@ -534,21 +549,26 @@ def _scan_stripe(method: str, params: dict, lo: int, hi: int, limit: int,
     of ``chunk_odds`` odd n, sieving to limit: (the chunk's hi, its finds,
     its counts) for each chunk, in order, as the stripe reaches it.
 
-    The chunk kernel settles what it can in bulk and the per-n test runs
-    on the rest; methods without a _Bulk run it on every n.
+    The chunks are [a, min(a + 2*chunk_odds - 1, hi)] for a = lo | 1, lo |
+    1 + 2*chunk_odds, ...; none is empty.  One Segment sieves the whole
+    stripe, and each chunk reads its window of it.  The chunk kernel
+    settles what it can in bulk and the per-n test runs on the rest;
+    methods without a _Bulk run it on every n.
     """
     form, args, _ = _resolve(method, params)
     test = form.make(*args)
     bulk = form.bulk and form.bulk(*args)
-    for sieve in stripe(lo, hi, limit, chunk_odds):
-        odds = rest = range(sieve.lo, sieve.hi + 1, 2)
+    sieve = Segment(lo, hi, limit)
+    for a in range(lo | 1, hi + 1, 2 * chunk_odds):
+        b = min(a + 2 * chunk_odds - 1, hi)
+        odds = rest = range(a, b + 1, 2)
         stats = _new_stats()
-        if bulk is not None and odds:
-            stats, rest = _kernel(bulk, sieve, sieve.lo, len(odds))
+        if bulk is not None:
+            stats, rest = _kernel(bulk, sieve, a, len(odds))
         found, rest_stats = _per_n(test, sieve, rest)
         for k, v in rest_stats.items():
             stats[k] += v
-        yield sieve.hi, found, stats
+        yield b, found, stats
 
 
 def _stripe_results(args) -> list[tuple[int, list[int], dict[str, int]]]:
@@ -565,15 +585,17 @@ def scan_range(method: str, params: dict, lo: int, hi: int, *,
     beyond 2**40 the primality oracle, confirms compositeness; both only
     look at passers).  Work goes in chunks of ``chunk_odds`` odd n, grouped
     into stripes of ceil(sieve limit / (2 * chunk_odds)) consecutive
-    chunks; one process sieves and scans a whole stripe, and ``jobs`` > 1
-    fans the stripes out to worker processes.  Both must be at least 1,
-    and neither changes the result.  With ``checkpoint`` the scan resumes
-    from the file's cursor, which may not lie beyond hi + 1, and records it
-    after every chunk.  ``on_pseudoprime`` is invoked for each find, in
-    ascending order, chunk by chunk.
+    chunks from lo | 1; one process sieves a whole stripe as one record
+    and scans its chunks, and ``jobs`` > 1 fans the stripes out to at most
+    ``jobs`` worker processes, and never to more than there are stripes.
+    Both must be ints of at least 1, and neither changes the result.  With
+    ``checkpoint`` the scan resumes from the file's cursor, which may not
+    lie beyond hi + 1, and records it after every chunk.
+    ``on_pseudoprime`` is invoked for each find, in ascending order, chunk
+    by chunk.
     """
-    if not (isinstance(lo, int) and isinstance(hi, int)):
-        raise ValueError("lo and hi must be ints")
+    if not all(isinstance(v, int) for v in (lo, hi, jobs, chunk_odds)):
+        raise ValueError("lo, hi, jobs and chunk_odds must be ints")
     if not 3 <= lo <= hi:
         raise ValueError(f"need 3 <= lo <= hi, got [{lo}, {hi}]")
     if hi > MAX_MODULUS:
@@ -601,7 +623,7 @@ def scan_range(method: str, params: dict, lo: int, hi: int, *,
     # so that every prime <= limit has about one multiple in it or more.
     width = -(-limit // (2 * chunk_odds)) * 2 * chunk_odds
     stripes = [(method, params, a, min(a + width - 1, hi), limit, chunk_odds)
-               for a in range(lo, hi + 1, width)]
+               for a in range(lo | 1, hi + 1, width)]
 
     def _absorb(chunk_hi: int, chunk_found: list[int],
                 chunk_stats: dict[str, int]) -> None:
@@ -615,7 +637,7 @@ def scan_range(method: str, params: dict, lo: int, hi: int, *,
             write_checkpoint(checkpoint, chunk_hi + 1, method, canonical)
 
     if jobs > 1 and len(stripes) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(stripes))) as pool:
             for results in pool.map(_stripe_results, stripes):
                 for result in results:
                     _absorb(*result)

@@ -1,10 +1,13 @@
 """Per-n parameter selection in the style of Selfridge's method A.
 
 Each selector walks a fixed alternating discriminant sequence until it finds
-D with Jacobi symbol (D/n) = -1, then derives the remaining parameters.
-Perfect squares are rejected up front (no D with (D/n) = -1 exists for
-them, so the walk would never terminate); a candidate sharing a nontrivial
-factor with n short-circuits to a Composite verdict.
+D with Jacobi symbol (D/n) = -1, then maps D to the test's parameters with
+:func:`classic_params`, :func:`matrix_params` or :func:`gen_pell_params`.
+Those maps are defined here only: the scan's chunk kernel maps each
+candidate D through the same ones.  Perfect squares are rejected up front
+(no D with (D/n) = -1 exists for them, so the walk would never
+terminate); a candidate sharing a nontrivial factor with n short-circuits
+to a Composite verdict.
 
 Deliberately NO trial-division prefilter: pseudoprimes for these selected
 parameters routinely have small factors (323 = 17*19 heads the Lucas list),
@@ -20,7 +23,7 @@ both dividing k = 324, so 323 survives and is reported.
 from __future__ import annotations
 
 from math import gcd, isqrt
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .conic import ConicParams
 from .modarith import MAX_MODULUS, jacobi
@@ -37,10 +40,13 @@ from .recurrence import LucasParams, MatrixParams
 __all__ = [
     "CANDIDATE_CAP",
     "classic_candidates",
+    "classic_params",
     "double_lucas_selfridge",
+    "gen_pell_params",
     "gen_pell_selfridge",
     "lucas_selfridge",
     "matrix_candidates",
+    "matrix_params",
     "matrix_selfridge",
     "selfridge_classic",
     "selfridge_gen_pell",
@@ -48,6 +54,8 @@ __all__ = [
 ]
 
 CANDIDATE_CAP = 10**6
+
+Params = LucasParams | MatrixParams | ConicParams
 
 
 def classic_candidates() -> Iterator[int]:
@@ -106,19 +114,41 @@ def _find_d(n: int, candidates: Iterator[int]) -> int | Verdict:
     raise AssertionError("unreachable")
 
 
+def classic_params(d: int) -> LucasParams:
+    """P = 1, Q = (1 - D)/4, so that P^2 - 4Q = D."""
+    return LucasParams(1, (1 - d) // 4)
+
+
+def matrix_params(d: int) -> MatrixParams:
+    """P = 1, Q = (1 - D)/8, R = 2, so that P^2 - 4QR = D."""
+    return MatrixParams(1, (1 - d) // 8, 2)
+
+
+def gen_pell_params(d: int) -> ConicParams:
+    """Conic D with base point (3, 2), of norm 9 - 4D."""
+    return ConicParams(d, 3, 2)
+
+
+def _select(n: int, candidates: Callable[[], Iterator[int]],
+            params: Callable[[int], Params]) -> Params | Verdict:
+    """params(D) for the first candidate D with (D/n) = -1, or the Verdict
+    that settles n during the walk."""
+    early = _pre(n)
+    if early:
+        return early
+    d = _find_d(n, candidates())
+    if isinstance(d, Verdict):
+        return d
+    return params(d)
+
+
 def selfridge_classic(n: int) -> LucasParams | Verdict:
     """Classic Selfridge parameters: P = 1, Q = (1 - D)/4.
 
     D is the first of 5, -7, 9, -11, ... with (D/n) = -1; the returned
     params satisfy P^2 - 4Q = D.
     """
-    early = _pre(n)
-    if early:
-        return early
-    d = _find_d(n, classic_candidates())
-    if isinstance(d, Verdict):
-        return d
-    return LucasParams(1, (1 - d) // 4)
+    return _select(n, classic_candidates, classic_params)
 
 
 def selfridge_matrix(n: int) -> MatrixParams | Verdict:
@@ -128,13 +158,7 @@ def selfridge_matrix(n: int) -> MatrixParams | Verdict:
     the returned params satisfy P^2 - 4QR = D, hence the test always takes
     the (Δ/n) = -1 branch.
     """
-    early = _pre(n)
-    if early:
-        return early
-    d = _find_d(n, matrix_candidates())
-    if isinstance(d, Verdict):
-        return d
-    return MatrixParams(1, (1 - d) // 8, 2)
+    return _select(n, matrix_candidates, matrix_params)
 
 
 def selfridge_gen_pell(n: int) -> ConicParams | Verdict:
@@ -143,13 +167,7 @@ def selfridge_gen_pell(n: int) -> ConicParams | Verdict:
     The base point norm is 9 - 4D mod n; a shared factor with n surfaces
     when the test runs.
     """
-    early = _pre(n)
-    if early:
-        return early
-    d = _find_d(n, classic_candidates())
-    if isinstance(d, Verdict):
-        return d
-    return ConicParams(d, 3, 2)
+    return _select(n, classic_candidates, gen_pell_params)
 
 
 def lucas_selfridge(n: int) -> Verdict:

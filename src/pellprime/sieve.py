@@ -1,14 +1,15 @@
 """Segmented factor sieve for scans, in stripes of chunks, and the
 rank-of-apparition check on it.
 
-A scan sieves its odd n with the odd primes up to a limit.  :func:`stripe`
-sieves a run of consecutive chunks, a stripe, in one process and at once,
-and yields each chunk's :class:`Segment` in order; a worker owns whole
-stripes.  A segment records which n have a prime factor <= limit and those
-factors; the cofactor left when they are divided out is computed on
-demand.  An n below (limit + 1)**2 without such a factor is prime: the
-scan's chunk kernel passes it on a test that every prime passes, and when
-the limit reaches isqrt(hi) the scan needs no primality oracle.
+A scan sieves its odd n with the odd primes up to a limit.  It cuts its
+range into stripes of consecutive chunks; one process sieves a whole
+stripe at once, as one :class:`Segment`, and each chunk reads its window
+of that record.  A segment records which n have a prime factor <= limit
+and those factors; the cofactor left when they are divided out is
+computed on demand.  An n below (limit + 1)**2 without such a factor is
+prime: the scan's chunk kernel passes it on a test that every prime
+passes, and when the limit reaches isqrt(hi) the scan needs no primality
+oracle.
 
 Each prime costs a few Python steps per stripe, never one per multiple:
 
@@ -27,8 +28,8 @@ record stays in cache.  Here the cost is interpreter steps, not cache
 misses, and a stripe of ceil(limit / span) chunks (span = 2 * chunk_odds)
 is short enough, at most about limit/2 + chunk_odds odd n, to sieve as
 one record: no prime is carried from chunk to chunk, and none finds its
-first multiple more than once per stripe.  ``Segment(lo, hi, limit)`` is
-the one-chunk stripe.  The record's layout is private to this module.
+first multiple more than once per stripe.  The record's layout is private
+to this module.
 
 :meth:`Segment.checker` is the check the scan's chunk kernel makes in
 place of a Lucas-family test's ladder.  If U_k(P, Q) ≡ 0 (mod n), then
@@ -49,12 +50,12 @@ from bisect import bisect_left, bisect_right
 from itertools import compress, islice, repeat
 from math import gcd, isqrt
 from operator import mod, rshift, sub
-from typing import Callable, Iterator
+from typing import Callable
 
 from .modarith import jacobi
 from .recurrence import _lucas_u, rank_of_apparition
 
-__all__ = ["SIEVE_CAP", "Segment", "primes_up_to", "sieve_limit", "stripe"]
+__all__ = ["SIEVE_CAP", "Segment", "primes_up_to", "sieve_limit"]
 
 # Largest sieving prime: scans above 2**40 sieve only part of the way and
 # fall back on the primality oracle for n with no factor <= SIEVE_CAP.
@@ -114,33 +115,15 @@ def sieve_limit(hi: int) -> int:
     return min(isqrt(hi), SIEVE_CAP)
 
 
-def stripe(lo: int, hi: int, limit: int, chunk_odds: int) -> Iterator[Segment]:
-    """The Segment of each chunk of [lo, hi], in order, sieved to limit.
-
-    The chunks are [a, min(a + 2*chunk_odds - 1, hi)] for a = lo, lo +
-    2*chunk_odds, ...  The whole stripe is sieved at once, and each chunk's
-    Segment reads its part of that record.
-    """
-    whole = Segment(lo, hi, limit)
-    for a in range(lo, hi + 1, 2 * chunk_odds):
-        part = Segment.__new__(Segment)
-        part.lo, part.hi = a | 1, min(a + 2 * chunk_odds - 1, hi)
-        part.prime_below, part._origin = whole.prime_below, whole._origin
-        part._head, part._factor, part._next = (whole._head, whole._factor,
-                                                whole._next)
-        yield part
-
-
 class Segment:
     """Factor sieve of the odd n in [lo, hi] by the odd primes <= limit.
 
     n itself is never recorded as its own factor.  ``lo`` is the first odd
-    n and ``hi`` the upper end; a chunk of a :func:`stripe` reads the
-    stripe's record.
+    n.  A scan builds one per stripe, and each chunk reads its window of
+    the record with :meth:`unfactored`.
     """
 
-    __slots__ = ("lo", "hi", "prime_below", "_origin", "_head", "_factor",
-                 "_next")
+    __slots__ = ("lo", "prime_below", "_head", "_factor", "_next")
 
     def __init__(self, lo: int, hi: int, limit: int) -> None:
         global _iota
@@ -148,8 +131,7 @@ class Segment:
         size = max((hi - lo) // 2 + 1, 0)
         count = _primes_through(limit)  # may replace _odd_primes
         primes = _odd_primes[:count]
-        self.lo = self._origin = lo
-        self.hi = hi
+        self.lo = lo
         # An n, or a cofactor, below this with no prime factor <= limit is
         # 1 or prime.
         self.prime_below = (limit + 1) ** 2
@@ -191,21 +173,21 @@ class Segment:
             factor.append(j)
             end += 1
 
-    def unfactored(self) -> int:
-        """Bitmask over the index of the n with no recorded factor."""
+    def unfactored(self, lo: int, size: int) -> int:
+        """Bitmask over i < size, size >= 1: bit i is set when the odd
+        n = lo + 2i of this record has no recorded factor."""
         width = self._head.itemsize
-        first = ((self.lo - self._origin) >> 1) * width
-        size = max((self.hi - self.lo) // 2 + 1, 0) * width
+        first = ((lo - self.lo) >> 1) * width
         first += width - 1 if sys.byteorder == "little" else 0
         signs = memoryview(self._head).cast("B")[
-            first:first + size:width].tobytes()
+            first:first + size * width:width].tobytes()
         return int(signs.translate(_SIGN_DIGITS)[::-1], 2)
 
     def factors(self, n: int) -> list[int]:
         """The distinct prime factors of n that are <= limit."""
         primes, factor, nxt = _odd_primes, self._factor, self._next
         found = []
-        j = self._head[(n - self._origin) >> 1]
+        j = self._head[(n - self.lo) >> 1]
         while j >= 0:
             found.append(primes[factor[j]])
             j = nxt[j]
@@ -221,7 +203,7 @@ class Segment:
 
     def is_composite(self, n: int) -> bool | None:
         """True or False when the sieve decides n, None when it cannot."""
-        if self._head[(n - self._origin) >> 1] >= 0:
+        if self._head[(n - self.lo) >> 1] >= 0:
             return True
         return None if n >= self.prime_below else False
 
@@ -239,7 +221,7 @@ class Segment:
         ranks = _rank_table(P, Q)
         primes, head, factor, nxt = (_odd_primes, self._head, self._factor,
                                      self._next)
-        origin, prime_below, cofactor = (self._origin, self.prime_below,
+        origin, prime_below, cofactor = (self.lo, self.prime_below,
                                          self.cofactor)
 
         def rules_out(n: int, k: int) -> bool:

@@ -1,6 +1,6 @@
 import pytest
 
-from pellprime.search import primes_up_to
+from pellprime.sieve import primes_up_to
 
 
 @pytest.fixture(scope="session")

@@ -199,7 +199,8 @@ def reference_scan(method: str, params: dict, lo: int, hi: int,
 def scan_chunk(method: str, params: dict, lo: int, hi: int,
                limit: int) -> tuple[list[int], dict[str, int]]:
     """The finds and counts the scan gives [lo, hi] as a one-chunk stripe
-    sieved to limit, for comparison with :func:`reference_scan`."""
+    sieved to limit (one Segment, whose whole record is the chunk's
+    window), for comparison with :func:`reference_scan`."""
     ((chunk_hi, found, stats),) = search._scan_stripe(
         method, params, lo, hi, limit, (hi - lo) // 2 + 1)
     assert chunk_hi == hi

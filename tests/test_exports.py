@@ -50,22 +50,35 @@ def test_only_the_scan_imports_the_sieve():
             assert "sieve" not in _imports(path), path
 
 
+def _segment_calls(tree):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and "Segment" in (getattr(node.func, "id", None),
+                              getattr(node.func, "attr", None))]
+
+
 def test_only_the_sieve_builds_a_sieve_record():
-    # The record's layout is private to sieve.py: no other module builds a
-    # Segment or reads its private fields, and the scan gets its segments
-    # from the stripe sieve.
+    # The record's layout is private to sieve.py: no other module reads its
+    # private fields.  The scan builds one record per stripe, in
+    # _scan_stripe and outside its chunk loop, and no other package module
+    # builds one.
     private = {name for name in Segment.__slots__ if name.startswith("_")}
     for path in SRC.glob("*.py"):
         if path.name == "sieve.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        called = {getattr(node.func, "id", getattr(node.func, "attr", None))
-                  for node in ast.walk(tree) if isinstance(node, ast.Call)}
         read = {node.attr for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute)}
-        assert "Segment" not in called and not read & private, path
+        assert not read & private, path
+        built = len(_segment_calls(tree))
         if path.name == "search.py":
-            assert "stripe" in called
+            (stripe,) = [node for node in ast.walk(tree)
+                         if isinstance(node, ast.FunctionDef)
+                         and node.name == "_scan_stripe"]
+            assert built == len(_segment_calls(stripe)) == 1
+            assert not any(_segment_calls(loop) for loop in ast.walk(stripe)
+                           if isinstance(loop, (ast.For, ast.While)))
+        else:
+            assert built == 0, path
 
 
 def test_no_per_n_test_takes_a_sieve():

@@ -9,12 +9,11 @@ from pellprime.search import (
     build_test,
     grid_scan,
     is_prime,
-    primes_up_to,
     read_checkpoint,
     scan_range,
     write_checkpoint,
 )
-from pellprime.sieve import sieve_limit
+from pellprime.sieve import primes_up_to, sieve_limit
 
 LUCAS_4_1 = (65, 209, 629, 679, 901, 989, 1241, 1769, 1961, 1991, 2509,
              2701, 2911, 3007, 3439, 3869)
@@ -168,6 +167,45 @@ def test_scan_range_validates_input():
                        chunk_odds=chunk_odds)
     with pytest.raises(ValueError):
         scan_range("lucas", {"P": 4, "Q": 1}, 3, 2**63 + 1)
+
+
+def test_scan_range_rejects_jobs_and_chunk_odds_that_are_not_ints():
+    for kwargs in ({"jobs": 2.0}, {"jobs": "2"}, {"chunk_odds": 64.0},
+                   {"chunk_odds": "64"}, {"jobs": None}):
+        with pytest.raises(ValueError, match="must be ints"):
+            scan_range("lucas", {"P": 4, "Q": 1}, 3, 100, **kwargs)
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so no worker is started."""
+
+    opened: list[int] = []
+
+    def __init__(self, max_workers):
+        self.opened.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_pool_never_starts_more_workers_than_stripes(monkeypatch):
+    # Below 386 the sieve limit is 19 and a chunk of 64 odd n spans 128
+    # integers, so every stripe is one chunk: 3 stripes from 3.
+    monkeypatch.setattr(search, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "opened", [])
+    params, lo, hi = {"selfridge": True}, 3, 386
+    one = scan_range("lucas", params, lo, hi, chunk_odds=64)
+    for jobs in (64, 3, 2):
+        many = scan_range("lucas", params, lo, hi, jobs=jobs, chunk_odds=64)
+        assert many.canonical_json() == one.canonical_json()
+    assert _InProcessPool.opened == [3, 3, 2]
 
 
 def test_scan_reports_only_verified_composites():

@@ -111,7 +111,7 @@ def test_candidate_cap_raises(monkeypatch):
 def test_small_primes_pass_composed_tests():
     composed = (lucas_selfridge, double_lucas_selfridge, matrix_selfridge,
                 gen_pell_selfridge)
-    from pellprime.search import primes_up_to
+    from pellprime.sieve import primes_up_to
 
     for p in primes_up_to(2000):
         if p == 2:

@@ -9,16 +9,24 @@ from the sieve must get the verdict the per-n test gives it.
 """
 
 import random
+from itertools import islice
 from math import isqrt
 
 import pytest
 
-from oracles import kernel_sieves, reference_scan, scan_chunk
-from pellprime.primality import Outcome
+from oracles import (
+    first_congruence,
+    kernel_sieves,
+    lucas_params,
+    reference_scan,
+    scan_chunk,
+)
+from pellprime import selectors
+from pellprime.primality import Outcome, Verdict
 from pellprime.recurrence import LucasParams, lucas_pair, rank_of_apparition
 from pellprime import search
-from pellprime.search import build_test, is_prime, primes_up_to, scan_range
-from pellprime.sieve import SIEVE_CAP, Segment, sieve_limit, stripe
+from pellprime.search import build_test, is_prime, scan_range
+from pellprime.sieve import SIEVE_CAP, Segment, primes_up_to, sieve_limit
 
 # Every method the chunk kernel covers, with Selfridge and with fixed
 # parameters.
@@ -82,6 +90,37 @@ def test_unhinted_methods_match_reference(method, params):
     # oracle.
     for lo, hi in (RANGES[0], RANGES[-1]):
         assert assert_matches_reference(method, params, lo, hi) == 0
+
+
+# The map from a discriminant to parameters behind each public selector.
+SELFRIDGE_MAPS = {"lucas": selectors.classic_params,
+                  "double-lucas": selectors.classic_params,
+                  "matrix": selectors.matrix_params,
+                  "gen-pell": selectors.gen_pell_params}
+
+
+@pytest.mark.parametrize("method, params", SIEVED_CONFIGS)
+def test_kernel_describes_each_discriminant_as_the_test_does(method, params):
+    # The kernel's (D, P', Q', scale) at each discriminant it settles, for
+    # the first 64 candidates of a Selfridge sequence (far beyond what a
+    # scan reaches) or the one fixed D, against the oracle's reading of the
+    # parameters the public selector or build_test gives the test.
+    form, args, _ = search._resolve(method, params)
+    bulk = form.bulk(*args)
+    if params.get("selfridge"):
+        to_params = SELFRIDGE_MAPS[method]
+        for n in range(3, 3001, 2):  # the selector maps its pick the same way
+            chosen = lucas_params(method, params, n)
+            if not isinstance(chosen, Verdict):
+                assert chosen == to_params(first_congruence(chosen)[0]), n
+        for d in islice(bulk.D(), 64):
+            expected = first_congruence(to_params(d))
+            assert expected[0] == d
+            assert search._first(bulk.params(d)) == expected, d
+    else:
+        expected = first_congruence(lucas_params(method, params, 3))
+        assert bulk.D == expected[0]
+        assert search._first(bulk.params(bulk.D)) == expected
 
 
 def chunk_cases(rng):
@@ -196,7 +235,7 @@ def test_hinted_verdicts_where_the_prime_proof_stops(method, params, lo, hi,
     (2**40 + 1, 2**40 + 301, 1000)])
 def test_segment_factors_and_cofactor(lo, hi, limit):
     segment = Segment(lo, hi, limit)
-    unfactored = segment.unfactored()
+    unfactored = segment.unfactored(lo, (hi - lo) // 2 + 1)
     primes = [p for p in primes_up_to(limit) if p > 2]
     for n in range(lo, hi + 1, 2):
         i = (n - lo) // 2
@@ -244,27 +283,29 @@ def stripe_cases(rng):
 
 
 def test_stripe_equals_one_chunk_segments():
+    # Each chunk's window of one stripe-wide Segment, as the scan reads it,
+    # against a Segment of that chunk alone and against brute force.
     rng = random.Random("stripe")
     for lo, hi, limit, chunk_odds in stripe_cases(rng):
         truth = recorded_factors(lo, hi, limit)
-        chunks = list(stripe(lo, hi, limit, chunk_odds))
-        assert len(chunks) == len(range(lo, hi + 1, 2 * chunk_odds))
-        for a, part in zip(range(lo, hi + 1, 2 * chunk_odds), chunks):
+        whole = Segment(lo, hi, limit)
+        for a in range(lo | 1, hi + 1, 2 * chunk_odds):
             b = min(a + 2 * chunk_odds - 1, hi)
-            assert (part.lo, part.hi) == (a | 1, b)
+            size = (b - a) // 2 + 1
             fresh = Segment(a, b, limit)
-            if a | 1 <= b:
-                assert part.unfactored() == fresh.unfactored()
-            for i, n in enumerate(range(a | 1, b + 1, 2)):
+            window = whole.unfactored(a, size)
+            assert window == fresh.unfactored(a, size)
+            for i, n in enumerate(range(a, b + 1, 2)):
                 factors = truth[n]
-                assert set(part.factors(n)) == set(fresh.factors(n)) == factors
-                assert part.unfactored() >> i & 1 == (not factors)
+                assert (set(whole.factors(n)) == set(fresh.factors(n))
+                        == factors)
+                assert window >> i & 1 == (not factors)
                 c = n
                 for p in factors:
                     while c % p == 0:
                         c //= p
-                assert part.cofactor(n) == fresh.cofactor(n) == c
-                known = part.is_composite(n)
+                assert whole.cofactor(n) == fresh.cofactor(n) == c
+                known = whole.is_composite(n)
                 assert known == fresh.is_composite(n)
                 assert known is None or known == (not is_prime(n))
                 assert known is not None or n >= (limit + 1) ** 2
