@@ -9,7 +9,11 @@ serialize canonically with wall-clock time excluded.
 A stripe is the unit of work, for ``jobs=1`` and for the pool alike: one
 process builds one :class:`~pellprime.sieve.Segment` for it and scans its
 chunks in order, each chunk reading its window of that record
-(:func:`_scan_stripe`).  A stripe holds ceil(limit / span) chunks, where
+(:func:`_scan_stripe`).  A pool's worker starts from its parent's tables of
+ranks of apparition, and hands back with each stripe's results the ranks it
+computed for that stripe (:func:`_stripe_results`); the parent merges them
+into its tables, so that a later pool in the same process does not
+compute them again.  A stripe holds ceil(limit / span) chunks, where
 span = 2 * chunk_odds is a chunk's width in integers, so every sieving
 prime has about one multiple in a stripe or more and finds its first one
 once per stripe.  Where the span reaches the limit, as in every scan below
@@ -69,9 +73,11 @@ per-n walk would pick.  The per-n test runs only on what is left:
 Long scans can persist a resume cursor to a checkpoint file after every
 chunk.  The checkpoint stores only the cursor and the scan identity
 (method, parameters, and a hash of both), so a resumed scan covers
-[cursor, hi] and cuts its stripes from the cursor; the CLI streams
-pseudoprimes as they are found, which keeps interrupted runs lossless end
-to end.
+[cursor, hi] only, in its finds and its counts, and cuts its stripes from
+the cursor.  The CLI streams pseudoprimes as they are found, before the
+chunk's cursor is written: a run stopped after streaming a chunk's finds
+but before writing its cursor streams those finds again when it resumes,
+so the streams of all its runs, with repeats dropped, hold every find.
 """
 
 from __future__ import annotations
@@ -119,7 +125,8 @@ from .selectors import (
     matrix_params,
     matrix_selfridge,
 )
-from .sieve import Segment, sieve_limit
+from .sieve import (Segment, merge_ranks, rank_tables, recording_ranks,
+                    seed_ranks, sieve_limit)
 
 __all__ = [
     "GRID_METHODS",
@@ -571,8 +578,13 @@ def _scan_stripe(method: str, params: dict, lo: int, hi: int, limit: int,
         yield b, found, stats
 
 
-def _stripe_results(args) -> list[tuple[int, list[int], dict[str, int]]]:
-    return list(_scan_stripe(*args))
+def _stripe_results(args) -> tuple[list[tuple[int, list[int],
+                                              dict[str, int]]],
+                                   list[tuple[int, int, int, int]]]:
+    """A pool worker's stripe: its chunks' results, and the ranks of
+    apparition the worker computed for it, for the parent to merge."""
+    with recording_ranks() as new_ranks:
+        return list(_scan_stripe(*args)), new_ranks
 
 
 def scan_range(method: str, params: dict, lo: int, hi: int, *,
@@ -588,11 +600,14 @@ def scan_range(method: str, params: dict, lo: int, hi: int, *,
     chunks from lo | 1; one process sieves a whole stripe as one record
     and scans its chunks, and ``jobs`` > 1 fans the stripes out to at most
     ``jobs`` worker processes, and never to more than there are stripes.
-    Both must be ints of at least 1, and neither changes the result.  With
-    ``checkpoint`` the scan resumes from the file's cursor, which may not
-    lie beyond hi + 1, and records it after every chunk.
-    ``on_pseudoprime`` is invoked for each find, in ascending order, chunk
-    by chunk.
+    Each worker starts from this process's rank tables and hands back the
+    ranks it computes, which are merged here as each stripe's results
+    arrive.  Both must be ints of at least 1, and neither changes the
+    result.  With ``checkpoint`` the scan resumes from the file's cursor,
+    which may not lie beyond hi + 1, reports only [cursor, hi], and records
+    the cursor after every chunk.  ``on_pseudoprime`` is invoked for each
+    find, in ascending order, chunk by chunk, before that chunk's cursor is
+    recorded.
     """
     if not all(isinstance(v, int) for v in (lo, hi, jobs, chunk_odds)):
         raise ValueError("lo, hi, jobs and chunk_odds must be ints")
@@ -637,8 +652,11 @@ def scan_range(method: str, params: dict, lo: int, hi: int, *,
             write_checkpoint(checkpoint, chunk_hi + 1, method, canonical)
 
     if jobs > 1 and len(stripes) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(stripes))) as pool:
-            for results in pool.map(_stripe_results, stripes):
+        with ProcessPoolExecutor(max_workers=min(jobs, len(stripes)),
+                                 initializer=seed_ranks,
+                                 initargs=(rank_tables(),)) as pool:
+            for results, new_ranks in pool.map(_stripe_results, stripes):
+                merge_ranks(new_ranks)
                 for result in results:
                     _absorb(*result)
     else:

@@ -47,10 +47,11 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 from itertools import compress, islice, repeat
 from math import gcd, isqrt
 from operator import mod, rshift, sub
-from typing import Callable
+from typing import Callable, Iterator
 
 from .modarith import jacobi
 from .recurrence import _lucas_u, rank_of_apparition
@@ -63,13 +64,20 @@ SIEVE_CAP = 1 << 20
 
 # Memo tables of pure functions, shared by every segment in the process so
 # that they stay warm from chunk to chunk: the odd primes found so far (a
-# prefix of all odd primes, so an index into it never changes meaning),
-# and per Lucas parameter pair (P, Q) the rank of apparition of the prime
-# at each index (0 = not computed yet).
+# prefix of all odd primes, so an index into it never changes meaning, in
+# this process or any other), and per Lucas parameter pair (P, Q) the rank
+# of apparition of the prime at each index (0 = not computed yet).  A scan's
+# pool shares the rank tables with its parent: each worker starts from the
+# parent's tables (seed_ranks), records the ranks it computes while it
+# scans a stripe (recording_ranks; _new_ranks is None otherwise), and hands
+# them back for the parent to merge (merge_ranks), so that no process
+# computes a rank its parent already holds, and the next pool starts
+# warmer.  A scan in one process records nothing.
 _odd_primes = array("I")
 _odd_primes_limit = 2
 _ranks: dict[tuple[int, int], array] = {}
 _MAX_RANK_TABLES = 64
+_new_ranks: list[tuple[int, int, int, int]] | None = None
 # 0, 1, 2, ...: the entry numbers a prime's multiples take, sliced out
 # rather than built for every segment.
 _iota = array("i")
@@ -99,15 +107,49 @@ def _primes_through(limit: int) -> int:
     return bisect_right(_odd_primes, limit)
 
 
-def _rank_table(P: int, Q: int) -> array:
+def _rank_table(P: int, Q: int, size: int = 0) -> array:
+    """The rank table of (P, Q), with an entry for every prime of the prime
+    table and at least ``size`` entries."""
     table = _ranks.get((P, Q))
     if table is None:
         if len(_ranks) >= _MAX_RANK_TABLES:
             _ranks.clear()
-        table = _ranks[P, Q] = array("I", bytes(4 * len(_odd_primes)))
-    elif len(table) < len(_odd_primes):
-        table.extend(bytes(4 * (len(_odd_primes) - len(table))))
+        table = _ranks[P, Q] = array("I")
+    size = max(size, len(_odd_primes))
+    if len(table) < size:
+        table.frombytes(bytes(4 * (size - len(table))))
     return table
+
+
+def rank_tables() -> dict[tuple[int, int], array]:
+    """This process's rank tables, to seed a pool's workers with."""
+    return _ranks
+
+
+def seed_ranks(tables: dict[tuple[int, int], array]) -> None:
+    """Start this process's rank tables from ``tables`` (a pool worker's
+    initializer; ``tables`` is its parent's)."""
+    global _ranks
+    _ranks = tables
+
+
+@contextmanager
+def recording_ranks() -> Iterator[list[tuple[int, int, int, int]]]:
+    """Record the ranks the checkers compute inside the block, as (P, Q,
+    prime index, rank), into the list it yields."""
+    global _new_ranks
+    _new_ranks = new = []
+    try:
+        yield new
+    finally:
+        _new_ranks = None
+
+
+def merge_ranks(entries: list[tuple[int, int, int, int]]) -> None:
+    """Enter (P, Q, prime index, rank) entries, as another process recorded
+    them, in this process's rank tables."""
+    for P, Q, idx, rank in entries:
+        _rank_table(P, Q, idx + 1)[idx] = rank
 
 
 def sieve_limit(hi: int) -> int:
@@ -235,6 +277,8 @@ class Segment:
                     rank = ranks[idx]
                     if not rank:
                         rank = ranks[idx] = rank_of_apparition(P, Q, p)
+                        if _new_ranks is not None:
+                            _new_ranks.append((P, Q, idx, rank))
                     if k % rank:
                         return True
                 j = nxt[j]

@@ -1,10 +1,16 @@
+import importlib.util
+import multiprocessing
 import random
+from array import array
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import pytest
 
 from oracles import STAT_KEYS, reference_scan
-from pellprime import search
+from pellprime import search, sieve
 from pellprime.primality import Outcome
+from pellprime.recurrence import rank_of_apparition
 from pellprime.search import (
     build_test,
     grid_scan,
@@ -13,7 +19,7 @@ from pellprime.search import (
     scan_range,
     write_checkpoint,
 )
-from pellprime.sieve import primes_up_to, sieve_limit
+from pellprime.sieve import SIEVE_CAP, primes_up_to, sieve_limit
 
 LUCAS_4_1 = (65, 209, 629, 679, 901, 989, 1241, 1769, 1961, 1991, 2509,
              2701, 2911, 3007, 3439, 3869)
@@ -177,13 +183,15 @@ def test_scan_range_rejects_jobs_and_chunk_odds_that_are_not_ints():
 
 
 class _InProcessPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps in
-    this process, so no worker is started."""
+    """Stands in for ProcessPoolExecutor: records max_workers, runs the
+    initializer and maps in this process, so no worker is started."""
 
     opened: list[int] = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         self.opened.append(max_workers)
+        if initializer is not None:
+            initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -206,6 +214,98 @@ def test_pool_never_starts_more_workers_than_stripes(monkeypatch):
         many = scan_range("lucas", params, lo, hi, jobs=jobs, chunk_odds=64)
         assert many.canonical_json() == one.canonical_json()
     assert _InProcessPool.opened == [3, 3, 2]
+
+
+# 20 stripes of one chunk of 512 odd n each (the sieve limit is 141).
+POOLED_SCAN = ("lucas", {"selfridge": True}, 3, 20000)
+
+
+def _merged_ranks(monkeypatch) -> list[list]:
+    """Each batch of ranks the scan's parent merges, from now on."""
+    merged, merge = [], search.merge_ranks
+
+    def recorded(entries):
+        merged.append(list(entries))
+        merge(entries)
+    monkeypatch.setattr(search, "merge_ranks", recorded)
+    return merged
+
+
+def _assert_true_ranks(tables) -> int:
+    """Every rank held is the rank of apparition of the prime at its index
+    in the odd primes; returns how many are held."""
+    odd_primes = primes_up_to(SIEVE_CAP)[1:]
+    held = 0
+    for (P, Q), table in tables.items():
+        for idx, rank in enumerate(table):
+            if rank:
+                assert rank == rank_of_apparition(P, Q, odd_primes[idx])
+                held += 1
+    return held
+
+
+@pytest.mark.parametrize("start_method", [None, "spawn"])
+def test_pool_workers_hand_back_ranks_and_start_from_the_parents(
+        monkeypatch, start_method):
+    # The parent's tables start empty and it never sieves, so every rank it
+    # holds after the first scan came back from a worker.  A spawned worker
+    # inherits nothing, so it starts from the parent's tables only through
+    # the pool's initializer.
+    if start_method is not None:
+        monkeypatch.setattr(search, "ProcessPoolExecutor", partial(
+            ProcessPoolExecutor,
+            mp_context=multiprocessing.get_context(start_method)))
+    monkeypatch.setattr(sieve, "_ranks", {})
+    merged = _merged_ranks(monkeypatch)
+    pooled = scan_range(*POOLED_SCAN, jobs=2, chunk_odds=512)
+    assert len(merged) == 20 and any(merged)
+    assert _assert_true_ranks(sieve._ranks) > 0
+    held = {key: table.tolist() for key, table in sieve._ranks.items()}
+    del merged[:]
+    again = scan_range(*POOLED_SCAN, jobs=2, chunk_odds=512)
+    assert len(merged) == 20 and not any(merged)
+    assert {key: table.tolist() for key, table in sieve._ranks.items()} == held
+    alone = scan_range(*POOLED_SCAN, jobs=1, chunk_odds=512)
+    assert pooled.canonical_json() == again.canonical_json()
+    assert pooled.canonical_json() == alone.canonical_json()
+
+
+def test_a_scan_in_one_process_records_no_ranks(monkeypatch):
+    # Recording is off when the module loads ...
+    fresh = importlib.util.module_from_spec(importlib.util.find_spec(
+        "pellprime.sieve"))
+    fresh.__spec__.loader.exec_module(fresh)
+    assert fresh._new_ranks is None
+    # ... stays off while a scan runs in one process, and is on only while
+    # a pool's stripe runs (here in this process).
+    recording = []
+
+    def rank(P, Q, p):
+        recording.append(sieve._new_ranks is not None)
+        return rank_of_apparition(P, Q, p)
+    monkeypatch.setattr(sieve, "rank_of_apparition", rank)
+    monkeypatch.setattr(sieve, "_ranks", {})
+    scan_range(*POOLED_SCAN, jobs=1, chunk_odds=512)
+    assert recording and not any(recording)
+    assert _assert_true_ranks(sieve._ranks) > 0
+    monkeypatch.setattr(sieve, "_ranks", {})
+    monkeypatch.setattr(search, "ProcessPoolExecutor", _InProcessPool)
+    merged = _merged_ranks(monkeypatch)
+    del recording[:]
+    scan_range(*POOLED_SCAN, jobs=2, chunk_odds=512)
+    assert recording and all(recording) and any(merged)
+    assert sieve._new_ranks is None
+
+
+def test_merged_ranks_extend_a_table_past_this_processs_primes(monkeypatch):
+    # A pool's parent that never sieved holds no primes of its own.
+    monkeypatch.setattr(sieve, "_ranks", {})
+    monkeypatch.setattr(sieve, "_odd_primes", array("I"))
+    entries = [(1, -1, idx, rank_of_apparition(1, -1, p))
+               for idx, p in ((99, 547), (3, 11))]
+    sieve.merge_ranks(entries)
+    assert len(sieve._ranks[1, -1]) == 100
+    assert _assert_true_ranks(sieve._ranks) == 2
 
 
 def test_scan_reports_only_verified_composites():
@@ -273,6 +373,34 @@ def test_scan_resumes_inside_a_stripe(tmp_path):
     joined = {k: first.stats[k] + second.stats[k] for k in STAT_KEYS}
     assert joined == full.stats
     assert read_checkpoint(path, method, "P=-3,Q=2") == hi + 1
+
+
+def test_pooled_scan_resumes_after_its_stream_fails(tmp_path):
+    # 40 stripes of one chunk of 128 integers.  The stream fails at the
+    # sixth find, 989, whose chunk [899, 1026] also holds the fifth, 901:
+    # the checkpoint is written after a chunk's finds are streamed, so the
+    # resumed scan starts at 899 and streams 901 again.
+    method, params, lo, hi = "lucas", {"P": 4, "Q": 1}, 3, 5000
+    path = str(tmp_path / "scan.ckpt")
+    streamed = []
+
+    def fail_at_sixth(n):
+        streamed.append(n)
+        if len(streamed) == 6:
+            raise OSError("stream closed")
+    with pytest.raises(OSError, match="stream closed"):
+        scan_range(method, params, lo, hi, jobs=2, chunk_odds=64,
+                   checkpoint=path, on_pseudoprime=fail_at_sixth)
+    cursor = read_checkpoint(path, method, "P=4,Q=1")
+    assert cursor == 899
+    resumed = scan_range(method, params, lo, hi, jobs=2, chunk_odds=64,
+                         checkpoint=path, on_pseudoprime=streamed.append)
+    assert sorted(set(streamed)) == list(LUCAS_4_1)
+    assert streamed == [*LUCAS_4_1[:6], *LUCAS_4_1[4:]]
+    # The resumed report covers [cursor, hi] only.
+    assert resumed.canonical_json() == scan_range(
+        method, params, cursor, hi, chunk_odds=64).canonical_json()
+    assert resumed.pseudoprimes == LUCAS_4_1[4:]
 
 
 def test_scan_chunk_size_does_not_change_output():
