@@ -12,10 +12,12 @@ Every test takes an odd integer n >= 3 plus parameters and returns a
 A verdict never claims primality outright: composites passing a given test
 with given parameters are exactly the pseudoprimes the scan module hunts.
 
-Every test runs its ladder on every n that meets its preconditions.  A
-scan settles most n of the tests whose first congruence is U_k ≡ 0 for a
-Lucas sequence (lucas, double-lucas, matrix, pell, strong-pell and
-gen-pell) without calling them, from the factors its sieve records (see
+Every test runs its ladder on every n that meets its preconditions.  The
+tests whose first congruence is scale*U_k(P', Q') ≡ 0 for a Lucas sequence
+(lucas, double-lucas, matrix, pell, strong-pell and gen-pell) read their
+discriminant D and their gcd value Q' from :func:`first_congruence`, the
+one statement of that map.  A scan settles most of their n without calling
+them, from the same map and the factors its sieve records (see
 :mod:`pellprime.search`).  It lets a sieve-proved prime pass only for a
 test that every prime meeting its preconditions passes; each such test's
 docstring names the theorem, and the u-companion matrix test is not one.
@@ -33,9 +35,11 @@ from .recurrence import LucasParams, MatrixParams, lucas_pair, tilde_pair
 
 __all__ = [
     "Outcome",
+    "VARIANTS",
     "Verdict",
     "double_lucas_test",
     "fermat_test",
+    "first_congruence",
     "generalized_pell_test",
     "lucas_test",
     "matrix_test",
@@ -199,16 +203,49 @@ def strong_probable_prime(n: int, a: int) -> bool:
 # Lucas-sequence tests
 
 
-def _lucas_pre(n: int, params: LucasParams) -> tuple[int, Verdict | None]:
+def first_congruence(params: LucasParams | MatrixParams | ConicParams
+                     ) -> tuple[int, int, int, int]:
+    """(D, P', Q', scale) such that the test's first congruence is
+    scale*U_k(P', Q') ≡ 0 (mod n), with k = n - (D/n).
+
+    Q' is Q for Lucas, QR for matrix (U~_k = R*U_k of Lucas(P, QR)) and
+    the base point's norm for the conics (y*U_k of Lucas(2x, x^2 - D*y^2)
+    is the y of (x, y)^k).  Each test's preconditions read D and Q' here,
+    and so does the scan's chunk kernel.
+    """
+    if isinstance(params, ConicParams):
+        D, x, y = params.D, params.x, params.y
+        return D, 2 * x, x * x - D * y * y, y
+    R = getattr(params, "R", 1)
+    return params.discriminant, params.P, params.Q * R, R
+
+
+def _lucas_pre(n: int, params: LucasParams | MatrixParams,
+               evidence: str) -> tuple[int, int, Verdict | None]:
+    """(D/n), Q' and the early verdict of a lucas, double-lucas or matrix
+    test; ``evidence`` names the test's gcd(Q', n) > 1."""
     bad = _check_n(n)
     if bad:
-        return 0, bad
-    if gcd(params.Q, n) != 1:
-        return 0, _invalid("gcd(Q, n) > 1")
-    return _branch(params.discriminant, n)
+        return 0, 0, bad
+    D, _, q, _ = first_congruence(params)
+    if gcd(q, n) != 1:
+        return 0, 0, _invalid(evidence)
+    j, early = _branch(D, n)
+    return j, q, early
 
 
 _U_NONZERO = "U_{n-(D/n)} ≢ 0 (mod n)"
+
+
+def _companion(n: int, j: int, u: int, companion: int, q: int,
+               evidence: str) -> Verdict:
+    """The verdict of U_k ≡ 0 (failing with ``evidence``), then of the
+    companion ≡ 1 when j = (D/n) = 1, or ≡ Q' when j = -1."""
+    if u != 0:
+        return _composite(evidence, branch=j)
+    if companion != (1 % n if j == 1 else q % n):
+        return _composite("companion congruence failed", branch=j)
+    return _pp(j)
 
 
 def lucas_test(n: int, params: LucasParams) -> Verdict:
@@ -218,7 +255,7 @@ def lucas_test(n: int, params: LucasParams) -> Verdict:
     (P, Q).  With the Selfridge parameters this is OEIS A217120.  A prime
     p ∤ 2QD has U_{p-(D/p)} ≡ 0 (mod p), so every such prime passes.
     """
-    j, early = _lucas_pre(n, params)
+    j, _, early = _lucas_pre(n, params, "gcd(Q, n) > 1")
     if early:
         return early
     u_k, _ = lucas_pair(params, n - j, n)
@@ -236,20 +273,14 @@ def double_lucas_test(n: int, params: LucasParams) -> Verdict:
     U_p ≡ (D/p) and, when (D/p) = -1, V_{p+1} ≡ 2Q, hence U_{p+2} ≡ Q; so
     every such prime passes.
     """
-    j, early = _lucas_pre(n, params)
+    j, q, early = _lucas_pre(n, params, "gcd(Q, n) > 1")
     if early:
         return early
-    if j == 1:
-        u, u_next = lucas_pair(params, n - 1, n)  # (U_{n-1}, U_n)
-        target = 1 % n
-    else:
-        u, u_next = lucas_pair(params, n + 1, n)  # (U_{n+1}, U_{n+2})
-        target = params.Q % n
-    if u != 0:
-        return _composite(_U_NONZERO, branch=j)
-    if u_next != target:
-        return _composite("companion congruence failed", branch=j)
-    return _pp(j)
+    u, u_next = lucas_pair(params, n - j, n)  # (U_{n-j}, U_{n-j+1})
+    return _companion(n, j, u, u_next, q, _U_NONZERO)
+
+
+VARIANTS = ("u-companion", "v-companion")  # of the matrix test
 
 
 def matrix_test(n: int, params: MatrixParams,
@@ -267,31 +298,17 @@ def matrix_test(n: int, params: MatrixParams,
       :func:`double_lucas_test` argument applies); R = 1 recovers
       :func:`double_lucas_test`.
     """
-    if variant not in ("u-companion", "v-companion"):
+    if variant not in VARIANTS:
         raise ValueError(f"unknown variant: {variant!r}")
-    bad = _check_n(n)
-    if bad:
-        return bad
-    qr = params.Q * params.R
-    if gcd(qr, n) != 1:
-        return _invalid("gcd(QR, n) > 1")
-    j, early = _branch(params.discriminant, n)
+    j, qr, early = _lucas_pre(n, params, "gcd(QR, n) > 1")
     if early:
         return early
-    if j == 1:
-        v, u = tilde_pair(params, n - 1, n)  # (V~_{n-1}, U~_{n-1})
-        target = 1 % n
-    else:
-        v, u = tilde_pair(params, n + 1, n)  # (V~_{n+1}, U~_{n+1})
-        target = qr % n
-    if u != 0:
-        return _composite("U~_{n-(Δ/n)} ≢ 0 (mod n)", branch=j)
+    v, u = tilde_pair(params, n - j, n)  # (V~_{n-j}, U~_{n-j})
     # U~_{k+1} = R * V~_k, so the u-companion conditions on U~_n / U~_{n+2}
     # are R*V~ against the same targets.
-    companion = params.R * v % n if variant == "u-companion" else v
-    if companion != target:
-        return _composite("companion congruence failed", branch=j)
-    return _pp(j)
+    if variant == "u-companion":
+        v = params.R * v % n
+    return _companion(n, j, u, v, qr, "U~_{n-(Δ/n)} ≢ 0 (mod n)")
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +319,24 @@ def _norm_one_pre(n: int, params: ConicParams) -> tuple[int, Verdict | None]:
     bad = _check_n(n)
     if bad:
         return 0, bad
-    if params.norm_mod(n) != 1 % n:
+    D, _, q, _ = first_congruence(params)
+    if q % n != 1 % n:
         return 0, _invalid("base point norm ≢ 1 (mod n)")
     if params.y % n == 0:
         # norm-1 points with y ≡ 0 satisfy x^2 ≡ 1, and their powers keep
         # y = 0: every n would pass vacuously.
         return 0, _invalid("degenerate base point (x, 0)")
-    return _branch(params.D, n)
+    return _branch(D, n)
+
+
+def _power(n: int, j: int, params: ConicParams, q: int,
+           evidence: str) -> Verdict:
+    """The verdict of (x, y)^(n-j) ≡ (1, 0) when j = (D/n) = 1, or
+    ≡ (Q', 0) when j = -1, failing with ``evidence``."""
+    target = (1 % n if j == 1 else q % n, 0)
+    if conic_pow(params.point(n), n - j, params.D, n) != target:
+        return _composite(evidence, branch=j)
+    return _pp(j)
 
 
 def pell_test(n: int, params: ConicParams) -> Verdict:
@@ -337,10 +365,7 @@ def strong_pell_test(n: int, params: ConicParams) -> Verdict:
     j, early = _norm_one_pre(n, params)
     if early:
         return early
-    x, y = conic_pow(params.point(n), n - j, params.D, n)
-    if (x, y) != (1 % n, 0):
-        return _composite("(x, y)^{n-(D/n)} ≢ (1, 0) (mod n)", branch=j)
-    return _pp(j)
+    return _power(n, j, params, 1, "(x, y)^{n-(D/n)} ≢ (1, 0) (mod n)")
 
 
 def strong_pell_test_param(n: int, D: int, a: int) -> Verdict:
@@ -373,7 +398,7 @@ def generalized_pell_test(n: int, params: ConicParams) -> Verdict:
     bad = _check_n(n)
     if bad:
         return bad
-    q = params.norm_mod(n)
+    D, _, q, _ = first_congruence(params)
     g = gcd(q, n)
     if g != 1:
         if g == n:
@@ -382,17 +407,11 @@ def generalized_pell_test(n: int, params: ConicParams) -> Verdict:
     x0, y0 = params.point(n)
     if y0 == 0 and x0 in (1 % n, n - 1):
         return _invalid("degenerate base point (±1, 0)")
-    j, early = _branch(params.D, n)
+    j, early = _branch(D, n)
     if early:
         return early
-    if j == 1:
-        k, target = n - 1, (1 % n, 0)
-    else:
-        k, target = n + 1, (q, 0)
-    if conic_pow((x0, y0), k, params.D, n) != target:
-        return _composite("conic power ≢ (norm branch target) (mod n)",
-                          branch=j)
-    return _pp(j)
+    return _power(n, j, params, q,
+                  "conic power ≢ (norm branch target) (mod n)")
 
 
 def pell_variant_test(n: int) -> Verdict:

@@ -56,9 +56,11 @@ them as ``sieved``:
 
 Each form's description sits in :data:`METHODS`.  A Selfridge form maps
 each candidate discriminant to the test's parameters with the selector's
-own map (:mod:`pellprime.selectors`), and :func:`_first` reads their first
-congruence, so the parameters the kernel settles n with are the ones the
-per-n walk would pick.  The per-n test runs only on what is left:
+own map (:mod:`pellprime.selectors`), and
+:func:`~pellprime.primality.first_congruence` reads their first congruence
+as the test's own preconditions read it, so the parameters the kernel
+settles n with are the ones the per-n walk would pick.  The per-n test
+runs only on what is left:
 
 * the n at or below a discriminant's bound (its |d|, |Q'| or |scale|),
   where a shared factor may be n itself;
@@ -70,14 +72,15 @@ per-n walk would pick.  The per-n test runs only on what is left:
   and of parameters with a zero discriminant, Q' or scale, or a pell base
   point of norm other than 1.
 
-Long scans can persist a resume cursor to a checkpoint file after every
-chunk.  The checkpoint stores only the cursor and the scan identity
-(method, parameters, and a hash of both), so a resumed scan covers
-[cursor, hi] only, in its finds and its counts, and cuts its stripes from
-the cursor.  The CLI streams pseudoprimes as they are found, before the
-chunk's cursor is written: a run stopped after streaming a chunk's finds
-but before writing its cursor streams those finds again when it resumes,
-so the streams of all its runs, with repeats dropped, hold every find.
+Long scans can persist a resume cursor to a checkpoint file, once before
+the first chunk and then after every chunk.  The checkpoint stores only
+the cursor and the scan identity (method, parameters, and a hash of
+both), so a resumed scan covers [cursor, hi] only, in its finds and its
+counts, and cuts its stripes from the cursor.  The CLI streams
+pseudoprimes as they are found, before the chunk's cursor is written: a
+run stopped after streaming a chunk's finds but before writing its cursor
+streams those finds again when it resumes, so the streams of all its
+runs, with repeats dropped, hold every find.
 """
 
 from __future__ import annotations
@@ -98,10 +101,12 @@ from typing import Callable, Iterator
 from .conic import ConicParams
 from .modarith import MAX_MODULUS, jacobi_masks, sharing_mask
 from .primality import (
+    VARIANTS,
     Outcome,
     Verdict,
     double_lucas_test,
     fermat_test,
+    first_congruence,
     generalized_pell_test,
     lucas_test,
     matrix_test,
@@ -151,26 +156,16 @@ _MR_BOUNDS = ((1_373_653, 2), (25_326_001, 3), (3_215_031_751, 4),
               (2_152_302_898_747, 5), (3_474_749_660_383, 6),
               (341_550_071_728_321, 7), (3_825_123_056_546_413_051, 9))
 
-_TRIAL_LIMIT = 10**4
-
 
 def is_prime(n: int) -> bool:
     """Exact primality for 0 <= n < 2**64.
 
-    Trial division below 10**4, deterministic strong-base testing above,
-    with as many of the first twelve prime bases as n's size needs.
+    Deterministic strong-base testing, with as many of the first twelve
+    prime bases as n's size needs.  The primes below 38 are exactly those
+    bases, and from 38 on every base is below n.
     """
-    if n < 2:
-        return False
-    if n < _TRIAL_LIMIT:
-        if n % 2 == 0:
-            return n == 2
-        d = 3
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 2
-        return True
+    if n < 38:
+        return n in _MR_BASES
     if n % 2 == 0:
         return False
     bases = _MR_BASES
@@ -197,28 +192,12 @@ _Form = namedtuple("_Form", "names canonical make bulk", defaults=(None,))
 # is the fixed discriminant, or for a Selfridge form the function that
 # returns its candidate sequence.  ``params(d)`` is the test's parameters
 # at discriminant d (for a Selfridge form, the selector's map), and
-# :func:`_first` their first congruence; the test's preconditions also
-# settle, with outcome ``shared``, the n that share a prime with its Q'.
+# first_congruence reads their first congruence; the test's preconditions
+# also settle, with outcome ``shared``, the n that share a prime with its Q'.
 # ``primes_pass`` is whether every prime that meets the preconditions
 # passes the test.
 _Bulk = namedtuple("_Bulk", "D params shared primes_pass")
 _INVALID, _COMPOSITE = Outcome.PARAMS_INVALID, Outcome.COMPOSITE
-
-
-def _first(params: LucasParams | MatrixParams | ConicParams
-           ) -> tuple[int, int, int, int]:
-    """(D, P', Q', scale) such that the test's first congruence is
-    scale*U_k(P', Q') ≡ 0 (mod n), with k = n - (D/n).
-
-    Q' is Q for Lucas, QR for matrix (U~_k = R*U_k of Lucas(P, QR)) and
-    the base point's norm for the conics (y*U_k of Lucas(2x, x^2 - D*y^2)
-    is the y of (x, y)^k).
-    """
-    if isinstance(params, ConicParams):
-        D, x, y = params.D, params.x, params.y
-        return D, 2 * x, x * x - D * y * y, y
-    R = getattr(params, "R", 1)
-    return params.discriminant, params.P, params.Q * R, R
 
 
 def _fixed(params: LucasParams | MatrixParams | ConicParams,
@@ -226,7 +205,7 @@ def _fixed(params: LucasParams | MatrixParams | ConicParams,
            primes_pass: bool = True) -> _Bulk | None:
     """The _Bulk of a form with fixed parameters; None when D, Q' or the
     scale is 0, parameters for which the test rejects n by n."""
-    D, _, Q, scale = _first(params)
+    D, _, Q, scale = first_congruence(params)
     if not (D and Q and scale):
         return None
     return _Bulk(D, lambda d: params, shared, primes_pass)
@@ -235,7 +214,8 @@ def _fixed(params: LucasParams | MatrixParams | ConicParams,
 def _norm_one(D: int, x: int, y: int) -> _Bulk | None:
     """pell and strong-pell reject every n beyond |norm - 1| unless the
     base point has norm 1, and then no n shares a prime with the norm."""
-    return _fixed(ConicParams(D, x, y)) if x * x - D * y * y == 1 else None
+    params = ConicParams(D, x, y)
+    return _fixed(params) if first_congruence(params)[2] == 1 else None
 
 
 # build_test takes a method's first form whose names are all given.  The
@@ -284,8 +264,6 @@ METHODS: dict[str, tuple[_Form, ...]] = {
             lambda D, x, y: _fixed(ConicParams(D, x, y), _COMPOSITE))),
     "pell-variant": (_Form((), "none", lambda: pell_variant_test),),
 }
-
-VARIANTS = ("u-companion", "v-companion")  # of the matrix test
 
 
 def _resolve(method: str, params: dict) -> tuple[_Form, list, str]:
@@ -467,7 +445,7 @@ def _kernel(bulk: _Bulk, sieve: Segment, lo: int,
 
     ``sieve`` is the stripe's record, and the chunk reads its window
     ``sieve.unfactored(lo, size)``.  Each discriminant the chunk reaches
-    is described once, by :func:`_first` of ``bulk.params(d)``.
+    is described once, by ``first_congruence(bulk.params(d))``.
 
     Returns the counts of what it settled and the n it leaves to the
     per-n test, ascending: those at or below the bound of a discriminant
@@ -484,7 +462,7 @@ def _kernel(bulk: _Bulk, sieve: Segment, lo: int,
 
     def at(d: int) -> tuple[int, tuple[int, int, int]]:
         """The n at or below d's bound, and (P', Q', scale) at d."""
-        _, P, Q, scale = _first(bulk.params(d))
+        _, P, Q, scale = first_congruence(bulk.params(d))
         return upto(max(abs(d), abs(Q), abs(scale))), (P, Q, scale)
 
     classes = []  # ((P', Q', scale), (d/n), the n of this class)
@@ -605,7 +583,9 @@ def scan_range(method: str, params: dict, lo: int, hi: int, *,
     arrive.  Both must be ints of at least 1, and neither changes the
     result.  With ``checkpoint`` the scan resumes from the file's cursor,
     which may not lie beyond hi + 1, reports only [cursor, hi], and records
-    the cursor after every chunk.  ``on_pseudoprime`` is invoked for each
+    its starting cursor before the first chunk (so a path that cannot be
+    written raises OSError before any find is reported) and the cursor
+    after every chunk.  ``on_pseudoprime`` is invoked for each
     find, in ascending order, chunk by chunk, before that chunk's cursor is
     recorded.
     """
@@ -629,6 +609,7 @@ def scan_range(method: str, params: dict, lo: int, hi: int, *,
                     f"checkpoint {checkpoint} is past the end of this scan "
                     f"(cursor {cursor} > hi + 1 = {hi + 1})")
             lo = max(lo, cursor)
+        write_checkpoint(checkpoint, lo, method, canonical)
 
     limit = sieve_limit(hi)
     start = time.monotonic()

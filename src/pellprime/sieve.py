@@ -56,7 +56,8 @@ from typing import Callable, Iterator
 from .modarith import jacobi
 from .recurrence import _lucas_u, rank_of_apparition
 
-__all__ = ["SIEVE_CAP", "Segment", "primes_up_to", "sieve_limit"]
+__all__ = ["SIEVE_CAP", "Segment", "merge_ranks", "primes_up_to",
+           "rank_tables", "recording_ranks", "seed_ranks", "sieve_limit"]
 
 # Largest sieving prime: scans above 2**40 sieve only part of the way and
 # fall back on the primality oracle for n with no factor <= SIEVE_CAP.

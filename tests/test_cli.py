@@ -173,6 +173,19 @@ def test_scan_refuses_a_checkpoint_past_its_end(tmp_path, capsys):
     assert "past the end" in err
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_scan_with_an_unusable_checkpoint_path_exits_2_silently(
+        tmp_path, capsys, where):
+    # A path in a missing directory cannot be written, and a directory
+    # cannot be read: either is an error before the scan streams any find.
+    ckpt = tmp_path / "no" / "ck" if where == "missing-dir" else tmp_path
+    code, out, err = run_cli(capsys, "scan", "--method", "lucas",
+                             "--selfridge", "--to", "1000", "--checkpoint",
+                             str(ckpt))
+    assert code == 2 and out == ""
+    assert err.startswith("pellprime: error: ")
+
+
 def test_grid_csv_layout(capsys):
     code, out, _ = run_cli(capsys, "grid", "--method", "lucas",
                            "--p-range=-3:-2", "--q-range=-1,1",

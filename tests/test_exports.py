@@ -37,6 +37,25 @@ def _imports(path):
     return {name.split(".")[-1] for name in names}
 
 
+def test_names_imported_between_modules_are_exported():
+    # A name that one package module imports from another is part of that
+    # module's interface, so its __all__ lists it.
+    checked = 0
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1
+                    and node.module):
+                continue
+            module = importlib.import_module(f"pellprime.{node.module}")
+            for alias in node.names:
+                if not alias.name.startswith("_"):
+                    assert alias.name in module.__all__, (
+                        path.name, node.module, alias.name)
+                    checked += 1
+    assert checked
+
+
 def test_no_package_module_imports_the_test_oracles():
     for path in SRC.glob("*.py"):
         assert "oracles" not in _imports(path), path

@@ -21,7 +21,7 @@ from oracles import (
     reference_scan,
     scan_chunk,
 )
-from pellprime import selectors
+from pellprime import primality, selectors
 from pellprime.primality import Outcome, Verdict
 from pellprime.recurrence import LucasParams, lucas_pair, rank_of_apparition
 from pellprime import search
@@ -116,11 +116,11 @@ def test_kernel_describes_each_discriminant_as_the_test_does(method, params):
         for d in islice(bulk.D(), 64):
             expected = first_congruence(to_params(d))
             assert expected[0] == d
-            assert search._first(bulk.params(d)) == expected, d
+            assert primality.first_congruence(bulk.params(d)) == expected, d
     else:
         expected = first_congruence(lucas_params(method, params, 3))
         assert bulk.D == expected[0]
-        assert search._first(bulk.params(bulk.D)) == expected
+        assert primality.first_congruence(bulk.params(bulk.D)) == expected
 
 
 def chunk_cases(rng):
