@@ -9,11 +9,7 @@ serialize canonically with wall-clock time excluded.
 A stripe is the unit of work, for ``jobs=1`` and for the pool alike: one
 process builds one :class:`~pellprime.sieve.Segment` for it and scans its
 chunks in order, each chunk reading its window of that record
-(:func:`_scan_stripe`).  A pool's worker starts from its parent's tables of
-ranks of apparition, and hands back with each stripe's results the ranks it
-computed for that stripe (:func:`_stripe_results`); the parent merges them
-into its tables, so that a later pool in the same process does not
-compute them again.  A stripe holds ceil(limit / span) chunks, where
+(:func:`_scan_stripe`).  A stripe holds ceil(limit / span) chunks, where
 span = 2 * chunk_odds is a chunk's width in integers, so every sieving
 prime has about one multiple in a stripe or more and finds its first one
 once per stripe.  Where the span reaches the limit, as in every scan below
@@ -22,6 +18,17 @@ apart: one kernel call per stripe was measured to scan about a quarter
 slower than one per chunk of 2**14 to 2**16 odd n.
 Results still arrive chunk by chunk: finds are reported, counts added and
 the checkpoint written after each chunk, in ascending order.
+
+A process keeps one pool of workers between scans, started by the first
+scan that needs one (:func:`_pool`).  A later scan reuses it when it needs
+as many workers, and otherwise replaces it, joining the old one first.  A
+scan that fails while its stripes are out shuts the pool down and drops
+it, so the next scan starts a new one; the interpreter joins the pool's
+workers at exit.  A worker starts from its parent's tables of ranks of
+apparition, keeps what it computes, and hands back with each stripe's
+results the ranks it computed for that stripe (:func:`_stripe_results`);
+the parent merges them into its tables, so that the next pool it starts
+does not compute them again.
 
 The sieve uses the odd primes up to min(isqrt(hi), SIEVE_CAP), where hi is
 the scan's upper end, not the stripe's or the chunk's, so every count is
@@ -91,10 +98,12 @@ import os
 import time
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress, islice, product
 from math import isqrt
+from multiprocessing.util import Finalize
 from operator import not_
 from typing import Callable, Iterator
 
@@ -565,6 +574,58 @@ def _stripe_results(args) -> tuple[list[tuple[int, list[int],
         return list(_scan_stripe(*args)), new_ranks
 
 
+# This process's worker pool, kept between scans, by its worker count (at
+# most one entry), with the finalizer that shuts it down.  A forked child
+# starts without it.
+_pools: dict[int, tuple[ProcessPoolExecutor, Finalize]] = {}
+os.register_at_fork(after_in_child=_pools.clear)
+
+
+def _close_pool() -> None:
+    """Shut this process's pool down, cancelling the stripes it has not
+    started and waiting for its workers, and forget it."""
+    while _pools:
+        _, (_, shutdown) = _pools.popitem()
+        shutdown()
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """This process's pool of ``workers`` workers: the live one if it has
+    that many, else a new one, whose workers start from this process's
+    rank tables.  The old pool is shut down and joined first, so that no
+    pool thread is alive when the new pool forks its workers."""
+    if workers not in _pools:
+        _close_pool()
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=seed_ranks,
+                                   initargs=(rank_tables(),))
+        # multiprocessing's exit hook shuts it down too: in a
+        # multiprocessing child, that hook joins the child's children
+        # before the exit hook of concurrent.futures runs.  Priority 20
+        # runs it before the pool's queues are closed (priority 10).
+        _pools[workers] = pool, Finalize(None, pool.shutdown, exitpriority=20,
+                                         kwargs={"cancel_futures": True})
+    return _pools[workers][0]
+
+
+def _pooled(stripes: list[tuple], workers: int) -> Iterator[tuple]:
+    """Each stripe's :func:`_stripe_results`, in order, from this process's
+    pool of ``workers`` workers.
+
+    A pool whose worker died while it was idle breaks before it hands
+    anything back, so nothing of the scan has been absorbed yet: it is
+    replaced once, and the stripes go to the new pool.
+    """
+    try:
+        results = _pool(workers).map(_stripe_results, stripes)
+        first = next(results)
+    except BrokenProcessPool:
+        _close_pool()
+        results = _pool(workers).map(_stripe_results, stripes)
+        first = next(results)
+    yield first
+    yield from results
+
+
 def scan_range(method: str, params: dict, lo: int, hi: int, *,
                jobs: int = 1, chunk_odds: int = DEFAULT_CHUNK_ODDS,
                checkpoint: str | None = None,
@@ -578,10 +639,14 @@ def scan_range(method: str, params: dict, lo: int, hi: int, *,
     chunks from lo | 1; one process sieves a whole stripe as one record
     and scans its chunks, and ``jobs`` > 1 fans the stripes out to at most
     ``jobs`` worker processes, and never to more than there are stripes.
-    Each worker starts from this process's rank tables and hands back the
-    ranks it computes, which are merged here as each stripe's results
-    arrive.  Both must be ints of at least 1, and neither changes the
-    result.  With ``checkpoint`` the scan resumes from the file's cursor,
+    The workers are this process's one pool, kept between calls: a call
+    that needs the same number of workers reuses it, one that needs
+    another number replaces it, a call that raises while its stripes are
+    out drops it, and the interpreter joins it at exit.  A new pool's
+    workers start from this process's rank tables, and every worker hands
+    back the ranks it computes, which are merged here as each stripe's
+    results arrive.  Both must be ints of at least 1, and neither changes
+    the result.  With ``checkpoint`` the scan resumes from the file's cursor,
     which may not lie beyond hi + 1, reports only [cursor, hi], and records
     its starting cursor before the first chunk (so a path that cannot be
     written raises OSError before any find is reported) and the cursor
@@ -633,13 +698,15 @@ def scan_range(method: str, params: dict, lo: int, hi: int, *,
             write_checkpoint(checkpoint, chunk_hi + 1, method, canonical)
 
     if jobs > 1 and len(stripes) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(stripes)),
-                                 initializer=seed_ranks,
-                                 initargs=(rank_tables(),)) as pool:
-            for results, new_ranks in pool.map(_stripe_results, stripes):
+        try:
+            for results, new_ranks in _pooled(stripes,
+                                              min(jobs, len(stripes))):
                 merge_ranks(new_ranks)
                 for result in results:
                     _absorb(*result)
+        except BaseException:
+            _close_pool()
+            raise
     else:
         for args in stripes:
             for result in _scan_stripe(*args):

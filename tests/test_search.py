@@ -1,8 +1,15 @@
 import importlib.util
 import multiprocessing
+import os
 import random
+import shutil
+import signal
+import subprocess
+import sys
+import time
 from array import array
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 
 import pytest
@@ -202,18 +209,23 @@ class _InProcessPool:
     def map(self, fn, items):
         return map(fn, items)
 
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        pass
 
-def test_pool_never_starts_more_workers_than_stripes(monkeypatch):
+
+def test_pool_never_starts_more_workers_than_stripes(monkeypatch,
+                                                     swap_pool_executor):
     # Below 386 the sieve limit is 19 and a chunk of 64 odd n spans 128
-    # integers, so every stripe is one chunk: 3 stripes from 3.
-    monkeypatch.setattr(search, "ProcessPoolExecutor", _InProcessPool)
+    # integers, so every stripe is one chunk: 3 stripes from 3.  The jobs=3
+    # scan reuses the pool of 3 the jobs=64 scan opened.
+    swap_pool_executor(_InProcessPool)
     monkeypatch.setattr(_InProcessPool, "opened", [])
     params, lo, hi = {"selfridge": True}, 3, 386
     one = scan_range("lucas", params, lo, hi, chunk_odds=64)
     for jobs in (64, 3, 2):
         many = scan_range("lucas", params, lo, hi, jobs=jobs, chunk_odds=64)
         assert many.canonical_json() == one.canonical_json()
-    assert _InProcessPool.opened == [3, 3, 2]
+    assert _InProcessPool.opened == [3, 2]
 
 
 # 20 stripes of one chunk of 512 odd n each (the sieve limit is 141).
@@ -246,13 +258,13 @@ def _assert_true_ranks(tables) -> int:
 
 @pytest.mark.parametrize("start_method", [None, "spawn"])
 def test_pool_workers_hand_back_ranks_and_start_from_the_parents(
-        monkeypatch, start_method):
+        monkeypatch, swap_pool_executor, start_method):
     # The parent's tables start empty and it never sieves, so every rank it
-    # holds after the first scan came back from a worker.  A spawned worker
-    # inherits nothing, so it starts from the parent's tables only through
-    # the pool's initializer.
+    # holds after the first scan came back from a worker of a new pool.  A
+    # spawned worker inherits nothing, so it starts from the parent's
+    # tables only through the pool's initializer.
     if start_method is not None:
-        monkeypatch.setattr(search, "ProcessPoolExecutor", partial(
+        swap_pool_executor(partial(
             ProcessPoolExecutor,
             mp_context=multiprocessing.get_context(start_method)))
     monkeypatch.setattr(sieve, "_ranks", {})
@@ -262,6 +274,9 @@ def test_pool_workers_hand_back_ranks_and_start_from_the_parents(
     assert _assert_true_ranks(sieve._ranks) > 0
     held = {key: table.tolist() for key, table in sieve._ranks.items()}
     del merged[:]
+    # A kept worker holds only the ranks it computed itself; a new pool's
+    # workers start from all that the parent merged.
+    search._close_pool()
     again = scan_range(*POOLED_SCAN, jobs=2, chunk_odds=512)
     assert len(merged) == 20 and not any(merged)
     assert {key: table.tolist() for key, table in sieve._ranks.items()} == held
@@ -270,7 +285,8 @@ def test_pool_workers_hand_back_ranks_and_start_from_the_parents(
     assert pooled.canonical_json() == alone.canonical_json()
 
 
-def test_a_scan_in_one_process_records_no_ranks(monkeypatch):
+def test_a_scan_in_one_process_records_no_ranks(monkeypatch,
+                                                swap_pool_executor):
     # Recording is off when the module loads ...
     fresh = importlib.util.module_from_spec(importlib.util.find_spec(
         "pellprime.sieve"))
@@ -289,7 +305,7 @@ def test_a_scan_in_one_process_records_no_ranks(monkeypatch):
     assert recording and not any(recording)
     assert _assert_true_ranks(sieve._ranks) > 0
     monkeypatch.setattr(sieve, "_ranks", {})
-    monkeypatch.setattr(search, "ProcessPoolExecutor", _InProcessPool)
+    swap_pool_executor(_InProcessPool)
     merged = _merged_ranks(monkeypatch)
     del recording[:]
     scan_range(*POOLED_SCAN, jobs=2, chunk_odds=512)
@@ -306,6 +322,152 @@ def test_merged_ranks_extend_a_table_past_this_processs_primes(monkeypatch):
     sieve.merge_ranks(entries)
     assert len(sieve._ranks[1, -1]) == 100
     assert _assert_true_ranks(sieve._ranks) == 2
+
+
+def test_pool_is_kept_between_calls_and_replaced_when_its_size_changes():
+    # POOLED_SCAN has 20 stripes, so each pooled call asks for jobs workers.
+    alone = scan_range(*POOLED_SCAN, jobs=1, chunk_odds=512).canonical_json()
+    held = []
+    for jobs in (2, 1, 2, 3):
+        report = scan_range(*POOLED_SCAN, jobs=jobs, chunk_odds=512)
+        assert report.canonical_json() == alone
+        held.append((dict(search._pools),
+                     {p.pid for p in multiprocessing.active_children()}))
+    (two, workers), (one, _), (two_again, workers_again), (three, _) = held
+    assert list(two) == [2] and one == two == two_again
+    assert workers_again == workers and len(workers) == 2
+    assert list(three) == [3] and three[3][0] is not two[2][0]
+
+
+def test_grid_scan_opens_one_pool_for_all_its_cells(monkeypatch,
+                                                    swap_pool_executor):
+    # Up to 140000 the sieve limit is 374 and a stripe is one chunk of 2**16
+    # odd n, so each cell scans two stripes.
+    swap_pool_executor(_InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "opened", [])
+    axes = ([1, 3], [-1, 2], 140_000)
+    pooled = grid_scan("lucas", *axes, jobs=2)
+    assert _InProcessPool.opened == [2]
+    alone = grid_scan("lucas", *axes)
+    assert pooled.cells == alone.cells
+    assert not any(cell["skipped"] for cell in alone.cells)
+
+
+# 100 stripes of one chunk of 128 integers, finds from 65 on.
+DYING_SCAN = ("lucas", {"P": 4, "Q": 1}, 3, 12_800)
+
+
+def _worker_pid() -> int:
+    """The pid of a worker of this process's pool of 2, started if need be."""
+    return search._pool(2).submit(os.getpid).result()
+
+
+def _assert_gone(pids: list[int]) -> None:
+    """Each of the processes pids is gone within 10 s; any left is killed,
+    so that a failure leaves no process behind."""
+    left, deadline = set(pids), time.monotonic() + 10
+    while left and time.monotonic() < deadline:
+        for pid in list(left):
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                left.discard(pid)
+        time.sleep(0.01)
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert not left, f"processes {sorted(left)} are still there"
+
+
+def _failing_stream(failure: str, checkpoint_dir, worker: int):
+    """An on_pseudoprime that fails DYING_SCAN at its first find, 65, while
+    most of its stripes are still out."""
+    def fail(n):
+        if n != LUCAS_4_1[0]:
+            return
+        if failure == "worker-killed":
+            os.kill(worker, signal.SIGKILL)
+        elif failure == "checkpoint":
+            shutil.rmtree(checkpoint_dir)  # the next write fails
+        elif failure == "interrupt":
+            raise KeyboardInterrupt
+        else:
+            raise ValueError("stream closed")
+    return fail
+
+
+@pytest.mark.parametrize("failure, raised", [
+    ("worker-killed", BrokenProcessPool), ("stream", ValueError),
+    ("checkpoint", FileNotFoundError), ("interrupt", KeyboardInterrupt)])
+def test_a_failed_pooled_scan_leaves_no_pool_behind(tmp_path, failure,
+                                                    raised):
+    checkpoint_dir = tmp_path / "ck"
+    checkpoint_dir.mkdir()
+    fail = _failing_stream(failure, checkpoint_dir, _worker_pid())
+    with pytest.raises(raised):
+        scan_range(*DYING_SCAN, jobs=2, chunk_odds=64,
+                   checkpoint=str(checkpoint_dir / "scan.ckpt"),
+                   on_pseudoprime=fail)
+    assert search._pools == {}
+    pooled = scan_range(*DYING_SCAN, jobs=2, chunk_odds=64)
+    alone = scan_range(*DYING_SCAN, jobs=1, chunk_odds=64)
+    assert pooled.canonical_json() == alone.canonical_json()
+
+
+def test_a_worker_that_died_while_idle_does_not_fail_the_next_scan():
+    old = search._pool(2)
+    pid = _worker_pid()
+    os.kill(pid, signal.SIGKILL)
+    _assert_gone([pid])  # the pool has seen it die, reaped it and broken
+    pooled = scan_range(*DYING_SCAN, jobs=2, chunk_odds=64)
+    alone = scan_range(*DYING_SCAN, jobs=1, chunk_odds=64)
+    assert pooled.canonical_json() == alone.canonical_json()
+    assert search._pool(2) is not old
+
+
+def test_no_pool_worker_outlives_its_interpreter():
+    code = ("import multiprocessing\n"
+            "from pellprime.search import scan_range\n"
+            "scan_range('lucas', {'selfridge': True}, 3, 20000, jobs=2, "
+            "chunk_odds=512)\n"
+            "print(*(p.pid for p in multiprocessing.active_children()))\n")
+    src = os.path.dirname(os.path.dirname(search.__file__))
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True, check=True)
+    pids = [int(pid) for pid in done.stdout.split()]
+    assert len(pids) == 2
+    _assert_gone(pids)
+
+
+def _scan_in_child(conn):
+    report = scan_range(*POOLED_SCAN, jobs=2, chunk_odds=512)
+    conn.send((report.canonical_json(),
+               [p.pid for p in multiprocessing.active_children()]))
+
+
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+def test_a_multiprocessing_child_starts_its_own_pool_and_exits(start_method):
+    # This process's pool is live.  A forked child holds a copy of it with
+    # no thread to feed its workers, so it must start its own; and a child
+    # joins its children before the exit hook of concurrent.futures runs.
+    scan_range(*POOLED_SCAN, jobs=2, chunk_odds=512)
+    assert 2 in search._pools
+    ours, theirs = multiprocessing.Pipe()
+    child = multiprocessing.get_context(start_method).Process(
+        target=_scan_in_child, args=(theirs,))
+    child.start()
+    try:
+        assert ours.poll(120), "the child's scan did not finish"
+        canonical, pids = ours.recv()
+        child.join(60)
+    finally:
+        child.kill()  # a no-op once it has exited
+        child.join()
+    _assert_gone(pids)
+    assert child.exitcode == 0 and len(pids) == 2
+    alone = scan_range(*POOLED_SCAN, chunk_odds=512)
+    assert canonical == alone.canonical_json()
 
 
 def test_scan_reports_only_verified_composites():
