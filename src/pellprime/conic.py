@@ -41,10 +41,6 @@ class ConicParams:
     def point(self, n: int) -> Point:
         return (self.x % n, self.y % n)
 
-    def norm_mod(self, n: int) -> int:
-        """x^2 - D*y^2 mod n (the norm Q of the base point)."""
-        return (self.x * self.x - self.D * self.y * self.y) % n
-
 
 def conic_pow(p: Point, k: int, D: int, n: int) -> Point:
     """k-fold Brahmagupta power of p mod n; k = 0 gives the identity (1, 0).

@@ -24,11 +24,11 @@ scan that needs one (:func:`_pool`).  A later scan reuses it when it needs
 as many workers, and otherwise replaces it, joining the old one first.  A
 scan that fails while its stripes are out shuts the pool down and drops
 it, so the next scan starts a new one; the interpreter joins the pool's
-workers at exit.  A worker starts from its parent's tables of ranks of
-apparition, keeps what it computes, and hands back with each stripe's
-results the ranks it computed for that stripe (:func:`_stripe_results`);
-the parent merges them into its tables, so that the next pool it starts
-does not compute them again.
+workers at exit.  Each worker keeps the ranks of apparition it computes
+in its own tables, so a kept worker scans warmer with every stripe; a
+forked worker also starts from its parent's tables as they were when it
+forked.  Nothing but each stripe's results comes back
+(:func:`_stripe_results`).
 
 The sieve uses the odd primes up to min(isqrt(hi), SIEVE_CAP), where hi is
 the scan's upper end, not the stripe's or the chunk's, so every count is
@@ -139,8 +139,7 @@ from .selectors import (
     matrix_params,
     matrix_selfridge,
 )
-from .sieve import (Segment, merge_ranks, rank_tables, recording_ranks,
-                    seed_ranks, sieve_limit)
+from .sieve import Segment, sieve_limit
 
 __all__ = [
     "GRID_METHODS",
@@ -565,13 +564,9 @@ def _scan_stripe(method: str, params: dict, lo: int, hi: int, limit: int,
         yield b, found, stats
 
 
-def _stripe_results(args) -> tuple[list[tuple[int, list[int],
-                                              dict[str, int]]],
-                                   list[tuple[int, int, int, int]]]:
-    """A pool worker's stripe: its chunks' results, and the ranks of
-    apparition the worker computed for it, for the parent to merge."""
-    with recording_ranks() as new_ranks:
-        return list(_scan_stripe(*args)), new_ranks
+def _stripe_results(args) -> list[tuple[int, list[int], dict[str, int]]]:
+    """A pool worker's stripe: its chunks' results, in order."""
+    return list(_scan_stripe(*args))
 
 
 # This process's worker pool, kept between scans, by its worker count (at
@@ -591,13 +586,15 @@ def _close_pool() -> None:
 
 def _pool(workers: int) -> ProcessPoolExecutor:
     """This process's pool of ``workers`` workers: the live one if it has
-    that many, else a new one, whose workers start from this process's
-    rank tables.  The old pool is shut down and joined first, so that no
-    pool thread is alive when the new pool forks its workers."""
+    that many, else a new one.  The old pool is shut down and joined first,
+    so that no pool thread is alive when the new pool forks its workers.
+
+    Each worker keeps the ranks of apparition it computes for as long as it
+    lives, and a forked one starts from this process's tables as they were
+    when it forked; no rank is handed back."""
     if workers not in _pools:
         _close_pool()
-        pool = ProcessPoolExecutor(max_workers=workers, initializer=seed_ranks,
-                                   initargs=(rank_tables(),))
+        pool = ProcessPoolExecutor(max_workers=workers)
         # multiprocessing's exit hook shuts it down too: in a
         # multiprocessing child, that hook joins the child's children
         # before the exit hook of concurrent.futures runs.  Priority 20
@@ -626,6 +623,20 @@ def _pooled(stripes: list[tuple], workers: int) -> Iterator[tuple]:
     yield from results
 
 
+def _check_scan(lo: int, hi: int, jobs: int, chunk_odds: int) -> None:
+    """Raise ValueError unless scan_range can scan [lo, hi] with these."""
+    if not all(isinstance(v, int) for v in (lo, hi, jobs, chunk_odds)):
+        raise ValueError("lo, hi, jobs and chunk_odds must be ints")
+    if not 3 <= lo <= hi:
+        raise ValueError(f"need 3 <= lo <= hi, got [{lo}, {hi}]")
+    if hi > MAX_MODULUS:
+        raise ValueError("scanning beyond 2**63 is unsupported")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if chunk_odds < 1:
+        raise ValueError(f"chunk_odds must be >= 1, got {chunk_odds}")
+
+
 def scan_range(method: str, params: dict, lo: int, hi: int, *,
                jobs: int = 1, chunk_odds: int = DEFAULT_CHUNK_ODDS,
                checkpoint: str | None = None,
@@ -642,28 +653,19 @@ def scan_range(method: str, params: dict, lo: int, hi: int, *,
     The workers are this process's one pool, kept between calls: a call
     that needs the same number of workers reuses it, one that needs
     another number replaces it, a call that raises while its stripes are
-    out drops it, and the interpreter joins it at exit.  A new pool's
-    workers start from this process's rank tables, and every worker hands
-    back the ranks it computes, which are merged here as each stripe's
-    results arrive.  Both must be ints of at least 1, and neither changes
-    the result.  With ``checkpoint`` the scan resumes from the file's cursor,
-    which may not lie beyond hi + 1, reports only [cursor, hi], and records
-    its starting cursor before the first chunk (so a path that cannot be
-    written raises OSError before any find is reported) and the cursor
-    after every chunk.  ``on_pseudoprime`` is invoked for each
-    find, in ascending order, chunk by chunk, before that chunk's cursor is
-    recorded.
+    out drops it, and the interpreter joins it at exit.  Each worker keeps
+    the ranks of apparition it computes, and a forked one starts from this
+    process's tables as they were when it forked; only the stripes' results
+    come back here.  ``jobs`` and ``chunk_odds`` must be ints of at least
+    1, and neither changes the result.  With ``checkpoint`` the scan
+    resumes from the file's cursor, which may not lie beyond hi + 1,
+    reports only [cursor, hi], and records its starting cursor before the
+    first chunk (so a path that cannot be written raises OSError before any
+    find is reported) and the cursor after every chunk.  ``on_pseudoprime``
+    is invoked for each find, in ascending order, chunk by chunk, before
+    that chunk's cursor is recorded.
     """
-    if not all(isinstance(v, int) for v in (lo, hi, jobs, chunk_odds)):
-        raise ValueError("lo, hi, jobs and chunk_odds must be ints")
-    if not 3 <= lo <= hi:
-        raise ValueError(f"need 3 <= lo <= hi, got [{lo}, {hi}]")
-    if hi > MAX_MODULUS:
-        raise ValueError("scanning beyond 2**63 is unsupported")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if chunk_odds < 1:
-        raise ValueError(f"chunk_odds must be >= 1, got {chunk_odds}")
+    _check_scan(lo, hi, jobs, chunk_odds)
     _, canonical = build_test(method, params)  # validates early
 
     if checkpoint is not None:
@@ -699,9 +701,7 @@ def scan_range(method: str, params: dict, lo: int, hi: int, *,
 
     if jobs > 1 and len(stripes) > 1:
         try:
-            for results, new_ranks in _pooled(stripes,
-                                              min(jobs, len(stripes))):
-                merge_ranks(new_ranks)
+            for results in _pooled(stripes, min(jobs, len(stripes))):
                 for result in results:
                     _absorb(*result)
         except BaseException:
@@ -733,16 +733,16 @@ def grid_scan(method: str, p_values: list[int], q_values: list[int],
     """One scan_range per (P, Q[, R]) cell up to limit; counts per cell.
 
     Degenerate cells (zero discriminant, Q or R zero) are skipped and
-    marked rather than scanned.  ``jobs`` must be at least 1, and
-    ``r_values`` are for the matrix grid only.
+    marked rather than scanned.  ``limit`` and ``jobs`` are checked as
+    :func:`scan_range` checks hi and ``jobs``, before any cell, even when
+    every cell is skipped; ``r_values`` are for the matrix grid only.
     """
     if method not in GRID_METHODS:
         raise ValueError(f"grid_scan does not support method {method!r}")
     names = [a for a in "RPQ" if any(a in f.names for f in METHODS[method])]
     if not p_values or not q_values:
         raise ValueError("axes must be non-empty")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    _check_scan(3, limit, jobs, DEFAULT_CHUNK_ODDS)
     if "R" in names and not r_values:
         raise ValueError(f"{method} grid needs an R axis")
     if "R" not in names and r_values:

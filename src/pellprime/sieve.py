@@ -47,17 +47,15 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from contextlib import contextmanager
 from itertools import compress, islice, repeat
 from math import gcd, isqrt
 from operator import mod, rshift, sub
-from typing import Callable, Iterator
+from typing import Callable
 
 from .modarith import jacobi
 from .recurrence import _lucas_u, rank_of_apparition
 
-__all__ = ["SIEVE_CAP", "Segment", "merge_ranks", "primes_up_to",
-           "rank_tables", "recording_ranks", "seed_ranks", "sieve_limit"]
+__all__ = ["SIEVE_CAP", "Segment", "primes_up_to", "sieve_limit"]
 
 # Largest sieving prime: scans above 2**40 sieve only part of the way and
 # fall back on the primality oracle for n with no factor <= SIEVE_CAP.
@@ -67,18 +65,14 @@ SIEVE_CAP = 1 << 20
 # that they stay warm from chunk to chunk: the odd primes found so far (a
 # prefix of all odd primes, so an index into it never changes meaning, in
 # this process or any other), and per Lucas parameter pair (P, Q) the rank
-# of apparition of the prime at each index (0 = not computed yet).  A scan's
-# pool shares the rank tables with its parent: each worker starts from the
-# parent's tables (seed_ranks), records the ranks it computes while it
-# scans a stripe (recording_ranks; _new_ranks is None otherwise), and hands
-# them back for the parent to merge (merge_ranks), so that no process
-# computes a rank its parent already holds, and the next pool starts
-# warmer.  A scan in one process records nothing.
+# of apparition of the prime at each index (0 = not computed yet).  Each
+# process fills only its own tables: a pool worker keeps the ranks it
+# computes for as long as it lives, and a forked one starts from a copy of
+# its parent's tables as they were when it forked.
 _odd_primes = array("I")
 _odd_primes_limit = 2
 _ranks: dict[tuple[int, int], array] = {}
 _MAX_RANK_TABLES = 64
-_new_ranks: list[tuple[int, int, int, int]] | None = None
 # 0, 1, 2, ...: the entry numbers a prime's multiples take, sliced out
 # rather than built for every segment.
 _iota = array("i")
@@ -108,49 +102,17 @@ def _primes_through(limit: int) -> int:
     return bisect_right(_odd_primes, limit)
 
 
-def _rank_table(P: int, Q: int, size: int = 0) -> array:
+def _rank_table(P: int, Q: int) -> array:
     """The rank table of (P, Q), with an entry for every prime of the prime
-    table and at least ``size`` entries."""
+    table."""
     table = _ranks.get((P, Q))
     if table is None:
         if len(_ranks) >= _MAX_RANK_TABLES:
             _ranks.clear()
         table = _ranks[P, Q] = array("I")
-    size = max(size, len(_odd_primes))
-    if len(table) < size:
-        table.frombytes(bytes(4 * (size - len(table))))
+    if len(table) < len(_odd_primes):
+        table.frombytes(bytes(4 * (len(_odd_primes) - len(table))))
     return table
-
-
-def rank_tables() -> dict[tuple[int, int], array]:
-    """This process's rank tables, to seed a pool's workers with."""
-    return _ranks
-
-
-def seed_ranks(tables: dict[tuple[int, int], array]) -> None:
-    """Start this process's rank tables from ``tables`` (a pool worker's
-    initializer; ``tables`` is its parent's)."""
-    global _ranks
-    _ranks = tables
-
-
-@contextmanager
-def recording_ranks() -> Iterator[list[tuple[int, int, int, int]]]:
-    """Record the ranks the checkers compute inside the block, as (P, Q,
-    prime index, rank), into the list it yields."""
-    global _new_ranks
-    _new_ranks = new = []
-    try:
-        yield new
-    finally:
-        _new_ranks = None
-
-
-def merge_ranks(entries: list[tuple[int, int, int, int]]) -> None:
-    """Enter (P, Q, prime index, rank) entries, as another process recorded
-    them, in this process's rank tables."""
-    for P, Q, idx, rank in entries:
-        _rank_table(P, Q, idx + 1)[idx] = rank
 
 
 def sieve_limit(hi: int) -> int:
@@ -278,8 +240,6 @@ class Segment:
                     rank = ranks[idx]
                     if not rank:
                         rank = ranks[idx] = rank_of_apparition(P, Q, p)
-                        if _new_ranks is not None:
-                            _new_ranks.append((P, Q, idx, rank))
                     if k % rank:
                         return True
                 j = nxt[j]

@@ -113,12 +113,13 @@ def test_rational_point_has_norm_one():
 def test_lucas_to_conic():
     params = lucas_to_conic(4, 101)
     assert (params.D, params.x, params.y) == (12, 2, 51)
-    assert params.norm_mod(101) == 1
+    assert conic_norm(params.point(101), params.D, 101) == 1
     degenerate = lucas_to_conic(2, 101)
     assert degenerate.D == 0 and degenerate.x == 1 and degenerate.y == 51
     for P in (3, 4, 5, 6, -7):
         for n in (101, 65, 9999999967):
-            assert lucas_to_conic(P, n).norm_mod(n) == 1
+            params = lucas_to_conic(P, n)
+            assert conic_norm(params.point(n), params.D, n) == 1
 
 
 def _mat_inv(m, n):

@@ -1,4 +1,3 @@
-import importlib.util
 import multiprocessing
 import os
 import random
@@ -7,7 +6,6 @@ import signal
 import subprocess
 import sys
 import time
-from array import array
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
@@ -17,7 +15,6 @@ import pytest
 from oracles import STAT_KEYS, reference_scan
 from pellprime import search, sieve
 from pellprime.primality import Outcome
-from pellprime.recurrence import rank_of_apparition
 from pellprime.search import (
     build_test,
     grid_scan,
@@ -26,7 +23,7 @@ from pellprime.search import (
     scan_range,
     write_checkpoint,
 )
-from pellprime.sieve import SIEVE_CAP, primes_up_to, sieve_limit
+from pellprime.sieve import primes_up_to, sieve_limit
 
 LUCAS_4_1 = (65, 209, 629, 679, 901, 989, 1241, 1769, 1961, 1991, 2509,
              2701, 2911, 3007, 3439, 3869)
@@ -190,15 +187,13 @@ def test_scan_range_rejects_jobs_and_chunk_odds_that_are_not_ints():
 
 
 class _InProcessPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs the
-    initializer and maps in this process, so no worker is started."""
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so no worker is started."""
 
     opened: list[int] = []
 
-    def __init__(self, max_workers, initializer=None, initargs=()):
+    def __init__(self, max_workers):
         self.opened.append(max_workers)
-        if initializer is not None:
-            initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -232,96 +227,20 @@ def test_pool_never_starts_more_workers_than_stripes(monkeypatch,
 POOLED_SCAN = ("lucas", {"selfridge": True}, 3, 20000)
 
 
-def _merged_ranks(monkeypatch) -> list[list]:
-    """Each batch of ranks the scan's parent merges, from now on."""
-    merged, merge = [], search.merge_ranks
-
-    def recorded(entries):
-        merged.append(list(entries))
-        merge(entries)
-    monkeypatch.setattr(search, "merge_ranks", recorded)
-    return merged
-
-
-def _assert_true_ranks(tables) -> int:
-    """Every rank held is the rank of apparition of the prime at its index
-    in the odd primes; returns how many are held."""
-    odd_primes = primes_up_to(SIEVE_CAP)[1:]
-    held = 0
-    for (P, Q), table in tables.items():
-        for idx, rank in enumerate(table):
-            if rank:
-                assert rank == rank_of_apparition(P, Q, odd_primes[idx])
-                held += 1
-    return held
-
-
 @pytest.mark.parametrize("start_method", [None, "spawn"])
-def test_pool_workers_hand_back_ranks_and_start_from_the_parents(
+def test_a_pooled_scan_matches_one_process_and_hands_back_no_ranks(
         monkeypatch, swap_pool_executor, start_method):
-    # The parent's tables start empty and it never sieves, so every rank it
-    # holds after the first scan came back from a worker of a new pool.  A
-    # spawned worker inherits nothing, so it starts from the parent's
-    # tables only through the pool's initializer.
+    # The workers keep the ranks they compute; the parent, which never
+    # sieves here, ends with the empty tables it started from.
     if start_method is not None:
         swap_pool_executor(partial(
             ProcessPoolExecutor,
             mp_context=multiprocessing.get_context(start_method)))
     monkeypatch.setattr(sieve, "_ranks", {})
-    merged = _merged_ranks(monkeypatch)
     pooled = scan_range(*POOLED_SCAN, jobs=2, chunk_odds=512)
-    assert len(merged) == 20 and any(merged)
-    assert _assert_true_ranks(sieve._ranks) > 0
-    held = {key: table.tolist() for key, table in sieve._ranks.items()}
-    del merged[:]
-    # A kept worker holds only the ranks it computed itself; a new pool's
-    # workers start from all that the parent merged.
-    search._close_pool()
-    again = scan_range(*POOLED_SCAN, jobs=2, chunk_odds=512)
-    assert len(merged) == 20 and not any(merged)
-    assert {key: table.tolist() for key, table in sieve._ranks.items()} == held
+    assert sieve._ranks == {}
     alone = scan_range(*POOLED_SCAN, jobs=1, chunk_odds=512)
-    assert pooled.canonical_json() == again.canonical_json()
     assert pooled.canonical_json() == alone.canonical_json()
-
-
-def test_a_scan_in_one_process_records_no_ranks(monkeypatch,
-                                                swap_pool_executor):
-    # Recording is off when the module loads ...
-    fresh = importlib.util.module_from_spec(importlib.util.find_spec(
-        "pellprime.sieve"))
-    fresh.__spec__.loader.exec_module(fresh)
-    assert fresh._new_ranks is None
-    # ... stays off while a scan runs in one process, and is on only while
-    # a pool's stripe runs (here in this process).
-    recording = []
-
-    def rank(P, Q, p):
-        recording.append(sieve._new_ranks is not None)
-        return rank_of_apparition(P, Q, p)
-    monkeypatch.setattr(sieve, "rank_of_apparition", rank)
-    monkeypatch.setattr(sieve, "_ranks", {})
-    scan_range(*POOLED_SCAN, jobs=1, chunk_odds=512)
-    assert recording and not any(recording)
-    assert _assert_true_ranks(sieve._ranks) > 0
-    monkeypatch.setattr(sieve, "_ranks", {})
-    swap_pool_executor(_InProcessPool)
-    merged = _merged_ranks(monkeypatch)
-    del recording[:]
-    scan_range(*POOLED_SCAN, jobs=2, chunk_odds=512)
-    assert recording and all(recording) and any(merged)
-    assert sieve._new_ranks is None
-
-
-def test_merged_ranks_extend_a_table_past_this_processs_primes(monkeypatch):
-    # A pool's parent that never sieved holds no primes of its own.
-    monkeypatch.setattr(sieve, "_ranks", {})
-    monkeypatch.setattr(sieve, "_odd_primes", array("I"))
-    entries = [(1, -1, idx, rank_of_apparition(1, -1, p))
-               for idx, p in ((99, 547), (3, 11))]
-    sieve.merge_ranks(entries)
-    assert len(sieve._ranks[1, -1]) == 100
-    assert _assert_true_ranks(sieve._ranks) == 2
 
 
 def test_pool_is_kept_between_calls_and_replaced_when_its_size_changes():
@@ -664,3 +583,19 @@ def test_grid_scan_rejects_unknown_method():
     for method in ("lucas", "double-lucas"):
         with pytest.raises(ValueError):
             grid_scan(method, [1], [-1], 500, r_values=[5])
+
+
+# [2], [1] is one degenerate cell (P*P - 4*Q = 0), so no cell is scanned.
+@pytest.mark.parametrize("p_values, q_values, limit, jobs, match", [
+    ([1], [1], 100, "2", "must be ints"),
+    ([1], [1], 100, None, "must be ints"),
+    ([2], [1], "100", 1, "must be ints"),
+    ([2], [1], 100, 2.5, "must be ints"),
+    ([2], [1], 2, 1, r"need 3 <= lo <= hi"),
+    ([2], [1], 2**63 + 1, 1, "beyond 2\\*\\*63"),
+], ids=["jobs-str", "jobs-none", "limit-str-skipped", "jobs-float-skipped",
+        "limit-2-skipped", "limit-huge-skipped"])
+def test_grid_scan_checks_limit_and_jobs_as_scan_range_does(
+        p_values, q_values, limit, jobs, match):
+    with pytest.raises(ValueError, match=match):
+        grid_scan("lucas", p_values, q_values, limit, jobs=jobs)

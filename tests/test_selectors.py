@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from oracles import conic_norm
 from pellprime.conic import ConicParams
 from pellprime.modarith import jacobi
 from pellprime.primality import Outcome, Verdict, matrix_test
@@ -68,13 +69,13 @@ def test_selfridge_gen_pell_examples():
     params = selfridge_gen_pell(323)
     assert isinstance(params, ConicParams)
     assert (params.D, params.x, params.y) == (5, 3, 2)
-    assert params.norm_mod(323) == (9 - 20) % 323
+    assert conic_norm(params.point(323), params.D, 323) == (9 - 20) % 323
     v = selfridge_gen_pell(121)
     assert v.outcome is COMPOSITE and v.factor == 11
     for n in range(3, 2000, 2):
         p = selfridge_gen_pell(n)
         if isinstance(p, ConicParams):
-            assert p.norm_mod(n) == (9 - 4 * p.D) % n
+            assert conic_norm(p.point(n), p.D, n) == (9 - 4 * p.D) % n
 
 
 def test_selector_d_has_jacobi_minus_one():
