@@ -24,7 +24,6 @@ __all__ = [
     "JACOBI_TABLE_BOUND",
     "MAX_MODULUS",
     "Factor",
-    "gcd",
     "jacobi",
     "jacobi_masks",
     "mul_mod",

@@ -61,9 +61,9 @@ them as ``sieved``:
   apparition of a factor does not divide the congruence's index (see
   :mod:`pellprime.sieve`).
 
-Each form's description sits in :data:`METHODS`.  A Selfridge form maps
-each candidate discriminant to the test's parameters with the selector's
-own map (:mod:`pellprime.selectors`), and
+Each form's description sits in :data:`METHODS`.  A Selfridge form walks
+the selector's own :data:`~pellprime.selectors.Selection`, the candidate
+sequence and the map from a discriminant to the test's parameters, and
 :func:`~pellprime.primality.first_congruence` reads their first congruence
 as the test's own preconditions read it, so the parameters the kernel
 settles n with are the ones the per-n walk would pick.  The per-n test
@@ -81,9 +81,9 @@ runs only on what is left:
 
 Long scans can persist a resume cursor to a checkpoint file, once before
 the first chunk and then after every chunk.  The checkpoint stores only
-the cursor and the scan identity (method, parameters, and a hash of
-both), so a resumed scan covers [cursor, hi] only, in its finds and its
-counts, and cuts its stripes from the cursor.  The CLI streams
+the cursor and the scan identity (method and parameters), so a resumed
+scan covers [cursor, hi] only, in its finds and its counts, and cuts its
+stripes from the cursor.  The CLI streams
 pseudoprimes as they are found, before the chunk's cursor is written: a
 run stopped after streaming a chunk's finds but before writing its cursor
 streams those finds again when it resumes, so the streams of all its
@@ -92,7 +92,6 @@ runs, with repeats dropped, hold every find.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -129,14 +128,12 @@ from .primality import (
 from .recurrence import LucasParams, MatrixParams
 from .selectors import (
     CANDIDATE_CAP,
-    classic_candidates,
-    classic_params,
+    CLASSIC,
+    GEN_PELL,
+    MATRIX,
     double_lucas_selfridge,
-    gen_pell_params,
     gen_pell_selfridge,
     lucas_selfridge,
-    matrix_candidates,
-    matrix_params,
     matrix_selfridge,
 )
 from .sieve import Segment, sieve_limit
@@ -197,13 +194,14 @@ def is_prime(n: int) -> bool:
 _Form = namedtuple("_Form", "names canonical make bulk", defaults=(None,))
 
 # How the scan's chunk kernel settles the n of a Lucas-family form.  ``D``
-# is the fixed discriminant, or for a Selfridge form the function that
-# returns its candidate sequence.  ``params(d)`` is the test's parameters
-# at discriminant d (for a Selfridge form, the selector's map), and
-# first_congruence reads their first congruence; the test's preconditions
-# also settle, with outcome ``shared``, the n that share a prime with its Q'.
-# ``primes_pass`` is whether every prime that meets the preconditions
-# passes the test.
+# is the fixed discriminant, and ``params(d)`` the test's parameters at
+# discriminant d.  A Selfridge form's (D, params) is the selector's own
+# Selection, (candidates, params): the kernel walks the candidate sequence
+# the per-n walk tries, and maps each d as the walk does.
+# first_congruence reads the parameters' first congruence; the test's
+# preconditions also settle, with outcome ``shared``, the n that share a
+# prime with its Q'.  ``primes_pass`` is whether every prime that meets
+# the preconditions passes the test.
 _Bulk = namedtuple("_Bulk", "D params shared primes_pass")
 _INVALID, _COMPOSITE = Outcome.PARAMS_INVALID, Outcome.COMPOSITE
 
@@ -234,23 +232,21 @@ METHODS: dict[str, tuple[_Form, ...]] = {
                           lambda a: partial(strong_base_test, a=a)),),
     "lucas": (
         _Form(("selfridge",), "selfridge", lambda: lucas_selfridge,
-              lambda: _Bulk(classic_candidates, classic_params, _INVALID,
-                            True)),
+              lambda: _Bulk(*CLASSIC, _INVALID, True)),
         _Form(("P", "Q"), None,
               lambda P, Q: partial(lucas_test, params=LucasParams(P, Q)),
               lambda P, Q: _fixed(LucasParams(P, Q)))),
     "double-lucas": (
         _Form(("selfridge",), "selfridge", lambda: double_lucas_selfridge,
-              lambda: _Bulk(classic_candidates, classic_params, _INVALID,
-                            True)),
+              lambda: _Bulk(*CLASSIC, _INVALID, True)),
         _Form(("P", "Q"), None, lambda P, Q: partial(
             double_lucas_test, params=LucasParams(P, Q)),
             lambda P, Q: _fixed(LucasParams(P, Q)))),
     "matrix": (
         _Form(("selfridge", "variant"), None,
               lambda variant: partial(matrix_selfridge, variant=variant),
-              lambda variant: _Bulk(matrix_candidates, matrix_params,
-                                    _INVALID, variant == "v-companion")),
+              lambda variant: _Bulk(*MATRIX, _INVALID,
+                                    variant == "v-companion")),
         _Form(("P", "Q", "R", "variant"), None, lambda P, Q, R, variant: (
             partial(matrix_test, params=MatrixParams(P, Q, R),
                     variant=variant)),
@@ -265,8 +261,7 @@ METHODS: dict[str, tuple[_Form, ...]] = {
             strong_pell_test, params=ConicParams(D, x, y)), _norm_one)),
     "gen-pell": (
         _Form(("selfridge",), "selfridge", lambda: gen_pell_selfridge,
-              lambda: _Bulk(classic_candidates, gen_pell_params, _COMPOSITE,
-                            True)),
+              lambda: _Bulk(*GEN_PELL, _COMPOSITE, True)),
         _Form(("D", "x", "y"), None, lambda D, x, y: partial(
             generalized_pell_test, params=ConicParams(D, x, y)),
             lambda D, x, y: _fixed(ConicParams(D, x, y), _COMPOSITE))),
@@ -383,17 +378,15 @@ class GridReport:
     elapsed: float = 0.0
     variant: str | None = None
 
-    def to_dict(self, include_elapsed: bool = True) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        return {
             "method": self.method,
             "axes": [{"name": name, "values": list(vals)} for name, vals in self.axes],
             "limit": self.limit,
             "variant": self.variant,
             "cells": list(self.cells),
+            "elapsed_s": round(self.elapsed, 3),
         }
-        if include_elapsed:
-            d["elapsed_s"] = round(self.elapsed, 3)
-        return d
 
 
 # ---------------------------------------------------------------------------
@@ -775,14 +768,9 @@ def grid_scan(method: str, p_values: list[int], q_values: list[int],
 # checkpointing
 
 
-def _scan_hash(method: str, canonical: str) -> str:
-    return hashlib.sha256(f"{method}|{canonical}".encode()).hexdigest()[:16]
-
-
 def write_checkpoint(path: str, cursor: int, method: str, canonical: str) -> None:
     """Atomically persist the resume cursor for a scan."""
-    line = (f"cursor={cursor} method={method} params={canonical} "
-            f"hash={_scan_hash(method, canonical)}\n")
+    line = f"cursor={cursor} method={method} params={canonical}\n"
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="ascii") as fh:
         fh.write(line)
@@ -792,8 +780,9 @@ def write_checkpoint(path: str, cursor: int, method: str, canonical: str) -> Non
 def read_checkpoint(path: str, method: str, canonical: str) -> int | None:
     """Read a resume cursor; None if the file does not exist.
 
-    Raises ValueError when the file belongs to a different scan (method,
-    params, or hash mismatch) or is malformed.
+    Raises ValueError when the file belongs to a different scan (method
+    or params mismatch) or is malformed.  Any other field, such as the
+    ``hash=`` that older files carry, is ignored.
     """
     try:
         with open(path, encoding="ascii") as fh:
@@ -808,8 +797,7 @@ def read_checkpoint(path: str, method: str, canonical: str) -> int | None:
         cursor = int(fields["cursor"])
     except (KeyError, ValueError):
         raise ValueError(f"malformed checkpoint: {path}") from None
-    if (fields.get("method") != method or fields.get("params") != canonical
-            or fields.get("hash") != _scan_hash(method, canonical)):
+    if fields.get("method") != method or fields.get("params") != canonical:
         raise ValueError(
             f"checkpoint {path} belongs to a different scan "
             f"(found method={fields.get('method')!r} params={fields.get('params')!r})")

@@ -1,13 +1,16 @@
 """Per-n parameter selection in the style of Selfridge's method A.
 
-Each selector walks a fixed alternating discriminant sequence until it finds
-D with Jacobi symbol (D/n) = -1, then maps D to the test's parameters with
-:func:`classic_params`, :func:`matrix_params` or :func:`gen_pell_params`.
-Those maps are defined here only: the scan's chunk kernel maps each
-candidate D through the same ones.  Perfect squares are rejected up front
-(no D with (D/n) = -1 exists for them, so the walk would never
-terminate); a candidate sharing a nontrivial factor with n short-circuits
-to a Composite verdict.
+A selection is a :data:`Selection`: the candidate sequence the walk tries
+and the map from the chosen D to the test's parameters.  There are three:
+:data:`CLASSIC` (5, -7, 9, ... to Lucas (1, (1 - D)/4)) for the lucas and
+double-lucas tests, :data:`MATRIX` (-7, 9, -15, ... to (P, Q, R) =
+(1, (1 - D)/8, 2)) for the matrix test, and :data:`GEN_PELL` (the classic
+sequence to the conic D with base point (3, 2)) for the generalized Pell
+test.  Each is stated here only: the per-n selectors walk it until
+(D/n) = -1, and the scan's chunk kernel walks the same pair over a whole
+chunk.  Perfect squares are rejected up front (no D with (D/n) = -1
+exists for them, so the walk would never terminate); a candidate sharing
+a nontrivial factor with n short-circuits to a Composite verdict.
 
 Deliberately NO trial-division prefilter: pseudoprimes for these selected
 parameters routinely have small factors (323 = 17*19 heads the Lucas list),
@@ -22,6 +25,8 @@ both dividing k = 324, so 323 survives and is reported.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from itertools import islice
 from math import gcd, isqrt
 from typing import Callable, Iterator
 
@@ -39,6 +44,10 @@ from .recurrence import LucasParams, MatrixParams
 
 __all__ = [
     "CANDIDATE_CAP",
+    "CLASSIC",
+    "GEN_PELL",
+    "MATRIX",
+    "Selection",
     "classic_candidates",
     "classic_params",
     "double_lucas_selfridge",
@@ -96,11 +105,7 @@ def _pre(n: int) -> Verdict | None:
 
 
 def _find_d(n: int, candidates: Iterator[int]) -> int | Verdict:
-    for tried, d in enumerate(candidates):
-        if tried >= CANDIDATE_CAP:
-            raise RuntimeError(
-                f"no discriminant with (D/n) = -1 within {CANDIDATE_CAP} "
-                f"candidates for n = {n}")
+    for d in islice(candidates, CANDIDATE_CAP):
         j = jacobi(d, n)
         if j == -1:
             return d
@@ -111,7 +116,9 @@ def _find_d(n: int, candidates: Iterator[int]) -> int | Verdict:
                                evidence=f"gcd(D candidate, n) = {g}",
                                factor=g, jacobi_branch=0, stage="selector")
             # g == n: n divides the candidate (n is tiny); skip it.
-    raise AssertionError("unreachable")
+    raise RuntimeError(
+        f"no discriminant with (D/n) = -1 within {CANDIDATE_CAP} "
+        f"candidates for n = {n}")
 
 
 def classic_params(d: int) -> LucasParams:
@@ -129,17 +136,24 @@ def gen_pell_params(d: int) -> ConicParams:
     return ConicParams(d, 3, 2)
 
 
-def _select(n: int, candidates: Callable[[], Iterator[int]],
-            params: Callable[[int], Params]) -> Params | Verdict:
-    """params(D) for the first candidate D with (D/n) = -1, or the Verdict
-    that settles n during the walk."""
+# One Selfridge selection: ``candidates()`` is the discriminant sequence
+# the walk tries, and ``params(d)`` the test's parameters at the chosen d.
+Selection = namedtuple("Selection", "candidates params")
+CLASSIC = Selection(classic_candidates, classic_params)
+MATRIX = Selection(matrix_candidates, matrix_params)
+GEN_PELL = Selection(classic_candidates, gen_pell_params)
+
+
+def _select(n: int, selection: Selection) -> Params | Verdict:
+    """selection.params(D) for the first candidate D with (D/n) = -1, or
+    the Verdict that settles n during the walk."""
     early = _pre(n)
     if early:
         return early
-    d = _find_d(n, candidates())
+    d = _find_d(n, selection.candidates())
     if isinstance(d, Verdict):
         return d
-    return params(d)
+    return selection.params(d)
 
 
 def selfridge_classic(n: int) -> LucasParams | Verdict:
@@ -148,7 +162,7 @@ def selfridge_classic(n: int) -> LucasParams | Verdict:
     D is the first of 5, -7, 9, -11, ... with (D/n) = -1; the returned
     params satisfy P^2 - 4Q = D.
     """
-    return _select(n, classic_candidates, classic_params)
+    return _select(n, CLASSIC)
 
 
 def selfridge_matrix(n: int) -> MatrixParams | Verdict:
@@ -158,7 +172,7 @@ def selfridge_matrix(n: int) -> MatrixParams | Verdict:
     the returned params satisfy P^2 - 4QR = D, hence the test always takes
     the (Δ/n) = -1 branch.
     """
-    return _select(n, matrix_candidates, matrix_params)
+    return _select(n, MATRIX)
 
 
 def selfridge_gen_pell(n: int) -> ConicParams | Verdict:
@@ -167,23 +181,29 @@ def selfridge_gen_pell(n: int) -> ConicParams | Verdict:
     The base point norm is 9 - 4D mod n; a shared factor with n surfaces
     when the test runs.
     """
-    return _select(n, classic_candidates, gen_pell_params)
+    return _select(n, GEN_PELL)
+
+
+def _tested(n: int, chosen: Params | Verdict, test: Callable[..., Verdict],
+            **kw) -> Verdict:
+    """test(n, chosen, **kw), or the Verdict the walk settled n with.
+
+    The composed tests below pass their selector's result and their test
+    as they find them at call time, so a caller that swaps a module
+    global (as a tracer does) sees every call."""
+    if isinstance(chosen, Verdict):
+        return chosen
+    return test(n, chosen, **kw)
 
 
 def lucas_selfridge(n: int) -> Verdict:
     """Lucas test with classic Selfridge parameters (pseudoprimes: A217120)."""
-    params = selfridge_classic(n)
-    if isinstance(params, Verdict):
-        return params
-    return lucas_test(n, params)
+    return _tested(n, selfridge_classic(n), lucas_test)
 
 
 def double_lucas_selfridge(n: int) -> Verdict:
     """Double Lucas test with classic Selfridge parameters (A212423)."""
-    params = selfridge_classic(n)
-    if isinstance(params, Verdict):
-        return params
-    return double_lucas_test(n, params)
+    return _tested(n, selfridge_classic(n), double_lucas_test)
 
 
 def matrix_selfridge(n: int, variant: str = "v-companion") -> Verdict:
@@ -193,15 +213,9 @@ def matrix_selfridge(n: int, variant: str = "v-companion") -> Verdict:
     congruences are failed by every prime, so only the v-companion variant
     is a primality test on this path.
     """
-    params = selfridge_matrix(n)
-    if isinstance(params, Verdict):
-        return params
-    return matrix_test(n, params, variant=variant)
+    return _tested(n, selfridge_matrix(n), matrix_test, variant=variant)
 
 
 def gen_pell_selfridge(n: int) -> Verdict:
     """Generalized Pell test with Selfridge-selected D and base point (3, 2)."""
-    params = selfridge_gen_pell(n)
-    if isinstance(params, Verdict):
-        return params
-    return generalized_pell_test(n, params)
+    return _tested(n, selfridge_gen_pell(n), generalized_pell_test)

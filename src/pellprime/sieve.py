@@ -63,12 +63,12 @@ SIEVE_CAP = 1 << 20
 
 # Memo tables of pure functions, shared by every segment in the process so
 # that they stay warm from chunk to chunk: the odd primes found so far (a
-# prefix of all odd primes, so an index into it never changes meaning, in
-# this process or any other), and per Lucas parameter pair (P, Q) the rank
-# of apparition of the prime at each index (0 = not computed yet).  Each
-# process fills only its own tables: a pool worker keeps the ranks it
-# computes for as long as it lives, and a forked one starts from a copy of
-# its parent's tables as they were when it forked.
+# prefix of all odd primes, so an index into it never changes meaning), and
+# per Lucas parameter pair (P, Q) the rank of apparition of the prime at
+# each index (0 = not computed yet).  Each process fills only its own
+# tables: a pool worker keeps the ranks it computes for as long as it
+# lives, and a forked one starts from a copy of its parent's tables as they
+# were when it forked.
 _odd_primes = array("I")
 _odd_primes_limit = 2
 _ranks: dict[tuple[int, int], array] = {}
@@ -213,7 +213,7 @@ class Segment:
         return None if n >= self.prime_below else False
 
     def checker(self, P: int, Q: int,
-                scale: int = 1) -> Callable[[int, int], bool]:
+                scale: int) -> Callable[[int, int], bool]:
         """rules_out(n, k) for the n of this segment and Lucas (P, Q).
 
         rules_out(n, k) is True when scale*U_k(P, Q) ≢ 0 (mod n) is proved

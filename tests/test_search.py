@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
@@ -13,7 +14,7 @@ from functools import partial
 import pytest
 
 from oracles import STAT_KEYS, reference_scan
-from pellprime import search, sieve
+from pellprime import search, selectors, sieve
 from pellprime.primality import Outcome
 from pellprime.search import (
     build_test,
@@ -154,6 +155,43 @@ def test_build_test_rejects_bad_input():
     for method, params in rejected:
         with pytest.raises(ValueError):
             build_test(method, params)
+
+
+def test_built_tests_call_the_module_globals_a_tracer_swaps(monkeypatch):
+    # bench/tracing.py times the layers by swapping these module globals, so
+    # each test build_test returns must look them up when it runs.
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[module.__name__, name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("selfridge_classic", "selfridge_matrix",
+                 "selfridge_gen_pell", "lucas_test", "double_lucas_test",
+                 "matrix_test", "generalized_pell_test"):
+        count(selectors, name)
+    count(search, "lucas_test")
+    S, P = "pellprime.selectors", "pellprime.search"
+    cases = [
+        ("lucas", {"selfridge": True},
+         [(S, "selfridge_classic"), (S, "lucas_test")]),
+        ("double-lucas", {"selfridge": True},
+         [(S, "selfridge_classic"), (S, "double_lucas_test")]),
+        ("matrix", {"selfridge": True},
+         [(S, "selfridge_matrix"), (S, "matrix_test")]),
+        ("gen-pell", {"selfridge": True},
+         [(S, "selfridge_gen_pell"), (S, "generalized_pell_test")]),
+        ("lucas", {"P": 4, "Q": 1}, [(P, "lucas_test")]),
+    ]
+    for method, params, called in cases:
+        test, _ = build_test(method, params)
+        calls.clear()
+        assert test(10**9 + 7).outcome is Outcome.PROBABLE_PRIME
+        assert calls == Counter(called), method
 
 
 def test_scan_range_lucas_example_list():
@@ -517,12 +555,19 @@ def test_params_invalid_not_counted_as_pseudoprime():
 def test_checkpoint_roundtrip(tmp_path):
     path = str(tmp_path / "scan.ckpt")
     write_checkpoint(path, 12345, "lucas", "P=4,Q=1")
+    with open(path, encoding="ascii") as fh:
+        assert fh.read() == "cursor=12345 method=lucas params=P=4,Q=1\n"
     assert read_checkpoint(path, "lucas", "P=4,Q=1") == 12345
     with pytest.raises(ValueError):
         read_checkpoint(path, "lucas", "P=4,Q=2")
     with pytest.raises(ValueError):
         read_checkpoint(path, "double-lucas", "P=4,Q=1")
     assert read_checkpoint(str(tmp_path / "missing"), "lucas", "P=4,Q=1") is None
+    # A file that still carries the hash= field of older versions resumes.
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("cursor=12345 method=lucas params=P=4,Q=1 "
+                 "hash=75206f3d792a5855\n")
+    assert read_checkpoint(path, "lucas", "P=4,Q=1") == 12345
 
 
 def test_checkpoint_rejects_malformed_file(tmp_path):

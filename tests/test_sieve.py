@@ -50,6 +50,15 @@ SIEVED_CONFIGS = [
     ("gen-pell", {"D": 2, "x": 5, "y": 3}),  # 3 | y, norm 7
 ]
 
+# Configurations the chunk kernel does not cover: the per-n test runs on
+# every n.
+UNHINTED_CONFIGS = [
+    ("fermat", {"a": 2}),
+    ("strong-base", {"a": 3}),
+    ("strong-pell", {"D": 3, "a": 3}),
+    ("pell-variant", {}),
+]
+
 # Ranges from 3, ranges straddling a square (and the square's
 # neighbours), and a window above 2**40, where the sieve stops at
 # SIEVE_CAP and the oracle decides the n it cannot.
@@ -82,9 +91,7 @@ def test_sieved_scan_matches_reference(method, params, lo, hi):
         assert sieved > 0
 
 
-@pytest.mark.parametrize("method, params", [
-    ("fermat", {"a": 2}), ("strong-base", {"a": 3}),
-    ("strong-pell", {"D": 3, "a": 3}), ("pell-variant", {})])
+@pytest.mark.parametrize("method, params", UNHINTED_CONFIGS)
 def test_unhinted_methods_match_reference(method, params):
     # The kernel does not cover these methods; the sieve only replaces the
     # oracle.
