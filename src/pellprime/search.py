@@ -14,10 +14,14 @@ span = 2 * chunk_odds is a chunk's width in integers, so every sieving
 prime has about one multiple in a stripe or more and finds its first one
 once per stripe.  Where the span reaches the limit, as in every scan below
 2**34 in the default chunks, a stripe is one chunk.  Chunk and stripe stay
-apart: one kernel call per stripe was measured to scan about a quarter
-slower than one per chunk of 2**14 to 2**16 odd n.
-Results still arrive chunk by chunk: finds are reported, counts added and
-the checkpoint written after each chunk, in ascending order.
+apart, so results arrive chunk by chunk: finds are reported, counts added
+and the checkpoint written after each chunk, in ascending order.  One kernel
+call over a whole stripe costs no more per n than one per chunk.  In CPU
+time on gen-pell+Selfridge, 10 rounds each: near 2**34 and 10**10, where
+a stripe is 2**16 odd n, one call per stripe scanned 3-4% faster than one
+per chunk of 2**14 and 14-15% faster than one per chunk of 2**11; near
+2**38, one call per stripe of 2**18 odd n scanned as fast as one per
+chunk of 2**14 or 2**16.
 
 A process keeps one pool of workers between scans, started by the first
 scan that needs one (:func:`_pool`).  A later scan reuses it when it needs
@@ -34,10 +38,11 @@ The sieve uses the odd primes up to min(isqrt(hi), SIEVE_CAP), where hi is
 the scan's upper end, not the stripe's or the chunk's, so every count is
 the same for any ``jobs`` and chunk size.  It records each n's prime
 factors up to that limit (the cofactor left after dividing them out is
-computed only for the n that need it).  It decides whether a passing n is
-composite: for hi up to 2**40 the limit is isqrt(hi), and an n with no
-recorded factor is prime, so no primality oracle runs; above,
-:func:`is_prime` decides the n the sieve cannot.
+computed only for the n that need it, as the kernel's check walks their
+factors).  It decides whether a passing n is composite: for hi up to
+2**40 the limit is isqrt(hi), and an n with no recorded factor is prime,
+so no primality oracle runs; above, :func:`is_prime` decides the n the
+sieve cannot.
 
 For the tests whose first congruence is U_k ≡ 0 for a Lucas sequence
 (lucas, double-lucas, matrix, pell, strong-pell, gen-pell), a chunk kernel
@@ -49,9 +54,11 @@ every 4|d| integers, so a Selfridge walk over a chunk is a few periodic
 patterns; perfect squares and the zero symbols it meets are its
 short-circuited composites.  In each class of one discriminant, the n
 sharing a prime with the class's gcd value (Q, QR or the base point's
-norm) are settled as the test's preconditions settle them.  The kernel is
-the only code whose verdicts come from the sieve's record, and it counts
-them as ``sieved``:
+norm) are settled as the test's preconditions settle them.  A class costs
+a few big-int operations over the chunk's width, and Python work only per
+member it hands on: :func:`_members` lists the n of a sparse mask from its
+set bits, not from every position.  The kernel is the only code whose
+verdicts come from the sieve's record, and it counts them as ``sieved``:
 
 * an n below (limit + 1)**2 with no recorded factor is prime, and passes
   when every prime that meets the preconditions passes the test (all but
@@ -100,7 +107,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, islice, product
+from itertools import accumulate, compress, islice, product
 from math import isqrt
 from multiprocessing.util import Finalize
 from operator import not_
@@ -435,9 +442,23 @@ _UNSET = bytes.maketrans(b"0", b"\x00")
 
 
 def _members(mask: int, lo: int) -> Iterator[int]:
-    """The odd n = lo + 2i for the set bits i of mask, ascending."""
-    bits = bin(mask)[:1:-1].encode().translate(_UNSET)
-    return compress(range(lo, lo + 2 * len(bits), 2), bits)
+    """The odd n = lo + 2i for the set bits i of mask, ascending.
+
+    The string work is C-level over the mask's width either way, and a
+    sparse mask makes Python objects only per member: its bits, lowest
+    first, with each 1 a line break and encoded in UTF-16, which gives
+    every position two bytes, are lines whose lengths are the steps from
+    one member to the next.  A mask with more than a third of its
+    bit_length set costs less as a compress of the whole range.
+    """
+    bits = bin(mask)[:1:-1]
+    if 3 * mask.bit_count() > len(bits):
+        return compress(range(lo, lo + 2 * len(bits), 2),
+                        bits.encode().translate(_UNSET))
+    steps = bits.replace("1", "\n").encode("utf-16-le").splitlines(True)
+    # lo - 1 and the last line, the high byte of the last position, are not
+    # members.
+    return islice(accumulate(map(len, steps), initial=lo - 1), 1, len(steps))
 
 
 def _kernel(bulk: _Bulk, sieve: Segment, lo: int,
@@ -446,7 +467,10 @@ def _kernel(bulk: _Bulk, sieve: Segment, lo: int,
 
     ``sieve`` is the stripe's record, and the chunk reads its window
     ``sieve.unfactored(lo, size)``.  Each discriminant the chunk reaches
-    is described once, by ``first_congruence(bulk.params(d))``.
+    is described once, by ``first_congruence(bulk.params(d))``.  Each of
+    its classes costs a few big-int operations over the chunk, plus one
+    checker call for each member with a recorded factor; a sparse class
+    makes Python ints for its members only (:func:`_members`).
 
     Returns the counts of what it settled and the n it leaves to the
     per-n test, ascending: those at or below the bound of a discriminant

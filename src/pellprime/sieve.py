@@ -6,10 +6,10 @@ range into stripes of consecutive chunks; one process sieves a whole
 stripe at once, as one :class:`Segment`, and each chunk reads its window
 of that record.  A segment records which n have a prime factor <= limit
 and those factors; the cofactor left when they are divided out is
-computed on demand.  An n below (limit + 1)**2 without such a factor is
-prime: the scan's chunk kernel passes it on a test that every prime
-passes, and when the limit reaches isqrt(hi) the scan needs no primality
-oracle.
+computed by the check below, for the n that reach it.  An n below
+(limit + 1)**2 without such a factor is prime: the scan's chunk kernel
+passes it on a test that every prime passes, and when the limit reaches
+isqrt(hi) the scan needs no primality oracle.
 
 Each prime costs a few Python steps per stripe, never one per multiple:
 
@@ -198,14 +198,6 @@ class Segment:
             j = nxt[j]
         return found
 
-    def cofactor(self, n: int) -> int:
-        """n with its prime factors <= limit divided out."""
-        for p in self.factors(n):
-            n //= p
-            while not n % p:
-                n //= p
-        return n
-
     def is_composite(self, n: int) -> bool | None:
         """True or False when the sieve decides n, None when it cannot."""
         if self._head[(n - self.lo) >> 1] >= 0:
@@ -221,13 +213,17 @@ class Segment:
         (mod q), that is a factor q <= limit whose rank does not divide k,
         or a cofactor q known to be prime.  False means nothing is proved.
         The rank table of (P, Q) is looked up once, here.
+
+        Each call walks n's factor chain once.  Most calls end at the first
+        factor, whose rank rules n out; each factor that does not is
+        divided out of n before the walk goes on, so what is left at the
+        end of the chain is the cofactor.
         """
         qs = Q * scale
         ranks = _rank_table(P, Q)
         primes, head, factor, nxt = (_odd_primes, self._head, self._factor,
                                      self._next)
-        origin, prime_below, cofactor = (self.lo, self.prime_below,
-                                         self.cofactor)
+        origin, prime_below = self.lo, self.prime_below
 
         def rules_out(n: int, k: int) -> bool:
             j = head[(n - origin) >> 1]
@@ -242,14 +238,18 @@ class Segment:
                         rank = ranks[idx] = rank_of_apparition(P, Q, p)
                     if k % rank:
                         return True
+                n //= p
+                while not n % p:
+                    n //= p
                 j = nxt[j]
-            c = cofactor(n)
-            if c == 1 or c >= prime_below or not qs % c:
+            # n now holds the cofactor, which below prime_below is 1 or prime.
+            if n == 1 or n >= prime_below or not qs % n:
                 return False
-            # c is prime; its rank divides c - (D/c), and is c when c | D.
-            e = jacobi(P * P - 4 * Q, c)
+            # A prime cofactor n: its rank divides n - (D/n), and is n when
+            # n | D.
+            e = jacobi(P * P - 4 * Q, n)
             if not e:
-                return k % c != 0
-            return _lucas_u(P, Q, gcd(k, c - e), c)[0] != 0
+                return k % n != 0
+            return _lucas_u(P, Q, gcd(k, n - e), n)[0] != 0
 
         return rules_out

@@ -12,11 +12,14 @@ from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import STAT_KEYS, reference_scan
 from pellprime import search, selectors, sieve
 from pellprime.primality import Outcome
 from pellprime.search import (
+    _members,
     build_test,
     grid_scan,
     is_prime,
@@ -520,6 +523,35 @@ def test_pooled_scan_resumes_after_its_stream_fails(tmp_path):
     assert resumed.canonical_json() == scan_range(
         method, params, cursor, hi, chunk_odds=64).canonical_json()
     assert resumed.pseudoprimes == LUCAS_4_1[4:]
+
+
+@st.composite
+def sized_masks(draw):
+    """(size, mask) with mask < 1 << size: any mask, or a sparse one."""
+    size = draw(st.integers(1, 2**16))
+    bits = st.integers(0, size - 1)
+    mask = draw(st.one_of(
+        st.integers(0, (1 << size) - 1),
+        st.sets(bits, max_size=64).map(lambda s: sum(1 << i for i in s))))
+    return size, mask
+
+
+# A mask with more than a third of its bit_length set is enumerated as a
+# compress of the whole range, any other one member by member: "100" * 1000
+# has exactly a third set, and one more bit puts it past the switch.
+@settings(max_examples=150, deadline=None)
+@given(size_mask=sized_masks(),
+       lo=st.integers(0, 2**62 - 2**17 - 1).map(lambda m: 2 * m + 1))
+@example(size_mask=(2**16, 0), lo=3)
+@example(size_mask=(2**16, 1 << 2**16 - 1), lo=2**63 - 2**18 - 1)
+@example(size_mask=(2**16, (1 << 2**16) - 1), lo=2**63 - 2**18 - 1)
+@example(size_mask=(2**16, 1), lo=10**10 + 1)
+@example(size_mask=(3000, int("100" * 1000, 2)), lo=2**34 + 1)
+@example(size_mask=(3000, int("100" * 1000, 2) | 2), lo=2**34 + 1)
+def test_members_are_the_set_bits_of_the_mask(size_mask, lo):
+    size, mask = size_mask
+    assert list(_members(mask, lo)) == [lo + 2*i for i in range(size)
+                                        if mask >> i & 1]
 
 
 def test_scan_chunk_size_does_not_change_output():
