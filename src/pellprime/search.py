@@ -16,12 +16,13 @@ once per stripe.  Where the span reaches the limit, as in every scan below
 2**34 in the default chunks, a stripe is one chunk.  Chunk and stripe stay
 apart, so results arrive chunk by chunk: finds are reported, counts added
 and the checkpoint written after each chunk, in ascending order.  One kernel
-call over a whole stripe costs no more per n than one per chunk.  In CPU
-time on gen-pell+Selfridge, 10 rounds each: near 2**34 and 10**10, where
-a stripe is 2**16 odd n, one call per stripe scanned 3-4% faster than one
-per chunk of 2**14 and 14-15% faster than one per chunk of 2**11; near
-2**38, one call per stripe of 2**18 odd n scanned as fast as one per
-chunk of 2**14 or 2**16.
+call over a whole stripe costs about as much per n as one per chunk of
+2**14 odd n or more, and less than one per chunk of 2**11.  In CPU time on
+gen-pell+Selfridge, near 2**34 and 10**10, where a stripe is 2**16 odd n,
+one call per stripe scanned within 4% of one per chunk of 2**14, either
+way, and in the median round 14% faster than one per chunk of 2**11
+(20 rounds each); near 2**38, one call per stripe of 2**18 odd n scanned
+within 3% of one per chunk of 2**14 or 2**16 (10 rounds).
 
 A process keeps one pool of workers between scans, started by the first
 scan that needs one (:func:`_pool`).  A later scan reuses it when it needs
@@ -56,9 +57,9 @@ short-circuited composites.  In each class of one discriminant, the n
 sharing a prime with the class's gcd value (Q, QR or the base point's
 norm) are settled as the test's preconditions settle them.  A class costs
 a few big-int operations over the chunk's width, and Python work only per
-member it hands on: :func:`_members` lists the n of a sparse mask from its
-set bits, not from every position.  The kernel is the only code whose
-verdicts come from the sieve's record, and it counts them as ``sieved``:
+member it hands on: :func:`_members` lists a mask's n from its set bits,
+not from every position.  The kernel is the only code whose verdicts come
+from the sieve's record, and it counts them as ``sieved``:
 
 * an n below (limit + 1)**2 with no recorded factor is prime, and passes
   when every prime that meets the preconditions passes the test (all but
@@ -438,24 +439,17 @@ def _per_n(test: Callable[[int], Verdict], sieve: Segment,
         "pseudoprimes": len(found)}
 
 
-_UNSET = bytes.maketrans(b"0", b"\x00")
-
-
 def _members(mask: int, lo: int) -> Iterator[int]:
     """The odd n = lo + 2i for the set bits i of mask, ascending.
 
-    The string work is C-level over the mask's width either way, and a
-    sparse mask makes Python objects only per member: its bits, lowest
-    first, with each 1 a line break and encoded in UTF-16, which gives
-    every position two bytes, are lines whose lengths are the steps from
-    one member to the next.  A mask with more than a third of its
-    bit_length set costs less as a compress of the whole range.
+    The string work is C-level over the mask's width, and Python objects
+    are made only per member: the mask's bits, lowest first, with each 1 a
+    line break and encoded in UTF-16, which gives every position two
+    bytes, are lines whose lengths are the steps from one member to the
+    next.
     """
-    bits = bin(mask)[:1:-1]
-    if 3 * mask.bit_count() > len(bits):
-        return compress(range(lo, lo + 2 * len(bits), 2),
-                        bits.encode().translate(_UNSET))
-    steps = bits.replace("1", "\n").encode("utf-16-le").splitlines(True)
+    steps = (bin(mask)[:1:-1].replace("1", "\n").encode("utf-16-le")
+             .splitlines(True))
     # lo - 1 and the last line, the high byte of the last position, are not
     # members.
     return islice(accumulate(map(len, steps), initial=lo - 1), 1, len(steps))
@@ -469,8 +463,8 @@ def _kernel(bulk: _Bulk, sieve: Segment, lo: int,
     ``sieve.unfactored(lo, size)``.  Each discriminant the chunk reaches
     is described once, by ``first_congruence(bulk.params(d))``.  Each of
     its classes costs a few big-int operations over the chunk, plus one
-    checker call for each member with a recorded factor; a sparse class
-    makes Python ints for its members only (:func:`_members`).
+    checker call for each member with a recorded factor; it makes Python
+    ints for its members only (:func:`_members`).
 
     Returns the counts of what it settled and the n it leaves to the
     per-n test, ascending: those at or below the bound of a discriminant

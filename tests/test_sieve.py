@@ -237,15 +237,6 @@ def test_hinted_verdicts_where_the_prime_proof_stops(method, params, lo, hi,
     assert_hinted_equals_unhinted(method, params, lo, hi, limit)
 
 
-def cofactor(n, factors):
-    """n with the given factors divided out: for a segment's factors of n,
-    the cofactor that Segment.checker walks to."""
-    for p in factors:
-        while n % p == 0:
-            n //= p
-    return n
-
-
 @pytest.mark.parametrize("lo, hi, limit", [
     (3, 2501, 50), (1001, 3001, 7), (99**2 - 40, 99**2 + 40, 99),
     (2**40 + 1, 2**40 + 301, 1000)])
@@ -259,9 +250,6 @@ def test_segment_factors_and_cofactor(lo, hi, limit):
         assert sorted(factors) == [p for p in primes if n % p == 0 and p < n]
         assert len(set(factors)) == len(factors)
         assert unfactored >> i & 1 == (not factors)
-        c = cofactor(n, factors)
-        assert all(c % p for p in primes if p < n)
-        assert c == 1 or is_prime(c) or c >= (limit + 1) ** 2
         known = segment.is_composite(n)
         assert known is None or known == (not is_prime(n))
         assert known is not None or n >= (limit + 1) ** 2
@@ -314,8 +302,6 @@ def test_stripe_equals_one_chunk_segments():
                 assert (set(whole.factors(n)) == set(fresh.factors(n))
                         == factors)
                 assert window >> i & 1 == (not factors)
-                c = cofactor(n, whole.factors(n))
-                assert c == 1 or is_prime(c) or c >= (limit + 1) ** 2
                 known = whole.is_composite(n)
                 assert known == fresh.is_composite(n)
                 assert known is None or known == (not is_prime(n))
