@@ -7,7 +7,7 @@ the rest of the package relies on: signed inputs are canonicalized into
 read it from a periodic table), and a missing inverse is reported as a
 :class:`Factor` (compositeness evidence) instead of an exception.
 
-A scan classifies a whole chunk of odd n at once on bitmasks: bit i of a
+A scan classifies a whole stripe of odd n at once on bitmasks: bit i of a
 mask stands for the odd n = lo + 2i.  :func:`jacobi_masks` gives the n with
 (a/n) = -1 and with (a/n) = 0 as such masks, read off the same periodic
 tables, and :func:`sharing_mask` the n that share a prime with a given

@@ -211,7 +211,7 @@ def first_congruence(params: LucasParams | MatrixParams | ConicParams
     Q' is Q for Lucas, QR for matrix (U~_k = R*U_k of Lucas(P, QR)) and
     the base point's norm for the conics (y*U_k of Lucas(2x, x^2 - D*y^2)
     is the y of (x, y)^k).  Each test's preconditions read D and Q' here,
-    and so does the scan's chunk kernel.
+    and so does the scan's kernel.
     """
     if isinstance(params, ConicParams):
         D, x, y = params.D, params.x, params.y

@@ -6,23 +6,27 @@ chunks of odd candidates, and consecutive chunks into stripes, so results
 are identical no matter how many worker processes execute them; reports
 serialize canonically with wall-clock time excluded.
 
-A stripe is the unit of work, for ``jobs=1`` and for the pool alike: one
-process builds one :class:`~pellprime.sieve.Segment` for it and scans its
-chunks in order, each chunk reading its window of that record
-(:func:`_scan_stripe`).  A stripe holds ceil(limit / span) chunks, where
-span = 2 * chunk_odds is a chunk's width in integers, so every sieving
-prime has about one multiple in a stripe or more and finds its first one
-once per stripe.  Where the span reaches the limit, as in every scan below
-2**34 in the default chunks, a stripe is one chunk.  Chunk and stripe stay
-apart, so results arrive chunk by chunk: finds are reported, counts added
-and the checkpoint written after each chunk, in ascending order.  One kernel
-call over a whole stripe costs about as much per n as one per chunk of
-2**14 odd n or more, and less than one per chunk of 2**11.  In CPU time on
-gen-pell+Selfridge, near 2**34 and 10**10, where a stripe is 2**16 odd n,
-one call per stripe scanned within 4% of one per chunk of 2**14, either
-way, and in the median round 14% faster than one per chunk of 2**11
-(20 rounds each); near 2**38, one call per stripe of 2**18 odd n scanned
-within 3% of one per chunk of 2**14 or 2**16 (10 rounds).
+A stripe is the unit of work, for ``jobs=1`` and for the pool alike, and
+a chunk the unit of reporting.  One process builds one
+:class:`~pellprime.sieve.Segment` for a stripe, settles what it can of the
+whole stripe with one kernel call, and then reports the stripe chunk by
+chunk (:func:`_scan_stripe`): each chunk counts its window of the kernel's
+masks and runs the per-n test on its share of what the kernel leaves.  So
+results arrive chunk by chunk: finds are reported, counts added and the
+checkpoint written after each chunk, in ascending order.
+
+A stripe holds ceil(limit / span) chunks or more, where span =
+2 * chunk_odds is a chunk's width in integers, so every sieving prime has
+about one multiple in a stripe or more and finds its first one once per
+stripe.  It also holds at least :data:`KERNEL_ODDS` odd n where the range
+still gives each of ``jobs`` workers a stripe, because a kernel call has a
+fixed cost besides its cost per n: the Segment's set-up, and one Jacobi
+mask and one sharing mask per discriminant class.  On matrix+Selfridge
+near 2**23 in one process, a stripe of w odd n cost about F + c*w, with F
+= 0.35-0.85 ms and c = 0.49-0.84 us over three fits (F/c = 0.6k-1.3k odd
+n), so a stripe of 2**14 odd n keeps the fixed cost to 4-7% of the call.
+Where a chunk holds KERNEL_ODDS odd n or more, as in the CLI's chunks of
+2**16, a stripe is ceil(limit / span) chunks.
 
 A process keeps one pool of workers between scans, started by the first
 scan that needs one (:func:`_pool`).  A later scan reuses it when it needs
@@ -46,17 +50,17 @@ so no primality oracle runs; above, :func:`is_prime` decides the n the
 sieve cannot.
 
 For the tests whose first congruence is U_k ≡ 0 for a Lucas sequence
-(lucas, double-lucas, matrix, pell, strong-pell, gen-pell), a chunk kernel
-(:func:`_kernel`) reaches the test's verdicts for a whole chunk at once, on
-big-int bitmasks over the chunk's odd n, because calling the test n by n
-costs more than everything it decides.  Nearly every verdict follows from
+(lucas, double-lucas, matrix, pell, strong-pell, gen-pell), a kernel
+(:func:`_kernel`) reaches the test's verdicts for a whole stripe at once,
+on big-int bitmasks over the stripe's odd n, because calling the test n by
+n costs more than everything it decides.  Nearly every verdict follows from
 facts that are periodic in n or already held by the sieve.  (d/n) repeats
-every 4|d| integers, so a Selfridge walk over a chunk is a few periodic
+every 4|d| integers, so a Selfridge walk over a stripe is a few periodic
 patterns; perfect squares and the zero symbols it meets are its
 short-circuited composites.  In each class of one discriminant, the n
 sharing a prime with the class's gcd value (Q, QR or the base point's
 norm) are settled as the test's preconditions settle them.  A class costs
-a few big-int operations over the chunk's width, and Python work only per
+a few big-int operations over the stripe's width, and Python work only per
 member it hands on: :func:`_members` lists a mask's n from its set bits,
 not from every position.  The kernel is the only code whose verdicts come
 from the sieve's record, and it counts them as ``sieved``:
@@ -79,8 +83,9 @@ runs only on what is left:
 
 * the n at or below a discriminant's bound (its |d|, |Q'| or |scale|),
   where a shared factor may be n itself;
-* the n with no recorded factor at or above (limit + 1)**2, and the primes
-  of the u-companion matrix test;
+* the n with no recorded factor at or above (limit + 1)**2 that
+  :func:`is_prime` finds composite, or all of them where primes need not
+  pass, and the primes of the u-companion matrix test;
 * the composites whose recorded factors do not rule them out, about one n
   in 10**5 to 10**6 near 2**34;
 * every n of fermat, strong-base, pell-variant, strong-pell with (D, a),
@@ -103,6 +108,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from bisect import bisect_right
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -160,6 +166,9 @@ __all__ = [
 ]
 
 DEFAULT_CHUNK_ODDS = 1 << 16  # odd candidates per work unit
+# Odd n a stripe holds at least, where the range and jobs allow, so that a
+# kernel call's fixed cost stays small beside its cost per n (see above).
+KERNEL_ODDS = 1 << 14
 
 # Deterministic Miller-Rabin witnesses for all n < 2**64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -201,7 +210,7 @@ def is_prime(n: int) -> bool:
 # the scan runs the test on every n.
 _Form = namedtuple("_Form", "names canonical make bulk", defaults=(None,))
 
-# How the scan's chunk kernel settles the n of a Lucas-family form.  ``D``
+# How the scan's kernel settles the n of a Lucas-family form.  ``D``
 # is the fixed discriminant, and ``params(d)`` the test's parameters at
 # discriminant d.  A Selfridge form's (D, params) is the selector's own
 # Selection, (candidates, params): the kernel walks the candidate sequence
@@ -332,7 +341,7 @@ class ScanReport:
     strictly increasing.  ``stats`` counts candidates by outcome:
     ``tested`` (all odd candidates), ``probable_prime``, ``composite``,
     ``params_invalid``, ``short_circuited`` (verdicts produced during
-    parameter selection), ``sieved`` (the verdicts the chunk kernel took
+    parameter selection), ``sieved`` (the verdicts the kernel took
     from the factor sieve's record without calling the test: composites a
     recorded factor rules out, and primes the sieve proves) and
     ``pseudoprimes``.  Every other count is what the test gives n by n,
@@ -455,25 +464,35 @@ def _members(mask: int, lo: int) -> Iterator[int]:
     return islice(accumulate(map(len, steps), initial=lo - 1), 1, len(steps))
 
 
+def _mask(ns, lo: int, size: int) -> int:
+    """The bitmask over i < size of the odd n = lo + 2i in ns."""
+    digits = bytearray(b"0") * size
+    for n in ns:
+        digits[n - lo >> 1] = 0x31
+    return int(digits[::-1], 2)
+
+
 def _kernel(bulk: _Bulk, sieve: Segment, lo: int,
             size: int) -> tuple[dict[str, int], list[int]]:
     """Settle the odd n = lo + 2i, i < size, on bitmasks over i.
 
-    ``sieve`` is the stripe's record, and the chunk reads its window
-    ``sieve.unfactored(lo, size)``.  Each discriminant the chunk reaches
-    is described once, by ``first_congruence(bulk.params(d))``.  Each of
-    its classes costs a few big-int operations over the chunk, plus one
-    checker call for each member with a recorded factor; it makes Python
-    ints for its members only (:func:`_members`).
+    The n are a whole stripe, and ``sieve`` is its record.  Each
+    discriminant the stripe reaches is described once, by
+    ``first_congruence(bulk.params(d))``.  Each of its classes costs a few
+    big-int operations over the stripe, plus one checker call for each
+    member with a recorded factor; it makes Python ints for its members
+    only (:func:`_members`).  Where the sieve proves no n prime, at or
+    above (limit + 1)**2 (in a scan, above 2**40), each member with no
+    recorded factor is first given to :func:`is_prime` when every prime
+    passes the test.
 
-    Returns the counts of what it settled and the n it leaves to the
-    per-n test, ascending: those at or below the bound of a discriminant
-    they reach (its |d|, |Q'| or |scale|), where a shared factor may be n
-    itself; those with no recorded factor that the sieve does not prove
-    prime, or that are prime when primes need not pass; and those with a
+    Returns, for each count it settles, the bitmask of the n it counts,
+    and the n it leaves to the per-n test, ascending: those at or below the
+    bound of a discriminant they reach (its |d|, |Q'| or |scale|), where a
+    shared factor may be n itself; those with no recorded factor that are
+    composite, or prime when primes need not pass; and those with a
     recorded factor that the class's checker does not rule out.
     """
-    stats = _new_stats()
     full = (1 << size) - 1
 
     def upto(bound: int) -> int:  # the n <= bound
@@ -484,6 +503,7 @@ def _kernel(bulk: _Bulk, sieve: Segment, lo: int,
         _, P, Q, scale = first_congruence(bulk.params(d))
         return upto(max(abs(d), abs(Q), abs(scale))), (P, Q, scale)
 
+    short = 0  # composites the Selfridge walk settles
     classes = []  # ((P', Q', scale), (d/n), the n of this class)
     if isinstance(bulk.D, int):
         d = bulk.D
@@ -495,7 +515,7 @@ def _kernel(bulk: _Bulk, sieve: Segment, lo: int,
     else:
         # Perfect squares, then each n at the first candidate d with
         # (d/n) = -1; (d/n) = 0 with n > |d| is a proper factor.
-        short = rest = 0
+        rest = 0
         r = isqrt(lo - 1) + 1 | 1
         while r * r < lo + 2 * size:
             short |= 1 << (r * r - lo >> 1)
@@ -513,37 +533,42 @@ def _kernel(bulk: _Bulk, sieve: Segment, lo: int,
             short |= left & zero
             left &= ~(minus | zero)
         rest |= left  # beyond the cap: the per-n walk raises
-        stats["short_circuited"] = short.bit_count()
-        stats["composite"] = short.bit_count()
 
     unfactored = sieve.unfactored(lo, size)
     proved = unfactored & upto(sieve.prime_below - 1)
-    shared = "params_invalid" if bulk.shared is _INVALID else "composite"
-    survivors: list[int] = []
+    # failed: (d/n) = 0 for a fixed d; checked: the n with a recorded factor.
+    sharing = failed = primes = checked = 0
+    survivors: list[int] = []  # checked, and not ruled out
+    oracle: list[int] = []  # primes beyond the sieve's proof
     for (P, Q, scale), j, mask in classes:
         if not mask:
             continue
-        sharing = mask & sharing_mask(Q, lo, size)
-        stats[shared] += sharing.bit_count()
-        mask ^= sharing
-        if not j:  # (d/n) = 0 for a fixed d: a proper factor of n
-            stats["composite"] += mask.bit_count()
+        shared = mask & sharing_mask(Q, lo, size)
+        sharing |= shared
+        mask ^= shared
+        if not j:
+            failed |= mask
             continue
         if bulk.primes_pass:
-            primes = mask & proved
-            stats["probable_prime"] += primes.bit_count()
-            stats["sieved"] += primes.bit_count()
-            mask ^= primes
+            primes |= mask & proved
+            mask &= ~proved
+            oracle += filter(is_prime, _members(mask & unfactored, lo))
         rest |= mask & unfactored
-        ns = list(_members(mask & ~unfactored, lo))
-        ruled = list(map(sieve.checker(P, Q, scale), ns, map(j.__rsub__, ns)))
-        count = sum(ruled)
-        stats["composite"] += count
-        stats["sieved"] += count
-        survivors += compress(ns, map(not_, ruled))
-    rest_n = sorted([*_members(rest, lo), *survivors])
-    stats["tested"] = size - len(rest_n)
-    return stats, rest_n
+        mask &= ~unfactored
+        checked |= mask
+        ns = list(_members(mask, lo))
+        survivors += compress(ns, map(not_, map(sieve.checker(P, Q, scale),
+                                                ns, map(j.__rsub__, ns))))
+    beyond = _mask(oracle, lo, size)
+    kept = _mask(survivors, lo, size)
+    rest ^= beyond
+    ruled = checked ^ kept
+    masks = {"tested": full ^ rest ^ kept, "short_circuited": short,
+             "composite": short | failed | ruled, "params_invalid": 0,
+             "probable_prime": primes | beyond, "sieved": primes | ruled}
+    masks["params_invalid" if bulk.shared is _INVALID else "composite"] |= (
+        sharing)
+    return masks, sorted([*_members(rest, lo), *survivors])
 
 
 def _scan_stripe(method: str, params: dict, lo: int, hi: int, limit: int,
@@ -551,27 +576,33 @@ def _scan_stripe(method: str, params: dict, lo: int, hi: int, limit: int,
                                                      dict[str, int]]]:
     """Scan the odd n in [lo, hi] (single process) as one stripe of chunks
     of ``chunk_odds`` odd n, sieving to limit: (the chunk's hi, its finds,
-    its counts) for each chunk, in order, as the stripe reaches it.
+    its counts) for each chunk, in order.
 
     The chunks are [a, min(a + 2*chunk_odds - 1, hi)] for a = lo | 1, lo |
     1 + 2*chunk_odds, ...; none is empty.  One Segment sieves the whole
-    stripe, and each chunk reads its window of it.  The chunk kernel
-    settles what it can in bulk and the per-n test runs on the rest;
-    methods without a _Bulk run it on every n.
+    stripe and one kernel call settles what it can of the whole stripe in
+    bulk; methods without a _Bulk settle nothing in bulk.  Each chunk then
+    takes its window of the kernel's masks, counted at C level, and its
+    share of what the kernel leaves, on which the per-n test runs.
     """
     form, args, _ = _resolve(method, params)
     test = form.make(*args)
     bulk = form.bulk and form.bulk(*args)
+    lo |= 1
     sieve = Segment(lo, hi, limit)
-    for a in range(lo | 1, hi + 1, 2 * chunk_odds):
+    masks, rest = {}, range(lo, hi + 1, 2)
+    if bulk is not None:
+        masks, rest = _kernel(bulk, sieve, lo, len(rest))
+    # Each mask's bits, lowest first: a chunk's count is a str.count.
+    bits = [(k, bin(mask)[:1:-1]) for k, mask in masks.items()]
+    end = 0
+    for a in range(lo, hi + 1, 2 * chunk_odds):
         b = min(a + 2 * chunk_odds - 1, hi)
-        odds = rest = range(a, b + 1, 2)
-        stats = _new_stats()
-        if bulk is not None:
-            stats, rest = _kernel(bulk, sieve, a, len(odds))
-        found, rest_stats = _per_n(test, sieve, rest)
-        for k, v in rest_stats.items():
-            stats[k] += v
+        i, j = (a - lo) >> 1, ((b - lo) >> 1) + 1
+        start, end = end, bisect_right(rest, b, end)
+        found, stats = _per_n(test, sieve, rest[start:end])
+        for k, digits in bits:
+            stats[k] += digits.count("1", i, j)
         yield b, found, stats
 
 
@@ -657,9 +688,14 @@ def scan_range(method: str, params: dict, lo: int, hi: int, *,
     An odd composite passing the test is a pseudoprime (the sieve, or
     beyond 2**40 the primality oracle, confirms compositeness; both only
     look at passers).  Work goes in chunks of ``chunk_odds`` odd n, grouped
-    into stripes of ceil(sieve limit / (2 * chunk_odds)) consecutive
-    chunks from lo | 1; one process sieves a whole stripe as one record
-    and scans its chunks, and ``jobs`` > 1 fans the stripes out to at most
+    into stripes of consecutive chunks from lo | 1.  A stripe is
+    max(ceil(limit / span), min(ceil(KERNEL_ODDS / chunk_odds), ceil(chunks
+    / jobs))) chunks, for the sieve limit, span = 2 * chunk_odds integers
+    and the scan's number of chunks: every sieving prime has a multiple in
+    it or nearly, and it holds up to :data:`KERNEL_ODDS` odd n while each
+    of ``jobs`` workers still gets a stripe.  One process sieves a whole
+    stripe as one record, settles it with one kernel call and reports it
+    chunk by chunk, and ``jobs`` > 1 fans the stripes out to at most
     ``jobs`` worker processes, and never to more than there are stripes.
     The workers are this process's one pool, kept between calls: a call
     that needs the same number of workers reuses it, one that needs
@@ -694,8 +730,12 @@ def scan_range(method: str, params: dict, lo: int, hi: int, *,
     stats = _new_stats()
     found: list[int] = []
     # A stripe is ceil(limit / span) chunks of span = 2*chunk_odds integers,
-    # so that every prime <= limit has about one multiple in it or more.
-    width = -(-limit // (2 * chunk_odds)) * 2 * chunk_odds
+    # so that every prime <= limit has about one multiple in it or more, and
+    # at least KERNEL_ODDS odd n where that still leaves jobs stripes.
+    chunks = -(-((hi - (lo | 1)) // 2 + 1) // chunk_odds)
+    width = max(-(-limit // (2 * chunk_odds)),
+                min(-(-KERNEL_ODDS // chunk_odds), -(-chunks // jobs)))
+    width *= 2 * chunk_odds
     stripes = [(method, params, a, min(a + width - 1, hi), limit, chunk_odds)
                for a in range(lo | 1, hi + 1, width)]
 

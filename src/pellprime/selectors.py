@@ -7,8 +7,8 @@ double-lucas tests, :data:`MATRIX` (-7, 9, -15, ... to (P, Q, R) =
 (1, (1 - D)/8, 2)) for the matrix test, and :data:`GEN_PELL` (the classic
 sequence to the conic D with base point (3, 2)) for the generalized Pell
 test.  Each is stated here only: the per-n selectors walk it until
-(D/n) = -1, and the scan's chunk kernel walks the same pair over a whole
-chunk.  Perfect squares are rejected up front (no D with (D/n) = -1
+(D/n) = -1, and the scan's kernel walks the same pair over a whole
+stripe.  Perfect squares are rejected up front (no D with (D/n) = -1
 exists for them, so the walk would never terminate); a candidate sharing
 a nontrivial factor with n short-circuits to a Composite verdict.
 
@@ -16,7 +16,7 @@ Deliberately NO trial-division prefilter: pseudoprimes for these selected
 parameters routinely have small factors (323 = 17*19 heads the Lucas list),
 so any divisibility shortcut would change the reported lists.  The scan's
 rank-of-apparition sieve (:mod:`pellprime.sieve`) is not such a shortcut:
-the scan's chunk kernel rejects a composite n only when a prime p | n
+the scan's kernel rejects a composite n only when a prime p | n
 proves the test's own congruence U_k ≡ 0 (mod n) false, for the
 parameters this walk selects, because the rank of apparition of p does
 not divide k.  For 323 with D = 5, P = 1, Q = -1 the ranks are 9 and 18,

@@ -3,13 +3,13 @@ rank-of-apparition check on it.
 
 A scan sieves its odd n with the odd primes up to a limit.  It cuts its
 range into stripes of consecutive chunks; one process sieves a whole
-stripe at once, as one :class:`Segment`, and each chunk reads its window
-of that record.  A segment records which n have a prime factor <= limit
-and those factors; the cofactor left when they are divided out is
-computed by the check below, for the n that reach it.  An n below
-(limit + 1)**2 without such a factor is prime: the scan's chunk kernel
-passes it on a test that every prime passes, and when the limit reaches
-isqrt(hi) the scan needs no primality oracle.
+stripe at once, as one :class:`Segment`, and the scan's kernel reads the
+whole record in one call.  A segment records which n have a prime factor
+<= limit and those factors; the cofactor left when they are divided out
+is computed by the check below, for the n that reach it.  An n below
+(limit + 1)**2 without such a factor is prime: the scan's kernel passes it
+on a test that every prime passes, and when the limit reaches isqrt(hi)
+the scan needs no primality oracle.
 
 Each prime costs a few Python steps per stripe, never one per multiple:
 
@@ -25,13 +25,13 @@ This is the bucket sieve of Oliveira e Silva, Herzog and Pardi (Math.
 Comp. 83, 2014) cut to what pays in Python.  There a large prime waits in
 a bucket for the chunk that holds its next multiple, so that each chunk's
 record stays in cache.  Here the cost is interpreter steps, not cache
-misses, and a stripe of ceil(limit / span) chunks (span = 2 * chunk_odds)
-is short enough, at most about limit/2 + chunk_odds odd n, to sieve as
-one record: no prime is carried from chunk to chunk, and none finds its
-first multiple more than once per stripe.  The record's layout is private
-to this module.
+misses, and a stripe, ceil(limit / span) chunks (span = 2 * chunk_odds)
+or up to about 2**14 odd n where that is fewer, is short enough to sieve
+as one record: no prime is carried from stripe to stripe, and none finds
+its first multiple more than once per stripe.  The record's layout is
+private to this module.
 
-:meth:`Segment.checker` is the check the scan's chunk kernel makes in
+:meth:`Segment.checker` is the check the scan's kernel makes in
 place of a Lucas-family test's ladder.  If U_k(P, Q) ≡ 0 (mod n), then
 U_k ≡ 0 (mod p) for every prime p | n, and for p ∤ Q that holds exactly
 when the rank of apparition of p divides k (Baillie and Wagstaff, *Lucas
@@ -62,7 +62,7 @@ __all__ = ["SIEVE_CAP", "Segment", "primes_up_to", "sieve_limit"]
 SIEVE_CAP = 1 << 20
 
 # Memo tables of pure functions, shared by every segment in the process so
-# that they stay warm from chunk to chunk: the odd primes found so far (a
+# that they stay warm from stripe to stripe: the odd primes found so far (a
 # prefix of all odd primes, so an index into it never changes meaning), and
 # per Lucas parameter pair (P, Q) the rank of apparition of the prime at
 # each index (0 = not computed yet).  Each process fills only its own
@@ -124,8 +124,8 @@ class Segment:
     """Factor sieve of the odd n in [lo, hi] by the odd primes <= limit.
 
     n itself is never recorded as its own factor.  ``lo`` is the first odd
-    n.  A scan builds one per stripe, and each chunk reads its window of
-    the record with :meth:`unfactored`.
+    n.  A scan builds one per stripe, and its kernel reads the record with
+    :meth:`unfactored` and :meth:`checker`.
     """
 
     __slots__ = ("lo", "prime_below", "_head", "_factor", "_next")

@@ -196,6 +196,12 @@ def reference_scan(method: str, params: dict, lo: int, hi: int,
     return found, stats
 
 
+def kernel_counts(masks: dict[str, int]) -> dict[str, int]:
+    """The counts of one :func:`search._kernel` call, from the bitmask of
+    the n each count covers."""
+    return {k: mask.bit_count() for k, mask in masks.items()}
+
+
 def scan_chunk(method: str, params: dict, lo: int, hi: int,
                limit: int) -> tuple[list[int], dict[str, int]]:
     """The finds and counts the scan gives [lo, hi] as a one-chunk stripe

@@ -252,8 +252,9 @@ class _InProcessPool:
 def test_pool_never_starts_more_workers_than_stripes(monkeypatch,
                                                      swap_pool_executor):
     # Below 386 the sieve limit is 19 and a chunk of 64 odd n spans 128
-    # integers, so every stripe is one chunk: 3 stripes from 3.  The jobs=3
-    # scan reuses the pool of 3 the jobs=64 scan opened.
+    # integers: 3 chunks from 3.  A stripe holds ceil(3 / jobs) of them, so
+    # jobs=64 and jobs=3 scan 3 stripes and jobs=2 scans 2.  The jobs=3 scan
+    # reuses the pool of 3 the jobs=64 scan opened.
     swap_pool_executor(_InProcessPool)
     monkeypatch.setattr(_InProcessPool, "opened", [])
     params, lo, hi = {"selfridge": True}, 3, 386
@@ -264,7 +265,8 @@ def test_pool_never_starts_more_workers_than_stripes(monkeypatch,
     assert _InProcessPool.opened == [3, 2]
 
 
-# 20 stripes of one chunk of 512 odd n each (the sieve limit is 141).
+# 20 chunks of 512 odd n (the sieve limit is 141), cut into jobs stripes
+# of ceil(20 / jobs) chunks.
 POOLED_SCAN = ("lucas", {"selfridge": True}, 3, 20000)
 
 
@@ -285,7 +287,8 @@ def test_a_pooled_scan_matches_one_process_and_hands_back_no_ranks(
 
 
 def test_pool_is_kept_between_calls_and_replaced_when_its_size_changes():
-    # POOLED_SCAN has 20 stripes, so each pooled call asks for jobs workers.
+    # POOLED_SCAN has jobs stripes, so each pooled call asks for jobs
+    # workers.
     alone = scan_range(*POOLED_SCAN, jobs=1, chunk_odds=512).canonical_json()
     held = []
     for jobs in (2, 1, 2, 3):
@@ -313,8 +316,10 @@ def test_grid_scan_opens_one_pool_for_all_its_cells(monkeypatch,
     assert not any(cell["skipped"] for cell in alone.cells)
 
 
-# 100 stripes of one chunk of 128 integers, finds from 65 on.
-DYING_SCAN = ("lucas", {"P": 4, "Q": 1}, 3, 12_800)
+# At jobs=2, 6 stripes of 256 chunks of 128 integers (2**14 odd n, the
+# kernel's stripe), finds from 65 on: when the first find comes back, most
+# stripes are still out.
+DYING_SCAN = ("lucas", {"P": 4, "Q": 1}, 3, 6 * 2**15 + 2)
 
 
 def _worker_pid() -> int:
@@ -451,7 +456,9 @@ def test_scan_is_deterministic_across_jobs():
 @pytest.mark.parametrize("method", ["lucas", "gen-pell"])
 def test_scan_is_deterministic_where_stripes_hold_many_chunks(method):
     # Near 10**8 the sieve limit is about 10**4 and a chunk spans 128
-    # integers, so a stripe holds 79 chunks, and this scan four stripes.
+    # integers, so a stripe holds 79 chunks or more: this scan's 313 chunks
+    # make two stripes, of 256 chunks (KERNEL_ODDS odd n) at jobs=1 and of
+    # 157 at jobs=2.
     params, lo, hi = {"selfridge": True}, 10**8 + 1, 10**8 + 40_000
     chunk_odds = 64
     assert -(-sieve_limit(hi) // (2 * chunk_odds)) == 79
@@ -474,9 +481,10 @@ def test_scan_is_deterministic_where_stripes_hold_many_chunks(method):
 
 
 def test_scan_resumes_inside_a_stripe(tmp_path):
-    # Stripes of 79 chunks of 128 integers from lo; the cursor lands in the
-    # second, and after the one find, 100017223.  Both parts sieve to 10**4,
-    # as the whole does, so every count joins up.
+    # The whole scan is one stripe of 157 chunks of 128 integers from lo,
+    # and the cursor lands inside it, after the one find, 100017223.  The
+    # first part is one stripe of 135 chunks and the second one of 22.  Both
+    # parts sieve to 10**4, as the whole does, so every count joins up.
     method, params = "double-lucas", {"P": -3, "Q": 2}
     lo, hi, cursor = 10**8 + 1, 10**8 + 20_000, 10**8 + 1 + 135 * 128
     assert sieve_limit(cursor - 1) == sieve_limit(hi)
@@ -498,7 +506,7 @@ def test_scan_resumes_inside_a_stripe(tmp_path):
 
 
 def test_pooled_scan_resumes_after_its_stream_fails(tmp_path):
-    # 40 stripes of one chunk of 128 integers.  The stream fails at the
+    # 40 chunks of 128 integers, in 2 stripes of 20.  The stream fails at the
     # sixth find, 989, whose chunk [899, 1026] also holds the fifth, 901:
     # the checkpoint is written after a chunk's finds are streamed, so the
     # resumed scan starts at 899 and streams 901 again.
@@ -523,6 +531,94 @@ def test_pooled_scan_resumes_after_its_stream_fails(tmp_path):
     assert resumed.canonical_json() == scan_range(
         method, params, cursor, hi, chunk_odds=64).canonical_json()
     assert resumed.pseudoprimes == LUCAS_4_1[4:]
+
+
+def many_chunk_stripes(rng):
+    """(lo, hi, chunk_odds) of stripes of several chunks: chunks of one odd
+    n around an odd square; of 64 from 3, over the bounds of the small
+    discriminants; of 64 above 2**41, where the sieve proves no n prime;
+    and of 2**11, with a short last chunk."""
+    r = rng.randrange(3, 2**12, 2)
+    lo = r * r - 2 * rng.randrange(48)
+    yield lo, lo + 2 * 47, 1
+    yield 3, 3 + 2 * (12 * 64 - 1), 64
+    lo = rng.randrange(2**41, 2**42) | 1
+    yield lo, lo + 2 * (6 * 64 - 1), 64
+    lo = rng.randrange(3, 2**34) | 1
+    yield lo, lo + 2 * (2 * 2**11 + rng.randrange(1, 2**11) - 1), 2**11
+
+
+@pytest.mark.parametrize("method, params", [
+    ("gen-pell", {"selfridge": True}), ("matrix", {"selfridge": True}),
+    ("matrix", {"selfridge": True, "variant": "u-companion"}),
+    ("lucas", {"P": -3, "Q": -2}), ("fermat", {"a": 2})])
+def test_a_stripe_reports_each_chunk_as_the_brute_force_scan_does(method,
+                                                                   params):
+    # One kernel call settles the whole stripe; each chunk's finds and
+    # counts are those of the brute-force scan of that chunk alone, sieved
+    # to the stripe's limit.
+    rng = random.Random(f"stripe/{method}/{sorted(params.items())}")
+    for lo, hi, chunk_odds in many_chunk_stripes(rng):
+        limit = sieve_limit(rng.randint(hi, 2 * hi))
+        chunks = list(search._scan_stripe(method, params, lo, hi, limit,
+                                          chunk_odds))
+        assert len(chunks) == -(-((hi - lo) // 2 + 1) // chunk_odds) > 1
+        a = lo
+        for chunk_hi, found, stats in chunks:
+            assert chunk_hi == min(a + 2 * chunk_odds - 1, hi)
+            assert (found, stats) == reference_scan(
+                method, params, a, chunk_hi, limit), (a, chunk_hi, limit)
+            a = chunk_hi + 1
+
+
+def test_the_kernel_runs_once_per_stripe(monkeypatch, swap_pool_executor):
+    # The benchmark's windows, in chunks of 2**11 odd n: gen-pell+Selfridge
+    # near 2**34, 2**14 odd n at jobs=1, is one stripe; matrix+Selfridge
+    # near 2**23, 2**15 odd n at jobs=2, is two stripes of 2**14 odd n.
+    swap_pool_executor(_InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "opened", [])
+    calls, kernel = [], search._kernel
+
+    def counted(bulk, segment, lo, size):
+        calls.append(size)
+        return kernel(bulk, segment, lo, size)
+    monkeypatch.setattr(search, "_kernel", counted)
+    for method, lo, odds, jobs in [("gen-pell", 2**34 + 1, 2**14, 1),
+                                   ("matrix", 2**23 + 1, 2**15, 2)]:
+        calls.clear()
+        report = scan_range(method, {"selfridge": True}, lo,
+                            lo + 2 * (odds - 1), jobs=jobs, chunk_odds=2**11)
+        assert calls == [search.KERNEL_ODDS] * jobs
+        assert report.stats["tested"] == odds
+    assert _InProcessPool.opened == [2]
+
+
+@pytest.mark.parametrize("chunk_odds", [search.KERNEL_ODDS,
+                                        search.KERNEL_ODDS + 1, 2**16])
+@pytest.mark.parametrize("lo, hi", [(3, 10**7), (10**12 + 1, 10**12 + 10**8),
+                                    (2**40 - 10**7, 2**40 + 10**7)])
+def test_chunks_of_kernel_odds_or_more_keep_the_sieve_s_stripes(
+        monkeypatch, swap_pool_executor, chunk_odds, lo, hi):
+    # Such a chunk is a stripe's worth for the kernel, so for any jobs a
+    # stripe is ceil(limit / span) chunks from lo | 1, span = 2*chunk_odds
+    # integers, as where the sieve alone sized stripes.  The stripes are
+    # recorded, not scanned.
+    swap_pool_executor(_InProcessPool)
+    cut = []
+
+    def recorded(method, params, a, b, limit, odds):
+        assert odds == chunk_odds and limit == sieve_limit(hi)
+        cut.append((a, b))
+        return iter([(b, [], {})])
+    monkeypatch.setattr(search, "_scan_stripe", recorded)
+    width = -(-sieve_limit(hi) // (2 * chunk_odds)) * 2 * chunk_odds
+    expected = [(a, min(a + width - 1, hi))
+                for a in range(lo | 1, hi + 1, width)]
+    for jobs in (1, 2, 3):
+        cut.clear()
+        scan_range("fermat", {"a": 2}, lo, hi, jobs=jobs,
+                   chunk_odds=chunk_odds)
+        assert cut == expected, jobs
 
 
 @st.composite

@@ -16,6 +16,7 @@ import pytest
 
 from oracles import (
     first_congruence,
+    kernel_counts,
     kernel_sieves,
     lucas_params,
     reference_scan,
@@ -179,7 +180,8 @@ def test_chunk_kernel_leaves_almost_no_n_to_the_per_n_test(method, params):
     hi = lo + 2 * (size - 1)
     segment = Segment(lo, hi, sieve_limit(hi))
     form, args, _ = search._resolve(method, params)
-    stats, rest = search._kernel(form.bulk(*args), segment, lo, size)
+    masks, rest = search._kernel(form.bulk(*args), segment, lo, size)
+    stats = kernel_counts(masks)
     assert len(rest) <= 2 and stats["tested"] == size - len(rest)
     assert all(segment.is_composite(n) for n in rest)
 
@@ -198,8 +200,9 @@ def assert_hinted_equals_unhinted(method, params, lo, hi, limit):
     segment = Segment(lo, hi, limit)
     form, args, _ = search._resolve(method, params)
     lo |= 1
-    stats, rest = search._kernel(form.bulk(*args), segment, lo,
+    masks, rest = search._kernel(form.bulk(*args), segment, lo,
                                  (hi - lo) // 2 + 1)
+    stats = kernel_counts(masks)
     rest = set(rest)
     primes_pass = not u_companion(method, params)
     settled = skipped = 0

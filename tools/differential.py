@@ -2,9 +2,11 @@
 
 The matrix is every config of ``SIEVED_CONFIGS`` and ``UNHINTED_CONFIGS``
 in tests/test_sieve.py, over its ``RANGES``, with chunk_odds in
-{1, 64, 2**11, 2**16} and jobs in {1, 2}: 21 configs, 4 ranges, 4 chunk
-sizes and 2 job counts, 672 scans in one process (so a kept worker pool
-is reused from scan to scan).  Each line is
+{1, 64, 2**11, 2**16} and jobs in {1, 2, 3}: 21 configs, 4 ranges, 4
+chunk sizes and 3 job counts, 1008 scans in one process (so a kept worker
+pool is reused from scan to scan).  The job counts cut a range into
+stripes three ways wherever its chunks are smaller than the kernel's
+stripe.  Each line is
 
     method params [lo, hi] chunk_odds=C jobs=J canonical_json
 
@@ -29,7 +31,7 @@ from pellprime.search import scan_range
 
 TESTS = Path(__file__).resolve().parents[1] / "tests" / "test_sieve.py"
 CHUNK_ODDS = (1, 64, 1 << 11, 1 << 16)
-JOBS = (1, 2)
+JOBS = (1, 2, 3)
 
 
 def _constants(path: Path, names: set[str]) -> dict:
