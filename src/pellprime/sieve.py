@@ -37,9 +37,19 @@ U_k ≡ 0 (mod p) for every prime p | n, and for p ∤ Q that holds exactly
 when the rank of apparition of p divides k (Baillie and Wagstaff, *Lucas
 pseudoprimes*, 1980).  A composite n with any prime factor p ∤ Q whose
 rank does not divide k therefore fails the test's first congruence, and
-the kernel can say so without running the ladder.  The condition is a
-theorem about n, not a heuristic: composites whose factors all pass it
-(323 = 17*19 for the Selfridge Lucas test) go on to the full test.
+the kernel can say so without running the ladder: the checker's
+``keeps(n)`` is False.  The condition is a theorem about n, not a
+heuristic: composites whose factors all pass it (323 = 17*19 for the
+Selfridge Lucas test) are kept for the full test.
+
+A factor <= limit is decided by its rank, kept in a table.  A prime
+cofactor q above the limit has a rank that divides q - (D/q), so it
+divides k exactly when U_g ≡ 0 (mod q) for g = gcd(k, q - (D/q)).  g is
+small: on gen-pell+Selfridge windows near 2**34, a window of 2**14 odd n
+decides about 900 prime cofactors, with g < 16 for 85% of them and
+g < 64 for 97% (g is never 1, since k and q - (D/q) are both even).  So
+the exact integers U_0 ... U_63 of (P, Q) are kept next to its rank
+table, and U_g mod q is one remainder; only a larger g runs the ladder.
 """
 
 from __future__ import annotations
@@ -65,14 +75,18 @@ SIEVE_CAP = 1 << 20
 # that they stay warm from stripe to stripe: the odd primes found so far (a
 # prefix of all odd primes, so an index into it never changes meaning), and
 # per Lucas parameter pair (P, Q) the rank of apparition of the prime at
-# each index (0 = not computed yet).  Each process fills only its own
-# tables: a pool worker keeps the ranks it computes for as long as it
-# lives, and a forked one starts from a copy of its parent's tables as they
-# were when it forked.
+# each index (0 = not computed yet), next to the exact integers U_g of
+# (P, Q) for g < _EXACT_U.  Each process fills only its own tables: a pool
+# worker keeps the ranks it computes for as long as it lives, and a forked
+# one starts from a copy of its parent's tables as they were when it
+# forked.
 _odd_primes = array("I")
 _odd_primes_limit = 2
-_ranks: dict[tuple[int, int], array] = {}
+_ranks: dict[tuple[int, int], tuple[array, list[int]]] = {}
 _MAX_RANK_TABLES = 64
+# How many exact U_g a table keeps: g < 64 for 97% of the prime cofactors
+# decided near 2**34 (see the module docstring).
+_EXACT_U = 64
 # 0, 1, 2, ...: the entry numbers a prime's multiples take, sliced out
 # rather than built for every segment.
 _iota = array("i")
@@ -102,17 +116,21 @@ def _primes_through(limit: int) -> int:
     return bisect_right(_odd_primes, limit)
 
 
-def _rank_table(P: int, Q: int) -> array:
+def _pair_tables(P: int, Q: int) -> tuple[array, list[int]]:
     """The rank table of (P, Q), with an entry for every prime of the prime
-    table."""
-    table = _ranks.get((P, Q))
-    if table is None:
+    table, and the exact U_g of (P, Q) for g < _EXACT_U."""
+    tables = _ranks.get((P, Q))
+    if tables is None:
         if len(_ranks) >= _MAX_RANK_TABLES:
             _ranks.clear()
-        table = _ranks[P, Q] = array("I")
+        exact = [0, 1]
+        for _ in range(_EXACT_U - 2):
+            exact.append(P * exact[-1] - Q * exact[-2])
+        tables = _ranks[P, Q] = (array("I"), exact)
+    table = tables[0]
     if len(table) < len(_odd_primes):
         table.frombytes(bytes(4 * (len(_odd_primes) - len(table))))
-    return table
+    return tables
 
 
 def sieve_limit(hi: int) -> int:
@@ -204,52 +222,61 @@ class Segment:
             return True
         return None if n >= self.prime_below else False
 
-    def checker(self, P: int, Q: int,
-                scale: int) -> Callable[[int, int], bool]:
-        """rules_out(n, k) for the n of this segment and Lucas (P, Q).
+    def checker(self, P: int, Q: int, scale: int,
+                j: int) -> Callable[[int], bool]:
+        """keeps(n) for the n of this segment, Lucas (P, Q) and k = n - j.
 
-        rules_out(n, k) is True when scale*U_k(P, Q) ≢ 0 (mod n) is proved
-        by a factor of n: some prime q | n with q ∤ Q*scale has U_k ≢ 0
-        (mod q), that is a factor q <= limit whose rank does not divide k,
-        or a cofactor q known to be prime.  False means nothing is proved.
-        The rank table of (P, Q) is looked up once, here.
+        keeps(n) is False when scale*U_k(P, Q) ≢ 0 (mod n) is proved by a
+        factor of n: some prime q | n with q ∤ Q*scale has U_k ≢ 0 (mod q),
+        that is a factor q <= limit whose rank does not divide k, or a
+        cofactor q known to be prime.  True means nothing is proved.  The
+        tables of (P, Q) are looked up once, here.
 
         Each call walks n's factor chain once.  Most calls end at the first
         factor, whose rank rules n out; each factor that does not is
         divided out of n before the walk goes on, so what is left at the
-        end of the chain is the cofactor.
+        end of the chain is the cofactor.  A prime cofactor q's rank
+        divides q - (D/q), so it divides k exactly when U_g ≡ 0 (mod q) for
+        g = gcd(k, q - (D/q)).  For g < 64, 97% of the cofactors decided
+        near 2**34, that is the exact U_g mod q; only a larger g runs the
+        ladder.
         """
         qs = Q * scale
-        ranks = _rank_table(P, Q)
+        D = P * P - 4 * Q
+        ranks, exact = _pair_tables(P, Q)
         primes, head, factor, nxt = (_odd_primes, self._head, self._factor,
                                      self._next)
         origin, prime_below = self.lo, self.prime_below
 
-        def rules_out(n: int, k: int) -> bool:
-            j = head[(n - origin) >> 1]
-            if j < 0:
-                return False  # prime, or no factor <= limit to look at
-            while j >= 0:
-                idx = factor[j]
+        def keeps(n: int) -> bool:
+            k = n - j
+            i = head[(n - origin) >> 1]
+            if i < 0:
+                return True  # prime, or no factor <= limit to look at
+            while i >= 0:
+                idx = factor[i]
                 p = primes[idx]
                 if qs % p:
                     rank = ranks[idx]
                     if not rank:
                         rank = ranks[idx] = rank_of_apparition(P, Q, p)
                     if k % rank:
-                        return True
+                        return False
                 n //= p
                 while not n % p:
                     n //= p
-                j = nxt[j]
+                i = nxt[i]
             # n now holds the cofactor, which below prime_below is 1 or prime.
             if n == 1 or n >= prime_below or not qs % n:
-                return False
+                return True
             # A prime cofactor n: its rank divides n - (D/n), and is n when
             # n | D.
-            e = jacobi(P * P - 4 * Q, n)
+            e = jacobi(D, n)
             if not e:
-                return k % n != 0
-            return _lucas_u(P, Q, gcd(k, n - e), n)[0] != 0
+                return k % n == 0
+            g = gcd(k, n - e)
+            if g < _EXACT_U:
+                return exact[g] % n == 0
+            return _lucas_u(P, Q, g, n)[0] == 0
 
-        return rules_out
+        return keeps

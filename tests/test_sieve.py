@@ -10,7 +10,7 @@ from the sieve must get the verdict the per-n test gives it.
 
 import random
 from itertools import islice
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 
@@ -19,13 +19,15 @@ from oracles import (
     kernel_counts,
     kernel_sieves,
     lucas_params,
+    mat_pow,
     reference_scan,
     scan_chunk,
 )
 from pellprime import primality, selectors
+from pellprime.modarith import jacobi
 from pellprime.primality import Outcome, Verdict
 from pellprime.recurrence import LucasParams, lucas_pair, rank_of_apparition
-from pellprime import search
+from pellprime import search, sieve
 from pellprime.search import build_test, is_prime, scan_range
 from pellprime.sieve import SIEVE_CAP, Segment, primes_up_to, sieve_limit
 
@@ -317,10 +319,9 @@ def test_stripe_equals_one_chunk_segments():
 @pytest.mark.parametrize("P, Q, scale", [(1, -10, 1), (1, -1, 1), (3, 5, 3),
                                          (6, -11, 6), (-4, 7, 1), (1, 41, 1),
                                          (2, -1, 43)])
-def test_rules_out_decides_each_prime_factor(P, Q, scale):
+def test_keeps_decides_each_prime_factor(P, Q, scale):
     lo, hi, limit = 3, 1501, 38  # (limit + 1)**2 > hi: n fully factored
     segment = Segment(lo, hi, limit)
-    rules_out = segment.checker(P, Q, scale)
     primes = [p for p in primes_up_to(hi) if p > 2]
     for n in range(lo, hi + 1, 2):
         if not segment.is_composite(n):
@@ -329,7 +330,8 @@ def test_rules_out_decides_each_prime_factor(P, Q, scale):
         for k in range(1, 80):
             u = lucas_pair(LucasParams(P, Q), k, n)[0]
             proved = any(u % q for q in checked)
-            assert rules_out(n, k) == proved, (n, k)
+            keeps = segment.checker(P, Q, scale, n - k)
+            assert keeps(n) == (not proved), (n, k)
 
 
 def _rank_brute(P, Q, p):
@@ -338,6 +340,67 @@ def _rank_brute(P, Q, p):
         u, v, k = v, (P * v - Q * u) % p, k + 1
         if u == 0:
             return k
+
+
+# (limit + 1)**2 > hi, so each n's cofactor above the limit is 1 or prime.
+# (1, -100) has D = 401, a prime above the limit, so the cofactor 401 of
+# 23*401 has (D/q) = 0; U_2(0, 3) = 0 exactly; and large values wrap
+# modulo q.  The k are multiples of the ranks of n's factors <= limit, so
+# that the walk reaches the cofactor, and multiples of each divisor of
+# q - (D/q), so that g = gcd(k, q - (D/q)) falls on both sides of the exact
+# table's length and both ways round.
+@pytest.mark.parametrize("P, Q, scale", [(1, -100, 1), (0, 3, 1), (1, 2, 3),
+                                         (10**12 + 3, -(10**15), 1)])
+def test_keeps_settles_prime_cofactors_by_their_residue(P, Q, scale):
+    lo, hi, limit = 9301, 10199, 100
+    segment = Segment(lo, hi, limit)
+    qs, D = Q * scale, P * P - 4 * Q
+    reached = set()
+    for n in range(lo, hi + 1, 2):
+        small = segment.factors(n)
+        q = n
+        for p in small:
+            while q % p == 0:
+                q //= p
+        if not small or q == 1 or qs % q == 0:
+            continue
+        ranks = [_rank_brute(P, Q, p) for p in small if qs % p]
+        base = lcm(*ranks)
+        e = jacobi(D, q)
+        ks = {*range(2, 40), *(base * t for t in range(1, 12)),
+              *(base * d for d in range(1, q - e + 1) if (q - e) % d == 0)}
+        for k in sorted(ks):
+            residues = [mat_pow((P, -Q, 1, 0), k, p)[2]
+                        for p in (*small, q) if qs % p]
+            keeps = segment.checker(P, Q, scale, n - k)
+            assert keeps(n) == (not any(residues)), (n, k)
+            if k % base == 0:
+                g = gcd(k, q - e) if e else 0
+                reached.add((e == 0, g >= sieve._EXACT_U, not residues[-1]))
+    # Every kind of cofactor decision, both ways round.
+    kinds = {(False, big, zero) for big in (False, True)
+             for zero in (False, True)}
+    if D == 401:
+        kinds |= {(True, False, False), (True, False, True)}
+    assert reached >= kinds
+
+
+def test_cofactor_ladders_are_rare_near_2_34(monkeypatch):
+    # Near 2**34 a window of 2**14 odd n has about 900 prime cofactors to
+    # decide (911 went to the ladder before the exact table); 23 still do.
+    calls = []
+    ladder = sieve._lucas_u
+
+    def counted(P, Q, k, n):
+        calls.append(k)
+        return ladder(P, Q, k, n)
+
+    monkeypatch.setattr(sieve, "_lucas_u", counted)
+    report = scan_range("gen-pell", {"selfridge": True}, 2**34 + 1,
+                        2**34 + 2**15 - 1)
+    assert report.stats["sieved"] > 10**4
+    assert 0 < len(calls) < 50
+    assert min(calls) >= sieve._EXACT_U
 
 
 # (1, -1) is Fibonacci; D = 80 and 12 put 5 and 3 into D, and (6, -11)
