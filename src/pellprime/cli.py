@@ -2,7 +2,9 @@
 
 Output is machine readable (JSONL records with a versioned schema, or CSV).
 For ``test`` the exit code carries the verdict: 0 probable prime,
-1 composite, 2 invalid parameters or usage error.
+1 composite, 2 invalid parameters or usage error.  A command interrupted
+with Ctrl-C exits with 130 and one line on stderr, with no traceback; for
+a scan with ``--checkpoint`` the line names the file to resume from.
 """
 
 from __future__ import annotations
@@ -195,6 +197,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"pellprime: error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        checkpoint = getattr(args, "checkpoint", None)
+        resume = f"; resume from checkpoint {checkpoint}" if checkpoint else ""
+        print(f"pellprime: interrupted{resume}", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -68,12 +68,12 @@ from the sieve's record, and it counts them as ``sieved``:
 * an n below (limit + 1)**2 with no recorded factor is prime, and passes
   when every prime that meets the preconditions passes the test (all but
   the u-companion matrix test; each test's docstring names the theorem);
-* an n with a recorded factor takes one call of its class's
-  :meth:`Segment.checker`, made once per class with the class's (d/n), so
-  the congruence's index is computed inside the call; n fails the first
-  congruence when the rank of apparition of a factor does not divide that
-  index, or when its cofactor is a prime whose U_g residue is not 0 (see
-  :mod:`pellprime.sieve`).
+* the n with a recorded factor in a class go to one call of the class's
+  :meth:`Segment.checker`, made with the class's (d/n), which walks each
+  n's factor chain in one loop and computes the congruence's index there;
+  n fails the first congruence when the rank of apparition of a factor
+  does not divide that index, or when its cofactor is a prime whose U_g
+  residue is not 0 (see :mod:`pellprime.sieve`).
 
 Each form's description sits in :data:`METHODS`.  A Selfridge form walks
 the selector's own :data:`~pellprime.selectors.Selection`, the candidate
@@ -116,7 +116,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, compress, islice, product
+from itertools import accumulate, islice, product
 from math import isqrt
 from multiprocessing.util import Finalize
 from typing import Callable, Iterator
@@ -481,12 +481,12 @@ def _kernel(bulk: _Bulk, sieve: Segment, lo: int,
     discriminant the stripe reaches is described once, by
     ``first_congruence(bulk.params(d))``.  Each of its classes costs a few
     big-int operations over the stripe, plus one call of the class's
-    checker for each member with a recorded factor, which computes the
-    member's index k = n - (d/n) itself; it makes Python ints for its
-    members only (:func:`_members`).  Where the sieve proves no n prime,
-    at or above (limit + 1)**2 (in a scan, above 2**40), each member with
-    no recorded factor is first given to :func:`is_prime` when every prime
-    passes the test.
+    checker on its members with a recorded factor, whose loop computes
+    each member's index k = n - (d/n) and walks its factors; it makes
+    Python ints for its members only (:func:`_members`).  Where the sieve
+    proves no n prime, at or above (limit + 1)**2 (in a scan, above 2**40),
+    each member with no recorded factor is first given to :func:`is_prime`
+    when every prime passes the test.
 
     Returns, for each count it settles, the bitmask of the n it counts,
     and the n it leaves to the per-n test, ascending: those at or below the
@@ -558,8 +558,7 @@ def _kernel(bulk: _Bulk, sieve: Segment, lo: int,
         rest |= mask & unfactored
         mask &= ~unfactored
         checked |= mask
-        ns = list(_members(mask, lo))
-        survivors += compress(ns, map(sieve.checker(P, Q, scale, j), ns))
+        survivors += sieve.checker(P, Q, scale, j)(_members(mask, lo))
     beyond = _mask(oracle, lo, size)
     kept = _mask(survivors, lo, size)
     rest ^= beyond

@@ -11,15 +11,24 @@ is computed by the check below, for the n that reach it.  An n below
 on a test that every prime passes, and when the limit reaches isqrt(hi)
 the scan needs no primality oracle.
 
-Each prime costs a few Python steps per stripe, never one per multiple:
+A prime costs a few Python steps per stripe, or one per multiple where it
+has few:
 
 * the first odd multiple of every prime ((-lo) % p, in effect) is computed
   for all the primes at once, with C-level ``map``;
-* a prime below the stripe's length pushes itself onto the factor chains
-  of all its multiples with a few slice operations;
-* a prime at or above that length has at most one multiple in the stripe.
-  The primes with none are filtered out without a Python step each, and
-  each of the rest records its one multiple.
+* a prime below a quarter of the stripe's length pushes itself onto the
+  factor chains of all its multiples, four or more, with a few slice
+  operations;
+* a larger prime has five multiples in the stripe at most, and most have
+  none or one.  Each multiple is linked onto its chain one at a time, in
+  rounds: the first round takes every prime's first multiple, and each
+  round steps the primes that had one on by p.  The primes with no
+  multiple left are filtered out at C level, without a Python step each.
+
+The split follows from what each step costs.  On stripes of 2**14 odd n
+near 2**34, the slice operations cost about four times as much per prime
+as linking one multiple does (2.1 against 0.53 us on a loaded 2-vCPU box),
+so a prime with fewer than about four multiples is cheaper to link.
 
 This is the bucket sieve of Oliveira e Silva, Herzog and Pardi (Math.
 Comp. 83, 2014) cut to what pays in Python.  There a large prime waits in
@@ -37,19 +46,22 @@ U_k ≡ 0 (mod p) for every prime p | n, and for p ∤ Q that holds exactly
 when the rank of apparition of p divides k (Baillie and Wagstaff, *Lucas
 pseudoprimes*, 1980).  A composite n with any prime factor p ∤ Q whose
 rank does not divide k therefore fails the test's first congruence, and
-the kernel can say so without running the ladder: the checker's
-``keeps(n)`` is False.  The condition is a theorem about n, not a
+the kernel can say so without running the ladder: the checker leaves n
+out of the members it returns.  The condition is a theorem about n, not a
 heuristic: composites whose factors all pass it (323 = 17*19 for the
-Selfridge Lucas test) are kept for the full test.
+Selfridge Lucas test) are kept for the full test.  The kernel calls the
+checker once per discriminant class, with all the class's members, and
+one loop walks their factor chains.
 
 A factor <= limit is decided by its rank, kept in a table.  A prime
-cofactor q above the limit has a rank that divides q - (D/q), so it
-divides k exactly when U_g ≡ 0 (mod q) for g = gcd(k, q - (D/q)).  g is
-small: on gen-pell+Selfridge windows near 2**34, a window of 2**14 odd n
-decides about 900 prime cofactors, with g < 16 for 85% of them and
-g < 64 for 97% (g is never 1, since k and q - (D/q) are both even).  So
-the exact integers U_0 ... U_63 of (P, Q) are kept next to its rank
-table, and U_g mod q is one remainder; only a larger g runs the ladder.
+cofactor q above the limit has a rank that divides q - (D/q) (q itself
+when q | D), so it divides k exactly when U_g ≡ 0 (mod q) for
+g = gcd(k, q - (D/q)).  g is small: on gen-pell+Selfridge windows near
+2**34, a window of 2**14 odd n decides about 900 prime cofactors, with
+g < 16 for 85% of them and g < 64 for 97% (and g > 1 when q ∤ D, since k
+and q - (D/q) are both even).  So the exact integers U_0 ... U_63 of
+(P, Q) are kept next to its rank table, and U_g mod q is one remainder;
+only a larger g runs the ladder.
 """
 
 from __future__ import annotations
@@ -59,8 +71,8 @@ from array import array
 from bisect import bisect_left, bisect_right
 from itertools import compress, islice, repeat
 from math import gcd, isqrt
-from operator import mod, rshift, sub
-from typing import Callable
+from operator import add, lt, mod, rshift, sub
+from typing import Callable, Iterable
 
 from .modarith import jacobi
 from .recurrence import _lucas_u, rank_of_apparition
@@ -143,7 +155,10 @@ class Segment:
 
     n itself is never recorded as its own factor.  ``lo`` is the first odd
     n.  A scan builds one per stripe, and its kernel reads the record with
-    :meth:`unfactored` and :meth:`checker`.
+    :meth:`unfactored` and :meth:`checker`, one call per class.  The build
+    sieves the primes below a quarter of the stripe's length by slices and
+    links each multiple of the larger ones on its own (see the module
+    docstring).
     """
 
     __slots__ = ("lo", "prime_below", "_head", "_factor", "_next")
@@ -171,10 +186,12 @@ class Segment:
                                    repeat(1)), primes))
         for j in range(bisect_left(primes, lo), count):
             starts[j] += primes[j]  # p is not its own factor
-        # A prime below size pushes itself onto the chains of all its
-        # multiples with a few slice operations.  A larger one has at most
-        # one multiple here, and only the primes that do are looked at.
-        short = bisect_left(primes, size)
+        # A prime below size/4 has four multiples here or more, and pushes
+        # itself onto the chains of all of them with a few slice operations.
+        # A larger one has five at most, and links each one at a time, in
+        # rounds: a round links the next multiple of every prime that still
+        # has one here, then steps those primes on by p.
+        short = bisect_left(primes, size >> 2)
         entries = sum(map(len, map(range, starts[:short], repeat(size),
                                    primes[:short])))
         if len(_iota) < entries:
@@ -188,13 +205,22 @@ class Segment:
             head[i::p] = _iota[end:new]
             factor += array("I", (j,)) * (new - end)
             end = new
-        for j in compress(range(short, count),
-                          map(size.__gt__, islice(starts, short, None))):
-            i = starts[j]
-            nxt.append(head[i])
-            head[i] = end
-            factor.append(j)
-            end += 1
+        # Past mid, a prime has one multiple here at most.
+        mid = bisect_left(primes, size)
+        js = list(compress(range(short, count),
+                           map(lt, islice(starts, short, None), repeat(size))))
+        at = list(map(starts.__getitem__, js))
+        while js:
+            factor.extend(js)
+            for i in at:
+                nxt.append(head[i])
+                head[i] = end
+                end += 1
+            js = js[:bisect_left(js, mid)]
+            at = list(map(add, at, map(primes.__getitem__, js)))
+            live = list(map(lt, at, repeat(size)))
+            js = list(compress(js, live))
+            at = list(compress(at, live))
 
     def unfactored(self, lo: int, size: int) -> int:
         """Bitmask over i < size, size >= 1: bit i is set when the odd
@@ -223,23 +249,24 @@ class Segment:
         return None if n >= self.prime_below else False
 
     def checker(self, P: int, Q: int, scale: int,
-                j: int) -> Callable[[int], bool]:
-        """keeps(n) for the n of this segment, Lucas (P, Q) and k = n - j.
+                j: int) -> Callable[[Iterable[int]], list[int]]:
+        """survivors(ns) for the n of this segment, Lucas (P, Q) and k = n - j.
 
-        keeps(n) is False when scale*U_k(P, Q) ≢ 0 (mod n) is proved by a
-        factor of n: some prime q | n with q ∤ Q*scale has U_k ≢ 0 (mod q),
-        that is a factor q <= limit whose rank does not divide k, or a
-        cofactor q known to be prime.  True means nothing is proved.  The
-        tables of (P, Q) are looked up once, here.
+        survivors(ns) is the list of the n of ns, in their order, for which
+        no factor proves scale*U_k(P, Q) ≢ 0 (mod n).  A proof is a prime
+        q | n with q ∤ Q*scale and U_k ≢ 0 (mod q): a factor q <= limit
+        whose rank does not divide k, or a cofactor q known to be prime.  The
+        tables of (P, Q) are looked up once, here, and the kernel makes one
+        call for all the members of a class.
 
-        Each call walks n's factor chain once.  Most calls end at the first
-        factor, whose rank rules n out; each factor that does not is
+        One loop walks each n's factor chain once.  Most walks end at the
+        first factor, whose rank rules n out; each factor that does not is
         divided out of n before the walk goes on, so what is left at the
-        end of the chain is the cofactor.  A prime cofactor q's rank
-        divides q - (D/q), so it divides k exactly when U_g ≡ 0 (mod q) for
-        g = gcd(k, q - (D/q)).  For g < 64, 97% of the cofactors decided
-        near 2**34, that is the exact U_g mod q; only a larger g runs the
-        ladder.
+        end of the chain is the cofactor (n itself when none is recorded).
+        A prime cofactor q's rank divides q - (D/q), so it divides k
+        exactly when U_g ≡ 0 (mod q) for g = gcd(k, q - (D/q)).  For
+        g < 64, 97% of the cofactors decided near 2**34, that is the exact
+        U_g mod q; only a larger g runs the ladder.
         """
         qs = Q * scale
         D = P * P - 4 * Q
@@ -248,35 +275,36 @@ class Segment:
                                      self._next)
         origin, prime_below = self.lo, self.prime_below
 
-        def keeps(n: int) -> bool:
-            k = n - j
-            i = head[(n - origin) >> 1]
-            if i < 0:
-                return True  # prime, or no factor <= limit to look at
-            while i >= 0:
-                idx = factor[i]
-                p = primes[idx]
-                if qs % p:
-                    rank = ranks[idx]
-                    if not rank:
-                        rank = ranks[idx] = rank_of_apparition(P, Q, p)
-                    if k % rank:
-                        return False
-                n //= p
-                while not n % p:
-                    n //= p
-                i = nxt[i]
-            # n now holds the cofactor, which below prime_below is 1 or prime.
-            if n == 1 or n >= prime_below or not qs % n:
-                return True
-            # A prime cofactor n: its rank divides n - (D/n), and is n when
-            # n | D.
-            e = jacobi(D, n)
-            if not e:
-                return k % n == 0
-            g = gcd(k, n - e)
-            if g < _EXACT_U:
-                return exact[g] % n == 0
-            return _lucas_u(P, Q, g, n)[0] == 0
+        def survivors(ns: Iterable[int]) -> list[int]:
+            kept: list[int] = []
+            for n in ns:
+                k = n - j
+                c = n
+                i = head[(n - origin) >> 1]
+                while i >= 0:
+                    idx = factor[i]
+                    p = primes[idx]
+                    if qs % p:
+                        rank = ranks[idx]
+                        if not rank:
+                            rank = ranks[idx] = rank_of_apparition(P, Q, p)
+                        if k % rank:
+                            break
+                    c //= p
+                    while not c % p:
+                        c //= p
+                    i = nxt[i]
+                else:
+                    # c, the cofactor, is 1 or prime below prime_below.  A
+                    # prime c's rank divides c - (D/c), and is c when c | D,
+                    # so it divides k exactly when U_g ≡ 0 (mod c).
+                    if c == 1 or c >= prime_below or not qs % c:
+                        kept.append(n)
+                        continue
+                    g = gcd(k, c - jacobi(D, c))
+                    if not (exact[g] if g < _EXACT_U
+                            else _lucas_u(P, Q, g, c)[0]) % c:
+                        kept.append(n)
+            return kept
 
-        return keeps
+        return survivors

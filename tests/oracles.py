@@ -172,7 +172,7 @@ def kernel_sieves(method: str, params: dict, segment: Segment, n: int,
     primes_pass = not (method == "matrix" and variant == "u-companion")
     if primes_pass and segment.is_composite(n) is False:
         return True
-    return not segment.checker(P, Q, scale, j)(n)
+    return not segment.checker(P, Q, scale, j)([n])
 
 
 def reference_scan(method: str, params: dict, lo: int, hi: int,

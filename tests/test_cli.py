@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from pellprime import search
 from pellprime.cli import main
 
 
@@ -184,6 +185,45 @@ def test_scan_with_an_unusable_checkpoint_path_exits_2_silently(
                              str(ckpt))
     assert code == 2 and out == ""
     assert err.startswith("pellprime: error: ")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_interrupted_scan_exits_130_and_names_its_checkpoint(
+        tmp_path, capsys, monkeypatch, jobs):
+    # Ctrl-C lands as KeyboardInterrupt in the third checkpoint write: after
+    # the starting cursor and the cursor after the first chunk of 2**16 odd
+    # n, while the scan's pool (jobs=2) still holds the other stripes.
+    search._close_pool()
+    ckpt = tmp_path / "scan.ckpt"
+    cursors = []
+    write = search.write_checkpoint
+
+    def interrupted(path, cursor, method, canonical):
+        cursors.append(cursor)
+        if len(cursors) == 3:
+            raise KeyboardInterrupt
+        write(path, cursor, method, canonical)
+
+    monkeypatch.setattr(search, "write_checkpoint", interrupted)
+    code, _, err = run_cli(capsys, "scan", "--method", "lucas", "--selfridge",
+                           "--to", "400000", "--jobs", str(jobs),
+                           "--checkpoint", str(ckpt))
+    assert code == 130
+    assert err == f"pellprime: interrupted; resume from checkpoint {ckpt}\n"
+    assert "Traceback" not in err
+    assert search._pools == {}
+    assert cursors[:2] == [3, 3 + 2**17]
+    assert ckpt.read_text().startswith(f"cursor={cursors[1]} ")
+
+
+def test_interrupt_without_a_checkpoint_exits_130(capsys, monkeypatch):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(search, "_scan_stripe", interrupted)
+    code, out, err = run_cli(capsys, "scan", "--method", "lucas", "-P", "4",
+                             "-Q", "1", "--to", "5000")
+    assert (code, out, err) == (130, "", "pellprime: interrupted\n")
 
 
 def test_grid_csv_layout(capsys):

@@ -63,12 +63,14 @@ UNHINTED_CONFIGS = [
 ]
 
 # Ranges from 3, ranges straddling a square (and the square's
-# neighbours), and a window above 2**40, where the sieve stops at
-# SIEVE_CAP and the oracle decides the n it cannot.
+# neighbours), a window at 10**10, where the generalized Pell claim ends,
+# and a window above 2**40, where the sieve stops at SIEVE_CAP and the
+# oracle decides the n it cannot.
 RANGES = [
     (3, 6000),
     (120**2 - 301, 120**2 + 301),
     (1009**2 - 2001, 1009**2 + 2001),
+    (10**10 + 1, 10**10 + 3001),
     (2**40 + 2**22 + 1, 2**40 + 2**22 + 1501),
 ]
 
@@ -275,13 +277,19 @@ def stripe_cases(rng):
     """(lo, hi, limit, chunk_odds) of stripes of several chunks: from 3 with
     a short last chunk; chunks of one odd n; limits below isqrt(hi), around
     97**2; spans (2*chunk_odds) below and above the limit; a window above
-    2**40, where the limit is SIEVE_CAP; and random ones."""
+    2**40, where the limit is SIEVE_CAP; the benchmark's stripe; one from 3
+    with sliced and linked primes inside it; and random ones."""
     yield 3, 2999, 54, 64  # span above the limit, 23 chunks and a short one
     yield 3, 1501, 38, 1
     yield 97**2 - 800, 97**2 + 800, 96, 50
     yield 10**6 - 3001, 10**6 + 3001, 1000, 64  # span below the limit
     yield 2**40 + 2**22 + 1, 2**40 + 2**22 + 1501, SIEVE_CAP, 100
     yield 2**40 + 2**22, 2**40 + 2**22 + 21, SIEVE_CAP, 1
+    # The benchmark's stripe: 2**14 odd n near 2**34, at the scan's limit.
+    yield 2**34 + 1, 2**34 + 2**15 - 1, sieve_limit(2**34 + 2**15 - 1), 2**11
+    # From 3, with primes on both sides of a quarter of the stripe's length
+    # (2500) and of its length (10**4) inside it: none is its own factor.
+    yield 3, 20001, 15000, 5000
     for _ in range(4):  # 2 to 20 chunks
         lo, size = rng.randrange(3, 2**34), rng.randrange(2, 1500)
         hi = lo + 2 * size - 1
@@ -313,6 +321,57 @@ def test_stripe_equals_one_chunk_segments():
                 assert known is not None or n >= (limit + 1) ** 2
 
 
+def test_primes_around_the_split_record_each_multiple():
+    # Primes below a quarter of the stripe's length are sieved by slices
+    # and larger ones link each multiple; around the split each side has
+    # primes with 4 and 5 multiples here, and the linked side 1 and 2, and
+    # n with two linked factors, which one round may reach twice.  A linked
+    # prime has 5 multiples only as size >> 2 itself, here 101 in a stripe
+    # of 4*101 + 3 odd n from one of its multiples.
+    rng = random.Random("split")
+    seen = set()
+    for size, lo in [(407, 101 * 9901)] + [
+            (rng.randrange(400, 440), rng.randrange(10**6, 10**7) | 1)
+            for _ in range(40)]:
+        hi = lo + 2 * (size - 1)
+        truth = recorded_factors(lo, hi, 1000)
+        segment = Segment(lo, hi, 1000)
+        unfactored = segment.unfactored(lo, size)
+        for i, n in enumerate(range(lo, hi + 1, 2)):
+            assert set(segment.factors(n)) == truth[n], n
+            assert unfactored >> i & 1 == (not truth[n]), n
+        counts = {}
+        for ps in truth.values():
+            for p in ps:
+                counts[p] = counts.get(p, 0) + 1
+            seen.add(("two linked", sum(p >= size >> 2 for p in ps) >= 2))
+        seen |= {(p < size >> 2, c) for p, c in counts.items()
+                 if size // 8 < p < 2 * size}
+    assert seen >= {(True, 4), (True, 5), (False, 1), (False, 2),
+                    (False, 4), (False, 5), ("two linked", True)}
+
+
+def test_checker_keeps_in_one_call_what_it_keeps_n_by_n():
+    # The batch form against one call per n, the form oracles.kernel_sieves
+    # reads: the same n, ascending, for an empty class, one-member classes
+    # either way round, and a class of a whole 2**14-odd-n stripe fed from
+    # _members as the kernel feeds it.
+    lo, hi = 2**34 + 1, 2**34 + 2**15 - 1
+    segment = Segment(lo, hi, sieve_limit(hi))
+    size = (hi - lo) // 2 + 1
+    P, Q, scale = 1, -1, 1  # (d/n) = -1 for d = 5, the first candidate
+    survivors = segment.checker(P, Q, scale, -1)
+    assert survivors([]) == survivors(iter(())) == []
+    ns = list(search._members((1 << size) - 1, lo))
+    assert len(ns) == size
+    kept = [n for n in ns if survivors([n]) == [n]]
+    assert 0 < len(kept) < size
+    ruled = next(n for n in ns if segment.factors(n) and n not in kept)
+    assert survivors([ruled]) == [] and survivors([kept[0]]) == kept[:1]
+    assert survivors(search._members((1 << size) - 1, lo)) == kept
+    assert survivors(ns[::-1]) == kept[::-1]
+
+
 # (1, -10) has D = 41, a prime above the segment's limit, so 41 | n puts it
 # in the cofactor with 41 | D.  Scale 3 or 6 takes 3 out of the check, and
 # Q = 41 or scale 43 takes a cofactor out.
@@ -330,8 +389,8 @@ def test_keeps_decides_each_prime_factor(P, Q, scale):
         for k in range(1, 80):
             u = lucas_pair(LucasParams(P, Q), k, n)[0]
             proved = any(u % q for q in checked)
-            keeps = segment.checker(P, Q, scale, n - k)
-            assert keeps(n) == (not proved), (n, k)
+            kept = segment.checker(P, Q, scale, n - k)([n])
+            assert kept == ([] if proved else [n]), (n, k)
 
 
 def _rank_brute(P, Q, p):
@@ -372,8 +431,8 @@ def test_keeps_settles_prime_cofactors_by_their_residue(P, Q, scale):
         for k in sorted(ks):
             residues = [mat_pow((P, -Q, 1, 0), k, p)[2]
                         for p in (*small, q) if qs % p]
-            keeps = segment.checker(P, Q, scale, n - k)
-            assert keeps(n) == (not any(residues)), (n, k)
+            kept = segment.checker(P, Q, scale, n - k)([n])
+            assert kept == ([] if any(residues) else [n]), (n, k)
             if k % base == 0:
                 g = gcd(k, q - e) if e else 0
                 reached.add((e == 0, g >= sieve._EXACT_U, not residues[-1]))

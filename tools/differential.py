@@ -2,8 +2,8 @@
 
 The matrix is every config of ``SIEVED_CONFIGS`` and ``UNHINTED_CONFIGS``
 in tests/test_sieve.py, over its ``RANGES``, with chunk_odds in
-{1, 64, 2**11, 2**16} and jobs in {1, 2, 3}: 21 configs, 4 ranges, 4
-chunk sizes and 3 job counts, 1008 scans in one process (so a kept worker
+{1, 64, 2**11, 2**16} and jobs in {1, 2, 3}: 21 configs, 5 ranges, 4
+chunk sizes and 3 job counts, 1260 scans in one process (so a kept worker
 pool is reused from scan to scan).  The job counts cut a range into
 stripes three ways wherever its chunks are smaller than the kernel's
 stripe.  Each line is
