@@ -18,9 +18,12 @@ tests whose first congruence is scale*U_k(P', Q') ≡ 0 for a Lucas sequence
 discriminant D and their gcd value Q' from :func:`first_congruence`, the
 one statement of that map.  A scan settles most of their n without calling
 them, from the same map and the factors its sieve records (see
-:mod:`pellprime.search`).  It lets a sieve-proved prime pass only for a
+:mod:`pellprime.kernel`).  It lets a sieve-proved prime pass only for a
 test that every prime meeting its preconditions passes; each such test's
 docstring names the theorem, and the u-companion matrix test is not one.
+
+:func:`is_prime` is the scan's exact primality oracle, for the n its sieve
+cannot decide.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
     "fermat_test",
     "first_congruence",
     "generalized_pell_test",
+    "is_prime",
     "lucas_test",
     "matrix_test",
     "pell_test",
@@ -186,7 +190,7 @@ def strong_base_test(n: int, a: int) -> Verdict:
 
 def strong_probable_prime(n: int, a: int) -> bool:
     """The congruences of :func:`strong_base_test` alone, for odd n >= 3;
-    the scan's primality oracle runs them for each of its bases."""
+    :func:`is_prime` runs them for each of its bases."""
     r = ((n - 1) & (1 - n)).bit_length() - 1
     s = (n - 1) >> r
     x = pow_mod(a, s, n)
@@ -197,6 +201,34 @@ def strong_probable_prime(n: int, a: int) -> bool:
         if x == n - 1:
             return True
     return False
+
+
+# Deterministic Miller-Rabin witnesses for all n < 2**64.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# (psi_k, k): the first k prime bases are exact below psi_k, the least
+# strong pseudoprime to all of them (Jaeschke 1993).
+_MR_BOUNDS = ((1_373_653, 2), (25_326_001, 3), (3_215_031_751, 4),
+              (2_152_302_898_747, 5), (3_474_749_660_383, 6),
+              (341_550_071_728_321, 7), (3_825_123_056_546_413_051, 9))
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality for 0 <= n < 2**64.
+
+    Deterministic strong-base testing, with as many of the first twelve
+    prime bases as n's size needs.  The primes below 38 are exactly those
+    bases, and from 38 on every base is below n.
+    """
+    if n < 38:
+        return n in _MR_BASES
+    if n % 2 == 0:
+        return False
+    bases = _MR_BASES
+    for bound, k in _MR_BOUNDS:
+        if n < bound:
+            bases = _MR_BASES[:k]
+            break
+    return all(strong_probable_prime(n, a) for a in bases)
 
 
 # ---------------------------------------------------------------------------

@@ -50,49 +50,17 @@ so no primality oracle runs; above, :func:`is_prime` decides the n the
 sieve cannot.
 
 For the tests whose first congruence is U_k ≡ 0 for a Lucas sequence
-(lucas, double-lucas, matrix, pell, strong-pell, gen-pell), a kernel
-(:func:`_kernel`) reaches the test's verdicts for a whole stripe at once,
-on big-int bitmasks over the stripe's odd n, because calling the test n by
-n costs more than everything it decides.  Nearly every verdict follows from
-facts that are periodic in n or already held by the sieve.  (d/n) repeats
-every 4|d| integers, so a Selfridge walk over a stripe is a few periodic
-patterns; perfect squares and the zero symbols it meets are its
-short-circuited composites.  In each class of one discriminant, the n
-sharing a prime with the class's gcd value (Q, QR or the base point's
-norm) are settled as the test's preconditions settle them.  A class costs
-a few big-int operations over the stripe's width, and Python work only per
-member it hands on: :func:`_members` lists a mask's n from its set bits,
-not from every position.  The kernel is the only code whose verdicts come
-from the sieve's record, and it counts them as ``sieved``:
-
-* an n below (limit + 1)**2 with no recorded factor is prime, and passes
-  when every prime that meets the preconditions passes the test (all but
-  the u-companion matrix test; each test's docstring names the theorem);
-* the n with a recorded factor in a class go to one call of the class's
-  :meth:`Segment.checker`, made with the class's (d/n), which walks each
-  n's factor chain in one loop and computes the congruence's index there;
-  n fails the first congruence when the rank of apparition of a factor
-  does not divide that index, or when its cofactor is a prime whose U_g
-  residue is not 0 (see :mod:`pellprime.sieve`).
-
-Each form's description sits in :data:`METHODS`.  A Selfridge form walks
-the selector's own :data:`~pellprime.selectors.Selection`, the candidate
-sequence and the map from a discriminant to the test's parameters, and
-:func:`~pellprime.primality.first_congruence` reads their first congruence
-as the test's own preconditions read it, so the parameters the kernel
-settles n with are the ones the per-n walk would pick.  The per-n test
-runs only on what is left:
-
-* the n at or below a discriminant's bound (its |d|, |Q'| or |scale|),
-  where a shared factor may be n itself;
-* the n with no recorded factor at or above (limit + 1)**2 that
-  :func:`is_prime` finds composite, or all of them where primes need not
-  pass, and the primes of the u-companion matrix test;
-* the composites whose recorded factors do not rule them out, about one n
-  in 10**5 to 10**6 near 2**34;
-* every n of fermat, strong-base, pell-variant, strong-pell with (D, a),
-  and of parameters with a zero discriminant, Q' or scale, or a pell base
-  point of norm other than 1.
+(lucas, double-lucas, matrix, pell, strong-pell, gen-pell), the scan does
+not call the test n by n: the stripe kernel (:mod:`pellprime.kernel`)
+settles nearly every n of a stripe in bulk.  :func:`~pellprime.kernel.walk`
+classes the stripe's n by discriminant, and
+:func:`~pellprime.kernel.settle` gives each n one settle path, from
+periodic patterns and the sieve's record; the per-n test runs only on the
+n it leaves.  Each form's :class:`~pellprime.kernel.Bulk` sits in
+:data:`METHODS`.  A Selfridge form's Bulk holds the selector's own
+:data:`~pellprime.selectors.Selection`, the candidate sequence and the map
+from a discriminant to the test's parameters, so the parameters the kernel
+settles n with are the ones the per-n walk would pick.
 
 Long scans can persist a resume cursor to a checkpoint file, once before
 the first chunk and then after every chunk.  The checkpoint stores only
@@ -116,13 +84,13 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, islice, product
-from math import isqrt
+from itertools import product
 from multiprocessing.util import Finalize
 from typing import Callable, Iterator
 
 from .conic import ConicParams
-from .modarith import MAX_MODULUS, jacobi_masks, sharing_mask
+from .kernel import Bulk, count_masks, members, settle, walk
+from .modarith import MAX_MODULUS
 from .primality import (
     VARIANTS,
     Outcome,
@@ -131,6 +99,7 @@ from .primality import (
     fermat_test,
     first_congruence,
     generalized_pell_test,
+    is_prime,
     lucas_test,
     matrix_test,
     pell_test,
@@ -138,11 +107,9 @@ from .primality import (
     strong_base_test,
     strong_pell_test,
     strong_pell_test_param,
-    strong_probable_prime,
 )
 from .recurrence import LucasParams, MatrixParams
 from .selectors import (
-    CANDIDATE_CAP,
     CLASSIC,
     GEN_PELL,
     MATRIX,
@@ -171,34 +138,6 @@ DEFAULT_CHUNK_ODDS = 1 << 16  # odd candidates per work unit
 # kernel call's fixed cost stays small beside its cost per n (see above).
 KERNEL_ODDS = 1 << 14
 
-# Deterministic Miller-Rabin witnesses for all n < 2**64.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# (psi_k, k): the first k prime bases are exact below psi_k, the least
-# strong pseudoprime to all of them (Jaeschke 1993).
-_MR_BOUNDS = ((1_373_653, 2), (25_326_001, 3), (3_215_031_751, 4),
-              (2_152_302_898_747, 5), (3_474_749_660_383, 6),
-              (341_550_071_728_321, 7), (3_825_123_056_546_413_051, 9))
-
-
-def is_prime(n: int) -> bool:
-    """Exact primality for 0 <= n < 2**64.
-
-    Deterministic strong-base testing, with as many of the first twelve
-    prime bases as n's size needs.  The primes below 38 are exactly those
-    bases, and from 38 on every base is below n.
-    """
-    if n < 38:
-        return n in _MR_BASES
-    if n % 2 == 0:
-        return False
-    bases = _MR_BASES
-    for bound, k in _MR_BOUNDS:
-        if n < bound:
-            bases = _MR_BASES[:k]
-            break
-    return all(strong_probable_prime(n, a) for a in bases)
-
-
 # ---------------------------------------------------------------------------
 # method table
 
@@ -207,35 +146,24 @@ def is_prime(n: int) -> bool:
 # order; a fixed canonical string, or None for "name=value,..."; make, which
 # build_test calls with the names' values (selfridge's aside) to get
 # test(n), so that it sees the names a tracer swapped in; and bulk, which
-# the scan calls with the same values to get the form's _Bulk, or None when
-# the scan runs the test on every n.
+# the scan calls with the same values to get the form's kernel.Bulk, or
+# None when the scan runs the test on every n.
 _Form = namedtuple("_Form", "names canonical make bulk", defaults=(None,))
-
-# How the scan's kernel settles the n of a Lucas-family form.  ``D``
-# is the fixed discriminant, and ``params(d)`` the test's parameters at
-# discriminant d.  A Selfridge form's (D, params) is the selector's own
-# Selection, (candidates, params): the kernel walks the candidate sequence
-# the per-n walk tries, and maps each d as the walk does.
-# first_congruence reads the parameters' first congruence; the test's
-# preconditions also settle, with outcome ``shared``, the n that share a
-# prime with its Q'.  ``primes_pass`` is whether every prime that meets
-# the preconditions passes the test.
-_Bulk = namedtuple("_Bulk", "D params shared primes_pass")
 _INVALID, _COMPOSITE = Outcome.PARAMS_INVALID, Outcome.COMPOSITE
 
 
 def _fixed(params: LucasParams | MatrixParams | ConicParams,
            shared: Outcome = _INVALID,
-           primes_pass: bool = True) -> _Bulk | None:
-    """The _Bulk of a form with fixed parameters; None when D, Q' or the
+           primes_pass: bool = True) -> Bulk | None:
+    """The Bulk of a form with fixed parameters; None when D, Q' or the
     scale is 0, parameters for which the test rejects n by n."""
     D, _, Q, scale = first_congruence(params)
     if not (D and Q and scale):
         return None
-    return _Bulk(D, lambda d: params, shared, primes_pass)
+    return Bulk(D, lambda d: params, shared, primes_pass)
 
 
-def _norm_one(D: int, x: int, y: int) -> _Bulk | None:
+def _norm_one(D: int, x: int, y: int) -> Bulk | None:
     """pell and strong-pell reject every n beyond |norm - 1| unless the
     base point has norm 1, and then no n shares a prime with the norm."""
     params = ConicParams(D, x, y)
@@ -250,21 +178,21 @@ METHODS: dict[str, tuple[_Form, ...]] = {
                           lambda a: partial(strong_base_test, a=a)),),
     "lucas": (
         _Form(("selfridge",), "selfridge", lambda: lucas_selfridge,
-              lambda: _Bulk(*CLASSIC, _INVALID, True)),
+              lambda: Bulk(*CLASSIC, _INVALID, True)),
         _Form(("P", "Q"), None,
               lambda P, Q: partial(lucas_test, params=LucasParams(P, Q)),
               lambda P, Q: _fixed(LucasParams(P, Q)))),
     "double-lucas": (
         _Form(("selfridge",), "selfridge", lambda: double_lucas_selfridge,
-              lambda: _Bulk(*CLASSIC, _INVALID, True)),
+              lambda: Bulk(*CLASSIC, _INVALID, True)),
         _Form(("P", "Q"), None, lambda P, Q: partial(
             double_lucas_test, params=LucasParams(P, Q)),
             lambda P, Q: _fixed(LucasParams(P, Q)))),
     "matrix": (
         _Form(("selfridge", "variant"), None,
               lambda variant: partial(matrix_selfridge, variant=variant),
-              lambda variant: _Bulk(*MATRIX, _INVALID,
-                                    variant == "v-companion")),
+              lambda variant: Bulk(*MATRIX, _INVALID,
+                                   variant == "v-companion")),
         _Form(("P", "Q", "R", "variant"), None, lambda P, Q, R, variant: (
             partial(matrix_test, params=MatrixParams(P, Q, R),
                     variant=variant)),
@@ -279,7 +207,7 @@ METHODS: dict[str, tuple[_Form, ...]] = {
             strong_pell_test, params=ConicParams(D, x, y)), _norm_one)),
     "gen-pell": (
         _Form(("selfridge",), "selfridge", lambda: gen_pell_selfridge,
-              lambda: _Bulk(*GEN_PELL, _COMPOSITE, True)),
+              lambda: Bulk(*GEN_PELL, _COMPOSITE, True)),
         _Form(("D", "x", "y"), None, lambda D, x, y: partial(
             generalized_pell_test, params=ConicParams(D, x, y)),
             lambda D, x, y: _fixed(ConicParams(D, x, y), _COMPOSITE))),
@@ -449,128 +377,6 @@ def _per_n(test: Callable[[int], Verdict], sieve: Segment,
         "pseudoprimes": len(found)}
 
 
-def _members(mask: int, lo: int) -> Iterator[int]:
-    """The odd n = lo + 2i for the set bits i of mask, ascending.
-
-    The string work is C-level over the mask's width, and Python objects
-    are made only per member: the mask's bits, lowest first, with each 1 a
-    line break and encoded in UTF-16, which gives every position two
-    bytes, are lines whose lengths are the steps from one member to the
-    next.
-    """
-    steps = (bin(mask)[:1:-1].replace("1", "\n").encode("utf-16-le")
-             .splitlines(True))
-    # lo - 1 and the last line, the high byte of the last position, are not
-    # members.
-    return islice(accumulate(map(len, steps), initial=lo - 1), 1, len(steps))
-
-
-def _mask(ns, lo: int, size: int) -> int:
-    """The bitmask over i < size of the odd n = lo + 2i in ns."""
-    digits = bytearray(b"0") * size
-    for n in ns:
-        digits[n - lo >> 1] = 0x31
-    return int(digits[::-1], 2)
-
-
-def _kernel(bulk: _Bulk, sieve: Segment, lo: int,
-            size: int) -> tuple[dict[str, int], list[int]]:
-    """Settle the odd n = lo + 2i, i < size, on bitmasks over i.
-
-    The n are a whole stripe, and ``sieve`` is its record.  Each
-    discriminant the stripe reaches is described once, by
-    ``first_congruence(bulk.params(d))``.  Each of its classes costs a few
-    big-int operations over the stripe, plus one call of the class's
-    checker on its members with a recorded factor, whose loop computes
-    each member's index k = n - (d/n) and walks its factors; it makes
-    Python ints for its members only (:func:`_members`).  Where the sieve
-    proves no n prime, at or above (limit + 1)**2 (in a scan, above 2**40),
-    each member with no recorded factor is first given to :func:`is_prime`
-    when every prime passes the test.
-
-    Returns, for each count it settles, the bitmask of the n it counts,
-    and the n it leaves to the per-n test, ascending: those at or below the
-    bound of a discriminant they reach (its |d|, |Q'| or |scale|), where a
-    shared factor may be n itself; those with no recorded factor that are
-    composite, or prime when primes need not pass; and those with a
-    recorded factor that the class's checker does not rule out.
-    """
-    full = (1 << size) - 1
-
-    def upto(bound: int) -> int:  # the n <= bound
-        return (1 << max(0, min(size, (bound - lo) // 2 + 1))) - 1
-
-    def at(d: int) -> tuple[int, tuple[int, int, int]]:
-        """The n at or below d's bound, and (P', Q', scale) at d."""
-        _, P, Q, scale = first_congruence(bulk.params(d))
-        return upto(max(abs(d), abs(Q), abs(scale))), (P, Q, scale)
-
-    short = 0  # composites the Selfridge walk settles
-    classes = []  # ((P', Q', scale), (d/n), the n of this class)
-    if isinstance(bulk.D, int):
-        d = bulk.D
-        rest, lucas = at(d)
-        minus, zero = jacobi_masks(d, lo, size)
-        left = full ^ rest
-        classes = [(lucas, 1, left & ~(minus | zero)),
-                   (lucas, -1, left & minus), (lucas, 0, left & zero)]
-    else:
-        # Perfect squares, then each n at the first candidate d with
-        # (d/n) = -1; (d/n) = 0 with n > |d| is a proper factor.
-        rest = 0
-        r = isqrt(lo - 1) + 1 | 1
-        while r * r < lo + 2 * size:
-            short |= 1 << (r * r - lo >> 1)
-            r += 2
-        left = full ^ short
-        for d in islice(bulk.D(), CANDIDATE_CAP):
-            if not left:
-                break
-            small, lucas = at(d)
-            small &= left
-            rest |= small
-            left ^= small
-            minus, zero = jacobi_masks(d, lo, size)
-            classes.append((lucas, -1, left & minus))
-            short |= left & zero
-            left &= ~(minus | zero)
-        rest |= left  # beyond the cap: the per-n walk raises
-
-    unfactored = sieve.unfactored(lo, size)
-    proved = unfactored & upto(sieve.prime_below - 1)
-    # failed: (d/n) = 0 for a fixed d; checked: the n with a recorded factor.
-    sharing = failed = primes = checked = 0
-    survivors: list[int] = []  # checked, and not ruled out
-    oracle: list[int] = []  # primes beyond the sieve's proof
-    for (P, Q, scale), j, mask in classes:
-        if not mask:
-            continue
-        shared = mask & sharing_mask(Q, lo, size)
-        sharing |= shared
-        mask ^= shared
-        if not j:
-            failed |= mask
-            continue
-        if bulk.primes_pass:
-            primes |= mask & proved
-            mask &= ~proved
-            oracle += filter(is_prime, _members(mask & unfactored, lo))
-        rest |= mask & unfactored
-        mask &= ~unfactored
-        checked |= mask
-        survivors += sieve.checker(P, Q, scale, j)(_members(mask, lo))
-    beyond = _mask(oracle, lo, size)
-    kept = _mask(survivors, lo, size)
-    rest ^= beyond
-    ruled = checked ^ kept
-    masks = {"tested": full ^ rest ^ kept, "short_circuited": short,
-             "composite": short | failed | ruled, "params_invalid": 0,
-             "probable_prime": primes | beyond, "sieved": primes | ruled}
-    masks["params_invalid" if bulk.shared is _INVALID else "composite"] |= (
-        sharing)
-    return masks, sorted([*_members(rest, lo), *survivors])
-
-
 def _scan_stripe(method: str, params: dict, lo: int, hi: int, limit: int,
                  chunk_odds: int) -> Iterator[tuple[int, list[int],
                                                      dict[str, int]]]:
@@ -580,10 +386,11 @@ def _scan_stripe(method: str, params: dict, lo: int, hi: int, limit: int,
 
     The chunks are [a, min(a + 2*chunk_odds - 1, hi)] for a = lo | 1, lo |
     1 + 2*chunk_odds, ...; none is empty.  One Segment sieves the whole
-    stripe and one kernel call settles what it can of the whole stripe in
-    bulk; methods without a _Bulk settle nothing in bulk.  Each chunk then
-    takes its window of the kernel's masks, counted at C level, and its
-    share of what the kernel leaves, on which the per-n test runs.
+    stripe, and one :func:`~pellprime.kernel.walk` and one
+    :func:`~pellprime.kernel.settle` call settle what they can of the whole
+    stripe in bulk; methods without a Bulk settle nothing in bulk.  Each
+    chunk then takes its window of the count masks, counted at C level,
+    and its share of what the kernel leaves, on which the per-n test runs.
     """
     form, args, _ = _resolve(method, params)
     test = form.make(*args)
@@ -592,7 +399,10 @@ def _scan_stripe(method: str, params: dict, lo: int, hi: int, limit: int,
     sieve = Segment(lo, hi, limit)
     masks, rest = {}, range(lo, hi + 1, 2)
     if bulk is not None:
-        masks, rest = _kernel(bulk, sieve, lo, len(rest))
+        settled = settle(bulk, sieve, lo, len(rest),
+                         *walk(bulk, lo, len(rest)))
+        masks, rest = (count_masks(bulk, settled),
+                       list(members(settled.left, lo)))
     # Each mask's bits, lowest first: a chunk's count is a str.count.
     bits = [(k, bin(mask)[:1:-1]) for k, mask in masks.items()]
     end = 0
@@ -696,7 +506,8 @@ def scan_range(method: str, params: dict, lo: int, hi: int, *,
     of ``jobs`` workers still gets a stripe.  One process sieves a whole
     stripe as one record, settles it with one kernel call and reports it
     chunk by chunk, and ``jobs`` > 1 fans the stripes out to at most
-    ``jobs`` worker processes, and never to more than there are stripes.
+    ``jobs`` worker processes, and never to more than there are stripes or
+    CPUs (``os.cpu_count()``); the stripes are cut by ``jobs`` all the same.
     The workers are this process's one pool, kept between calls: a call
     that needs the same number of workers reuses it, one that needs
     another number replaces it, a call that raises while its stripes are
@@ -752,7 +563,8 @@ def scan_range(method: str, params: dict, lo: int, hi: int, *,
 
     if jobs > 1 and len(stripes) > 1:
         try:
-            for results in _pooled(stripes, min(jobs, len(stripes))):
+            for results in _pooled(stripes, min(jobs, len(stripes),
+                                                os.cpu_count() or 1)):
                 for result in results:
                     _absorb(*result)
         except BaseException:

@@ -3,13 +3,14 @@ rank-of-apparition check on it.
 
 A scan sieves its odd n with the odd primes up to a limit.  It cuts its
 range into stripes of consecutive chunks; one process sieves a whole
-stripe at once, as one :class:`Segment`, and the scan's kernel reads the
-whole record in one call.  A segment records which n have a prime factor
-<= limit and those factors; the cofactor left when they are divided out
-is computed by the check below, for the n that reach it.  An n below
-(limit + 1)**2 without such a factor is prime: the scan's kernel passes it
-on a test that every prime passes, and when the limit reaches isqrt(hi)
-the scan needs no primality oracle.
+stripe at once, as one :class:`Segment`, and the scan's stripe kernel
+(:func:`pellprime.kernel.settle`) reads the whole record in one call,
+through the segment's public methods.  A segment records which n have a
+prime factor <= limit and those factors; the cofactor left when they are
+divided out is computed by the check below, for the n that reach it.  An
+n below (limit + 1)**2 without such a factor is prime: the scan's kernel
+passes it on a test that every prime passes, and when the limit reaches
+isqrt(hi) the scan needs no primality oracle.
 
 A prime costs a few Python steps per stripe, or one per multiple where it
 has few:
@@ -51,7 +52,7 @@ out of the members it returns.  The condition is a theorem about n, not a
 heuristic: composites whose factors all pass it (323 = 17*19 for the
 Selfridge Lucas test) are kept for the full test.  The kernel calls the
 checker once per discriminant class, with all the class's members, and
-one loop walks their factor chains.
+one loop walks their factor chains and returns the members it keeps.
 
 A factor <= limit is decided by its rank, kept in a table.  A prime
 cofactor q above the limit has a rank that divides q - (D/q) (q itself
@@ -72,7 +73,7 @@ from bisect import bisect_left, bisect_right
 from itertools import compress, islice, repeat
 from math import gcd, isqrt
 from operator import add, lt, mod, rshift, sub
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .modarith import jacobi
 from .recurrence import _lucas_u, rank_of_apparition
@@ -154,11 +155,11 @@ class Segment:
     """Factor sieve of the odd n in [lo, hi] by the odd primes <= limit.
 
     n itself is never recorded as its own factor.  ``lo`` is the first odd
-    n.  A scan builds one per stripe, and its kernel reads the record with
-    :meth:`unfactored` and :meth:`checker`, one call per class.  The build
-    sieves the primes below a quarter of the stripe's length by slices and
-    links each multiple of the larger ones on its own (see the module
-    docstring).
+    n.  A scan builds one per stripe, and :func:`pellprime.kernel.settle`
+    reads the record with :meth:`unfactored` and :meth:`checker`, one call
+    per class.  The build sieves the primes below a quarter of the
+    stripe's length by slices and links each multiple of the larger ones
+    on its own (see the module docstring).
     """
 
     __slots__ = ("lo", "prime_below", "_head", "_factor", "_next")
@@ -248,16 +249,16 @@ class Segment:
             return True
         return None if n >= self.prime_below else False
 
-    def checker(self, P: int, Q: int, scale: int,
-                j: int) -> Callable[[Iterable[int]], list[int]]:
-        """survivors(ns) for the n of this segment, Lucas (P, Q) and k = n - j.
+    def checker(self, P: int, Q: int, scale: int, j: int,
+                ns: Iterable[int]) -> list[int]:
+        """The n of ns, in their order, for which no factor proves
+        scale*U_k(P, Q) ≢ 0 (mod n), for the n of this segment, Lucas (P, Q)
+        and k = n - j.
 
-        survivors(ns) is the list of the n of ns, in their order, for which
-        no factor proves scale*U_k(P, Q) ≢ 0 (mod n).  A proof is a prime
-        q | n with q ∤ Q*scale and U_k ≢ 0 (mod q): a factor q <= limit
-        whose rank does not divide k, or a cofactor q known to be prime.  The
-        tables of (P, Q) are looked up once, here, and the kernel makes one
-        call for all the members of a class.
+        A proof is a prime q | n with q ∤ Q*scale and U_k ≢ 0 (mod q): a
+        factor q <= limit whose rank does not divide k, or a cofactor q
+        known to be prime.  The tables of (P, Q) are looked up once per
+        call, and the kernel makes one call for all the members of a class.
 
         One loop walks each n's factor chain once.  Most walks end at the
         first factor, whose rank rules n out; each factor that does not is
@@ -274,37 +275,33 @@ class Segment:
         primes, head, factor, nxt = (_odd_primes, self._head, self._factor,
                                      self._next)
         origin, prime_below = self.lo, self.prime_below
-
-        def survivors(ns: Iterable[int]) -> list[int]:
-            kept: list[int] = []
-            for n in ns:
-                k = n - j
-                c = n
-                i = head[(n - origin) >> 1]
-                while i >= 0:
-                    idx = factor[i]
-                    p = primes[idx]
-                    if qs % p:
-                        rank = ranks[idx]
-                        if not rank:
-                            rank = ranks[idx] = rank_of_apparition(P, Q, p)
-                        if k % rank:
-                            break
+        kept: list[int] = []
+        for n in ns:
+            k = n - j
+            c = n
+            i = head[(n - origin) >> 1]
+            while i >= 0:
+                idx = factor[i]
+                p = primes[idx]
+                if qs % p:
+                    rank = ranks[idx]
+                    if not rank:
+                        rank = ranks[idx] = rank_of_apparition(P, Q, p)
+                    if k % rank:
+                        break
+                c //= p
+                while not c % p:
                     c //= p
-                    while not c % p:
-                        c //= p
-                    i = nxt[i]
-                else:
-                    # c, the cofactor, is 1 or prime below prime_below.  A
-                    # prime c's rank divides c - (D/c), and is c when c | D,
-                    # so it divides k exactly when U_g ≡ 0 (mod c).
-                    if c == 1 or c >= prime_below or not qs % c:
-                        kept.append(n)
-                        continue
-                    g = gcd(k, c - jacobi(D, c))
-                    if not (exact[g] if g < _EXACT_U
-                            else _lucas_u(P, Q, g, c)[0]) % c:
-                        kept.append(n)
-            return kept
-
-        return survivors
+                i = nxt[i]
+            else:
+                # c, the cofactor, is 1 or prime below prime_below.  A prime
+                # c's rank divides c - (D/c), and is c when c | D, so it
+                # divides k exactly when U_g ≡ 0 (mod c).
+                if c == 1 or c >= prime_below or not qs % c:
+                    kept.append(n)
+                    continue
+                g = gcd(k, c - jacobi(D, c))
+                if not (exact[g] if g < _EXACT_U
+                        else _lucas_u(P, Q, g, c)[0]) % c:
+                    kept.append(n)
+        return kept

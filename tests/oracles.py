@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from math import gcd
 
+from pellprime import kernel
 from pellprime.conic import ConicParams
 from pellprime.modarith import Factor
 from pellprime.primality import Outcome, Verdict
@@ -172,7 +173,7 @@ def kernel_sieves(method: str, params: dict, segment: Segment, n: int,
     primes_pass = not (method == "matrix" and variant == "u-companion")
     if primes_pass and segment.is_composite(n) is False:
         return True
-    return not segment.checker(P, Q, scale, j)([n])
+    return not segment.checker(P, Q, scale, j, [n])
 
 
 def reference_scan(method: str, params: dict, lo: int, hi: int,
@@ -196,10 +197,16 @@ def reference_scan(method: str, params: dict, lo: int, hi: int,
     return found, stats
 
 
-def kernel_counts(masks: dict[str, int]) -> dict[str, int]:
-    """The counts of one :func:`search._kernel` call, from the bitmask of
-    the n each count covers."""
-    return {k: mask.bit_count() for k, mask in masks.items()}
+def kernel_counts(bulk, segment: Segment, lo: int,
+                  size: int) -> tuple[dict[str, int], list[int]]:
+    """The counts of one :func:`kernel.walk` and :func:`kernel.settle` call
+    over the odd n = lo + 2i, i < size, from the bitmask of the n each
+    count covers, and the n they leave to the per-n test, ascending."""
+    settled = kernel.settle(bulk, segment, lo, size,
+                            *kernel.walk(bulk, lo, size))
+    masks = kernel.count_masks(bulk, settled)
+    return ({k: mask.bit_count() for k, mask in masks.items()},
+            list(kernel.members(settled.left, lo)))
 
 
 def scan_chunk(method: str, params: dict, lo: int, hi: int,

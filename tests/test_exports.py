@@ -62,11 +62,21 @@ def test_no_package_module_imports_the_test_oracles():
 
 
 def test_only_the_scan_imports_the_sieve():
-    # The scan's chunk kernel is the only code that settles verdicts from
-    # the sieve's record.
+    # The scan builds the sieve's record, and its stripe kernel is the only
+    # code that settles verdicts from it.
     for path in SRC.glob("*.py"):
         if path.name != "search.py":
             assert "sieve" not in _imports(path), path
+
+
+def test_only_the_scan_imports_the_kernel():
+    # The stripe bitmasks are built and read behind kernel.py, which the
+    # scan calls and which reads the sieve's record only through the public
+    # methods of the Segment the scan hands it.
+    for path in SRC.glob("*.py"):
+        if path.name != "search.py":
+            assert "kernel" not in _imports(path), path
+    assert not _imports(SRC / "kernel.py") & {"sieve", "search"}
 
 
 def _segment_calls(tree):

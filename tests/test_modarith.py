@@ -1,20 +1,19 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import inv_mod
+from pellprime.kernel import jacobi_masks, sharing_mask
 from pellprime.modarith import (
     JACOBI_TABLE_BOUND,
     Factor,
     _jacobi,
-    gcd,
     jacobi,
-    jacobi_masks,
     mul_mod,
     pow_mod,
-    sharing_mask,
 )
 
 

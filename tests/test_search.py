@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 from oracles import STAT_KEYS, reference_scan
 from pellprime import search, selectors, sieve
+from pellprime.kernel import members
 from pellprime.primality import Outcome
 from pellprime.search import (
-    _members,
     build_test,
     grid_scan,
     is_prime,
@@ -28,6 +28,15 @@ from pellprime.search import (
     write_checkpoint,
 )
 from pellprime.sieve import primes_up_to, sieve_limit
+
+
+@pytest.fixture(autouse=True)
+def four_cpus(monkeypatch):
+    """The scan caps its pool at os.cpu_count() workers, and the pool sizes
+    these tests expect need three CPUs or more, so each test sees four
+    whatever the host has; a test may set its own count."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
 
 LUCAS_4_1 = (65, 209, 629, 679, 901, 989, 1241, 1769, 1961, 1991, 2509,
              2701, 2911, 3007, 3439, 3869)
@@ -263,6 +272,25 @@ def test_pool_never_starts_more_workers_than_stripes(monkeypatch,
         many = scan_range("lucas", params, lo, hi, jobs=jobs, chunk_odds=64)
         assert many.canonical_json() == one.canonical_json()
     assert _InProcessPool.opened == [3, 2]
+
+
+# Below 20000 the sieve limit is 141 and a chunk of 64 odd n spans 128
+# integers: 157 chunks from 3.  jobs=64 cuts them into stripes of 3
+# chunks, 53 stripes.
+@pytest.mark.parametrize("cpus", [1, 2, 5, None])
+@pytest.mark.parametrize("hi, stripes", [(386, 3), (20000, 53)])
+def test_pool_never_starts_more_workers_than_cpus(monkeypatch,
+                                                  swap_pool_executor, cpus,
+                                                  hi, stripes):
+    # jobs still cuts the stripes, so the result is that of one process.
+    swap_pool_executor(_InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "opened", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    params = {"selfridge": True}
+    one = scan_range("lucas", params, 3, hi, chunk_odds=64)
+    many = scan_range("lucas", params, 3, hi, jobs=64, chunk_odds=64)
+    assert many.canonical_json() == one.canonical_json()
+    assert _InProcessPool.opened == [min(stripes, cpus or 1)]
 
 
 # 20 chunks of 512 odd n (the sieve limit is 141), cut into jobs stripes
@@ -577,12 +605,12 @@ def test_the_kernel_runs_once_per_stripe(monkeypatch, swap_pool_executor):
     # near 2**23, 2**15 odd n at jobs=2, is two stripes of 2**14 odd n.
     swap_pool_executor(_InProcessPool)
     monkeypatch.setattr(_InProcessPool, "opened", [])
-    calls, kernel = [], search._kernel
+    calls, settle = [], search.settle
 
-    def counted(bulk, segment, lo, size):
+    def counted(bulk, segment, lo, size, *walked):
         calls.append(size)
-        return kernel(bulk, segment, lo, size)
-    monkeypatch.setattr(search, "_kernel", counted)
+        return settle(bulk, segment, lo, size, *walked)
+    monkeypatch.setattr(search, "settle", counted)
     for method, lo, odds, jobs in [("gen-pell", 2**34 + 1, 2**14, 1),
                                    ("matrix", 2**23 + 1, 2**15, 2)]:
         calls.clear()
@@ -641,8 +669,8 @@ def sized_masks(draw):
 @example(size_mask=(2**16, 1), lo=10**10 + 1)
 def test_members_are_the_set_bits_of_the_mask(size_mask, lo):
     size, mask = size_mask
-    assert list(_members(mask, lo)) == [lo + 2*i for i in range(size)
-                                        if mask >> i & 1]
+    assert list(members(mask, lo)) == [lo + 2*i for i in range(size)
+                                       if mask >> i & 1]
 
 
 def test_scan_chunk_size_does_not_change_output():

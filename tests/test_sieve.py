@@ -9,6 +9,7 @@ from the sieve must get the verdict the per-n test gives it.
 """
 
 import random
+from functools import partial
 from itertools import islice
 from math import gcd, isqrt, lcm
 
@@ -28,6 +29,7 @@ from pellprime.modarith import jacobi
 from pellprime.primality import Outcome, Verdict
 from pellprime.recurrence import LucasParams, lucas_pair, rank_of_apparition
 from pellprime import search, sieve
+from pellprime.kernel import count_masks, members, settle, walk
 from pellprime.search import build_test, is_prime, scan_range
 from pellprime.sieve import SIEVE_CAP, Segment, primes_up_to, sieve_limit
 
@@ -184,10 +186,31 @@ def test_chunk_kernel_leaves_almost_no_n_to_the_per_n_test(method, params):
     hi = lo + 2 * (size - 1)
     segment = Segment(lo, hi, sieve_limit(hi))
     form, args, _ = search._resolve(method, params)
-    masks, rest = search._kernel(form.bulk(*args), segment, lo, size)
-    stats = kernel_counts(masks)
+    stats, rest = kernel_counts(form.bulk(*args), segment, lo, size)
     assert len(rest) <= 2 and stats["tested"] == size - len(rest)
     assert all(segment.is_composite(n) for n in rest)
+
+
+@pytest.mark.parametrize("lo, hi", RANGES)
+@pytest.mark.parametrize("method, params", SIEVED_CONFIGS)
+def test_settle_paths_partition_the_stripe(method, params, lo, hi):
+    # Each n of a stripe, the whole window here, takes exactly one settle
+    # path: the named masks are pairwise disjoint and cover the stripe, and
+    # the kernel counts as tested every n it does not leave to the per-n
+    # test.
+    form, args, _ = search._resolve(method, params)
+    bulk = form.bulk(*args)
+    lo |= 1
+    size = (hi - lo) // 2 + 1
+    settled = settle(bulk, Segment(lo, hi, sieve_limit(hi)), lo, size,
+                     *walk(bulk, lo, size))
+    union = 0
+    for path, mask in settled._asdict().items():
+        assert not union & mask, path
+        union |= mask
+    assert union == (1 << size) - 1
+    tested = count_masks(bulk, settled)["tested"].bit_count()
+    assert tested + len(list(members(settled.left, lo))) == size
 
 
 def u_companion(method, params):
@@ -204,9 +227,8 @@ def assert_hinted_equals_unhinted(method, params, lo, hi, limit):
     segment = Segment(lo, hi, limit)
     form, args, _ = search._resolve(method, params)
     lo |= 1
-    masks, rest = search._kernel(form.bulk(*args), segment, lo,
-                                 (hi - lo) // 2 + 1)
-    stats = kernel_counts(masks)
+    stats, rest = kernel_counts(form.bulk(*args), segment, lo,
+                                (hi - lo) // 2 + 1)
     rest = set(rest)
     primes_pass = not u_companion(method, params)
     settled = skipped = 0
@@ -355,20 +377,20 @@ def test_checker_keeps_in_one_call_what_it_keeps_n_by_n():
     # The batch form against one call per n, the form oracles.kernel_sieves
     # reads: the same n, ascending, for an empty class, one-member classes
     # either way round, and a class of a whole 2**14-odd-n stripe fed from
-    # _members as the kernel feeds it.
+    # members as the kernel feeds it.
     lo, hi = 2**34 + 1, 2**34 + 2**15 - 1
     segment = Segment(lo, hi, sieve_limit(hi))
     size = (hi - lo) // 2 + 1
     P, Q, scale = 1, -1, 1  # (d/n) = -1 for d = 5, the first candidate
-    survivors = segment.checker(P, Q, scale, -1)
+    survivors = partial(segment.checker, P, Q, scale, -1)
     assert survivors([]) == survivors(iter(())) == []
-    ns = list(search._members((1 << size) - 1, lo))
+    ns = list(members((1 << size) - 1, lo))
     assert len(ns) == size
     kept = [n for n in ns if survivors([n]) == [n]]
     assert 0 < len(kept) < size
     ruled = next(n for n in ns if segment.factors(n) and n not in kept)
     assert survivors([ruled]) == [] and survivors([kept[0]]) == kept[:1]
-    assert survivors(search._members((1 << size) - 1, lo)) == kept
+    assert survivors(members((1 << size) - 1, lo)) == kept
     assert survivors(ns[::-1]) == kept[::-1]
 
 
@@ -389,7 +411,7 @@ def test_keeps_decides_each_prime_factor(P, Q, scale):
         for k in range(1, 80):
             u = lucas_pair(LucasParams(P, Q), k, n)[0]
             proved = any(u % q for q in checked)
-            kept = segment.checker(P, Q, scale, n - k)([n])
+            kept = segment.checker(P, Q, scale, n - k, [n])
             assert kept == ([] if proved else [n]), (n, k)
 
 
@@ -431,7 +453,7 @@ def test_keeps_settles_prime_cofactors_by_their_residue(P, Q, scale):
         for k in sorted(ks):
             residues = [mat_pow((P, -Q, 1, 0), k, p)[2]
                         for p in (*small, q) if qs % p]
-            kept = segment.checker(P, Q, scale, n - k)([n])
+            kept = segment.checker(P, Q, scale, n - k, [n])
             assert kept == ([] if any(residues) else [n]), (n, k)
             if k % base == 0:
                 g = gcd(k, q - e) if e else 0

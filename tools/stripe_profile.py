@@ -1,10 +1,12 @@
 """Time warm scan stripes phase by phase and print one JSON line per shape.
 
 A stripe is what one process scans with one :class:`Segment` and one
-kernel call (``search._scan_stripe``).  Its CPU time splits into three
-phases: building the ``Segment``, the ``_kernel`` call, and the rest (the
-per-n test on what the kernel leaves, and each chunk's counts).  The
-shapes are
+call each of the kernel's ``walk`` and ``settle``
+(``search._scan_stripe``).  Its CPU time splits into four phases:
+building the ``Segment``, the ``walk`` call, the ``settle`` call, and the
+rest (the per-n test on what the kernel leaves, and each chunk's counts).
+Each phase is timed by swapping the name ``search`` calls for a timing
+wrapper.  The shapes are
 
 * ``genpell-2^34``: gen-pell+Selfridge, stripes of 2**14 odd n from 2**34,
   in chunks of 2**11 (the ``scan-genpell`` benchmark's windows);
@@ -55,14 +57,14 @@ def _timed(fn, sink: list[float]):
 def profile(method: str, lo: int, odds: int, chunk_odds: int,
             passes: int) -> dict[str, float]:
     """Median CPU ms per stripe of each phase, over passes warm passes."""
-    segment, kernel = search.Segment, search._kernel
+    phases = {name: getattr(search, name)
+              for name in ("Segment", "walk", "settle")}
     windows = [(a, a + 2 * odds - 2, sieve_limit(a + 2 * odds - 2))
                for a in range(lo, lo + WINDOWS * 2 * odds, 2 * odds)]
-    built: list[float] = []
-    kerneled: list[float] = []
+    times: dict[str, list[float]] = {name: [] for name in phases}
     totals: list[float] = []
-    search.Segment = _timed(segment, built)
-    search._kernel = _timed(kernel, kerneled)
+    for name, fn in phases.items():
+        setattr(search, name, _timed(fn, times[name]))
     try:
         for _ in range(passes + 1):
             for a, b, limit in windows:
@@ -72,13 +74,15 @@ def profile(method: str, lo: int, odds: int, chunk_odds: int,
                     pass
                 totals.append(process_time() - start)
     finally:
-        search.Segment, search._kernel = segment, kernel
+        for name, fn in phases.items():
+            setattr(search, name, fn)
     # The first pass only warms the rank tables.
     warm = slice(WINDOWS, None)
-    built, kerneled, totals = built[warm], kerneled[warm], totals[warm]
-    rest = [t - s - k for t, s, k in zip(totals, built, kerneled)]
-    return {"segment_ms": median(built) * 1e3,
-            "kernel_ms": median(kerneled) * 1e3,
+    times = {name: spent[warm] for name, spent in times.items()}
+    totals = totals[warm]
+    rest = [t - sum(parts) for t, *parts in zip(totals, *times.values())]
+    return {**{f"{name.lower()}_ms": median(spent) * 1e3
+               for name, spent in times.items()},
             "rest_ms": median(rest) * 1e3,
             "stripe_ms": median(totals) * 1e3}
 
