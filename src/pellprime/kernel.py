@@ -63,6 +63,7 @@ discriminant, Q' or scale, or a pell base point of norm other than 1.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cache
 from itertools import accumulate, islice, repeat
 from math import gcd, isqrt
 from typing import Iterator
@@ -228,9 +229,6 @@ def count_masks(bulk: Bulk, s: Settled) -> dict[str, int]:
             "sieved": s.proved | s.ruled}
 
 
-# Per tabulated a: masks of (a/n) = -1 and (a/n) = 0 over n = 1, 3, ...,
-# 4|a| - 1, one period.
-_jacobi_patterns: dict[int, tuple[int, int]] = {}
 _MINUS_DIGITS = bytes.maketrans(b"\x00\x01\x03", b"001")
 _ZERO_DIGITS = bytes.maketrans(b"\x00\x01\x03", b"100")
 _FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -242,6 +240,13 @@ def _symbol_masks(a: int, lo: int, count: int) -> tuple[int, int]:
     codes = bytes(jacobi(a, n) & 3 for n in range(lo, lo + 2 * count, 2))
     return (int(codes.translate(_MINUS_DIGITS)[::-1], 2),
             int(codes.translate(_ZERO_DIGITS)[::-1], 2))
+
+
+@cache
+def _pattern(a: int) -> tuple[int, int]:
+    """Masks of (a/n) = -1 and (a/n) = 0 over n = 1, 3, ..., 4|a| - 1, one
+    period, for a on the table."""
+    return _symbol_masks(a, 1, 2 * abs(a))
 
 
 def _repeat(pattern: int, period: int, size: int) -> int:
@@ -261,15 +266,12 @@ def jacobi_masks(a: int, lo: int, size: int) -> tuple[int, int]:
     from lo, or for the whole range if that is shorter.
     """
     period = 2 * abs(a)
-    pattern = _jacobi_patterns.get(a)
-    if pattern is None and 0 < abs(a) <= JACOBI_TABLE_BOUND:
-        pattern = _jacobi_patterns[a] = _symbol_masks(a, 1, period)
-    if pattern is None:
+    if 0 < abs(a) <= JACOBI_TABLE_BOUND:
+        count, t, top = period, (lo >> 1) % period, (1 << period) - 1
+        masks = [(m >> t) | (m << (period - t) & top) for m in _pattern(a)]
+    else:
         count = min(period, size) or size
         masks = _symbol_masks(a, lo, count)
-    else:
-        count, t, top = period, (lo >> 1) % period, (1 << period) - 1
-        masks = [(m >> t) | (m << (period - t) & top) for m in pattern]
     return tuple(_repeat(m, count, size) for m in masks)
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .conic import ConicParams, conic_pow, rational_point
@@ -84,22 +85,14 @@ class Verdict:
         return self.outcome is Outcome.PROBABLE_PRIME
 
 
-# Verdicts without a factor are shared: building one costs about a tenth of
-# a scanned candidate, and they are frozen.  Their evidence strings come
-# from a fixed set, so the cache stays small; _SHARED_MAX bounds it anyway.
-_shared: dict[tuple, Verdict] = {}
-_SHARED_MAX = 1024
-
-
+# Verdicts without a factor are shared through this cache: building one
+# costs about a tenth of a scanned candidate, and they are frozen.  Their
+# evidence strings come from a fixed set, so the cache stays small; maxsize
+# bounds it anyway, dropping the least recently used first.
+@lru_cache(maxsize=1024)
 def _verdict(outcome: Outcome, evidence: str | None = None,
              branch: int | None = None) -> Verdict:
-    key = (outcome, evidence, branch)
-    verdict = _shared.get(key)
-    if verdict is None:
-        verdict = Verdict(outcome, evidence=evidence, jacobi_branch=branch)
-        if len(_shared) < _SHARED_MAX:
-            _shared[key] = verdict
-    return verdict
+    return Verdict(outcome, evidence=evidence, jacobi_branch=branch)
 
 
 def _pp(branch: int | None = None) -> Verdict:

@@ -33,10 +33,8 @@ scan that needs one (:func:`_pool`).  A later scan reuses it when it needs
 as many workers, and otherwise replaces it, joining the old one first.  A
 scan that fails while its stripes are out shuts the pool down and drops
 it, so the next scan starts a new one; the interpreter joins the pool's
-workers at exit.  Each worker keeps the ranks of apparition it computes
-in its own tables, so a kept worker scans warmer with every stripe; a
-forked worker also starts from its parent's tables as they were when it
-forked.  Nothing but each stripe's results comes back
+workers at exit.  What each worker keeps of the sieve's tables is said
+at :func:`_pool`.  Nothing but each stripe's results comes back
 (:func:`_stripe_results`).
 
 The sieve uses the odd primes up to min(isqrt(hi), SIEVE_CAP), where hi is
@@ -511,10 +509,9 @@ def scan_range(method: str, params: dict, lo: int, hi: int, *,
     The workers are this process's one pool, kept between calls: a call
     that needs the same number of workers reuses it, one that needs
     another number replaces it, a call that raises while its stripes are
-    out drops it, and the interpreter joins it at exit.  Each worker keeps
-    the ranks of apparition it computes, and a forked one starts from this
-    process's tables as they were when it forked; only the stripes' results
-    come back here.  ``jobs`` and ``chunk_odds`` must be ints of at least
+    out drops it, and the interpreter joins it at exit.  What a worker
+    keeps is said at :func:`_pool`; only the stripes' results come back
+    here.  ``jobs`` and ``chunk_odds`` must be ints of at least
     1, and neither changes the result.  With ``checkpoint`` the scan
     resumes from the file's cursor, which may not lie beyond hi + 1,
     reports only [cursor, hi], and records its starting cursor before the

@@ -70,6 +70,7 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
+from functools import lru_cache
 from itertools import compress, islice, repeat
 from math import gcd, isqrt
 from operator import add, lt, mod, rshift, sub
@@ -86,17 +87,16 @@ SIEVE_CAP = 1 << 20
 
 # Memo tables of pure functions, shared by every segment in the process so
 # that they stay warm from stripe to stripe: the odd primes found so far (a
-# prefix of all odd primes, so an index into it never changes meaning), and
-# per Lucas parameter pair (P, Q) the rank of apparition of the prime at
-# each index (0 = not computed yet), next to the exact integers U_g of
-# (P, Q) for g < _EXACT_U.  Each process fills only its own tables: a pool
-# worker keeps the ranks it computes for as long as it lives, and a forked
-# one starts from a copy of its parent's tables as they were when it
-# forked.
+# prefix of all odd primes, so an index into it never changes meaning), and,
+# in _pair_tables' cache, per Lucas parameter pair (P, Q) the rank of
+# apparition of the prime at each index (0 = not computed yet), next to the
+# exact integers U_g of (P, Q) for g < _EXACT_U.  The cache holds the tables
+# of 64 pairs and drops the least recently used first.  Each process fills
+# only its own tables: a pool worker keeps the ranks it computes for as long
+# as it lives, and a forked one starts from a copy of its parent's tables as
+# they were when it forked.
 _odd_primes = array("I")
 _odd_primes_limit = 2
-_ranks: dict[tuple[int, int], tuple[array, list[int]]] = {}
-_MAX_RANK_TABLES = 64
 # How many exact U_g a table keeps: g < 64 for 97% of the prime cofactors
 # decided near 2**34 (see the module docstring).
 _EXACT_U = 64
@@ -129,21 +129,15 @@ def _primes_through(limit: int) -> int:
     return bisect_right(_odd_primes, limit)
 
 
+@lru_cache(maxsize=64)
 def _pair_tables(P: int, Q: int) -> tuple[array, list[int]]:
-    """The rank table of (P, Q), with an entry for every prime of the prime
-    table, and the exact U_g of (P, Q) for g < _EXACT_U."""
-    tables = _ranks.get((P, Q))
-    if tables is None:
-        if len(_ranks) >= _MAX_RANK_TABLES:
-            _ranks.clear()
-        exact = [0, 1]
-        for _ in range(_EXACT_U - 2):
-            exact.append(P * exact[-1] - Q * exact[-2])
-        tables = _ranks[P, Q] = (array("I"), exact)
-    table = tables[0]
-    if len(table) < len(_odd_primes):
-        table.frombytes(bytes(4 * (len(_odd_primes) - len(table))))
-    return tables
+    """A new empty rank table of (P, Q), which :meth:`Segment.checker`
+    grows to the length of the prime table, and the exact U_g of (P, Q)
+    for g < _EXACT_U."""
+    exact = [0, 1]
+    for _ in range(_EXACT_U - 2):
+        exact.append(P * exact[-1] - Q * exact[-2])
+    return array("I"), exact
 
 
 def sieve_limit(hi: int) -> int:
@@ -258,7 +252,8 @@ class Segment:
         A proof is a prime q | n with q ∤ Q*scale and U_k ≢ 0 (mod q): a
         factor q <= limit whose rank does not divide k, or a cofactor q
         known to be prime.  The tables of (P, Q) are looked up once per
-        call, and the kernel makes one call for all the members of a class.
+        call, and the rank table grown to the prime table's length; the
+        kernel makes one call for all the members of a class.
 
         One loop walks each n's factor chain once.  Most walks end at the
         first factor, whose rank rules n out; each factor that does not is
@@ -272,6 +267,8 @@ class Segment:
         qs = Q * scale
         D = P * P - 4 * Q
         ranks, exact = _pair_tables(P, Q)
+        if len(ranks) < len(_odd_primes):
+            ranks.frombytes(bytes(4 * (len(_odd_primes) - len(ranks))))
         primes, head, factor, nxt = (_odd_primes, self._head, self._factor,
                                      self._next)
         origin, prime_below = self.lo, self.prime_below

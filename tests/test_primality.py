@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -233,7 +234,11 @@ def test_composite_verdicts_carry_evidence():
 
 
 def test_factor_free_verdicts_are_shared_and_the_cache_is_bounded(monkeypatch):
-    monkeypatch.setattr(primality, "_shared", {})  # filled below, then dropped
+    # A fresh cache with the module's own bound, filled below, then dropped
+    # for the process's own.
+    bound = primality._verdict.cache_info().maxsize
+    monkeypatch.setattr(primality, "_verdict", lru_cache(maxsize=bound)(
+        primality._verdict.__wrapped__))
     fib = LucasParams(1, -1)
     assert lucas_test(21, fib) is lucas_test(21, fib)  # fails its congruence
     assert lucas_test(101, fib) is lucas_test(109, fib)  # both pass, (5/n) = 1
@@ -242,7 +247,7 @@ def test_factor_free_verdicts_are_shared_and_the_cache_is_bounded(monkeypatch):
     assert with_factor.factor == 3
     assert with_factor == fermat_test(15, 3)
     assert with_factor is not fermat_test(15, 3)
-    for i in range(primality._SHARED_MAX + 10):
+    for i in range(1024 + 10):
         verdict = primality._composite(f"evidence {i}")
         assert verdict.evidence == f"evidence {i}" and verdict.factor is None
-    assert len(primality._shared) == primality._SHARED_MAX
+    assert primality._verdict.cache_info().currsize == 1024

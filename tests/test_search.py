@@ -9,7 +9,7 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from functools import partial
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -307,9 +307,10 @@ def test_a_pooled_scan_matches_one_process_and_hands_back_no_ranks(
         swap_pool_executor(partial(
             ProcessPoolExecutor,
             mp_context=multiprocessing.get_context(start_method)))
-    monkeypatch.setattr(sieve, "_ranks", {})
+    monkeypatch.setattr(sieve, "_pair_tables", lru_cache(maxsize=64)(
+        sieve._pair_tables.__wrapped__))
     pooled = scan_range(*POOLED_SCAN, jobs=2, chunk_odds=512)
-    assert sieve._ranks == {}
+    assert sieve._pair_tables.cache_info().currsize == 0
     alone = scan_range(*POOLED_SCAN, jobs=1, chunk_odds=512)
     assert pooled.canonical_json() == alone.canonical_json()
 

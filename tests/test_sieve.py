@@ -9,7 +9,7 @@ from the sieve must get the verdict the per-n test gives it.
 """
 
 import random
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice
 from math import gcd, isqrt, lcm
 
@@ -30,7 +30,7 @@ from pellprime.primality import Outcome, Verdict
 from pellprime.recurrence import LucasParams, lucas_pair, rank_of_apparition
 from pellprime import search, sieve
 from pellprime.kernel import count_masks, members, settle, walk
-from pellprime.search import build_test, is_prime, scan_range
+from pellprime.search import build_test, grid_scan, is_prime, scan_range
 from pellprime.sieve import SIEVE_CAP, Segment, primes_up_to, sieve_limit
 
 # Every method the chunk kernel covers, with Selfridge and with fixed
@@ -482,6 +482,25 @@ def test_cofactor_ladders_are_rare_near_2_34(monkeypatch):
     assert report.stats["sieved"] > 10**4
     assert 0 < len(calls) < 50
     assert min(calls) >= sieve._EXACT_U
+
+
+def test_rank_tables_are_bounded_and_dropped_least_recent_first(monkeypatch):
+    # The 65 scanned cells of this grid meet 65 pairs (P, Q), one more than
+    # the cache holds, so each pass evicts; a second pass evicts on every
+    # cell.  A fresh cache with the module's own bound is installed, and
+    # the process's warm one comes back after the test.
+    bound = sieve._pair_tables.cache_info().maxsize
+    monkeypatch.setattr(sieve, "_pair_tables", lru_cache(maxsize=bound)(
+        sieve._pair_tables.__wrapped__))
+    grid = ("lucas", range(1, 12), range(-3, 4), 2000)
+    passes = [grid_scan(*grid), grid_scan(*grid)]
+    info = sieve._pair_tables.cache_info()
+    assert info.misses > 64 and info.currsize <= 64
+    sieve._pair_tables.cache_clear()
+    passes.append(grid_scan(*grid))
+    counts = [[cell["count"] for cell in report.cells] for report in passes]
+    assert counts[0] == counts[1] == counts[2]
+    assert sum(count is not None for count in counts[0]) == 65
 
 
 # (1, -1) is Fibonacci; D = 80 and 12 put 5 and 3 into D, and (6, -11)
