@@ -3,8 +3,10 @@
 Output is machine readable (JSONL records with a versioned schema, or CSV).
 For ``test`` the exit code carries the verdict: 0 probable prime,
 1 composite, 2 invalid parameters or usage error.  A command interrupted
-with Ctrl-C exits with 130 and one line on stderr, with no traceback; for
-a scan with ``--checkpoint`` the line names the file to resume from.
+with Ctrl-C exits with 130, and one stopped with SIGTERM with 143, after
+one line on stderr, with no traceback; for a scan with ``--checkpoint``
+the line names the file to resume from.  Either way a scan's pool of
+workers is shut down first.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
+import signal
 import sys
 
 from .primality import Outcome
@@ -189,19 +193,44 @@ def cmd_grid(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised in the main thread as Ctrl-C raises KeyboardInterrupt,
+    so that a scan unwinds the same way: its pool is shut down first."""
+
+
+def _terminate(signum, frame) -> None:
+    raise _Terminated
+
+
+def _leave_sigterm_to_the_cli() -> None:
+    # A pool worker forked by the CLI ignores SIGTERM, even one sent to the
+    # whole process group, and the CLI shuts the pool down.  A worker that
+    # died of it would break the pool while the scan unwinds, and the pool
+    # of Python 3.11 then fails with a traceback on the stripes the
+    # unwinding cancelled.
+    if signal.getsignal(signal.SIGTERM) is _terminate:
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+
+
+os.register_at_fork(after_in_child=_leave_sigterm_to_the_cli)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"pellprime: error: {exc}", file=sys.stderr)
         return 2
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, _Terminated) as exc:
         checkpoint = getattr(args, "checkpoint", None)
         resume = f"; resume from checkpoint {checkpoint}" if checkpoint else ""
         print(f"pellprime: interrupted{resume}", file=sys.stderr)
-        return 130
+        return 143 if isinstance(exc, _Terminated) else 130
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ with the other reference oracles in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .modarith import Factor
@@ -26,17 +26,15 @@ __all__ = ["ConicParams", "conic_pow", "rational_point"]
 Point = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class ConicParams:
+class ConicParams(namedtuple("ConicParams", "D x y")):
     """A conic coefficient D together with a base point (x, y).
 
     D and the coordinates are stored as given (they may be negative or
-    unreduced); everything is reduced per modulus when used.
+    unreduced); everything is reduced per modulus when used.  A frozen
+    record (a named tuple).
     """
 
-    D: int
-    x: int
-    y: int
+    __slots__ = ()
 
     def point(self, n: int) -> Point:
         return (self.x % n, self.y % n)

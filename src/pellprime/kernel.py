@@ -63,10 +63,10 @@ discriminant, Q' or scale, or a pell base point of norm other than 1.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 from functools import cache
 from itertools import accumulate, islice, repeat
 from math import gcd, isqrt
-from typing import Iterator
 
 from .modarith import JACOBI_TABLE_BOUND, jacobi
 from .primality import Outcome, first_congruence, is_prime

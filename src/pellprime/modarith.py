@@ -10,7 +10,7 @@ read it from a periodic table), and a missing inverse is reported as a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "JACOBI_TABLE_BOUND",
@@ -24,16 +24,16 @@ __all__ = [
 MAX_MODULUS = 2**63 - 1
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(namedtuple("Factor", "value")):
     """A gcd returned where an inverse was requested.
 
     ``value`` is ``gcd(a, n)``; it is a nontrivial divisor of n when
     ``1 < value < n``.  ``value == n`` means a ≡ 0 (mod n): no inverse and
-    no factor either.
+    no factor either.  A frozen record: a one-field tuple, never equal to
+    a point (x, y).
     """
 
-    value: int
+    __slots__ = ()
 
 
 def mul_mod(a: int, b: int, n: int) -> int:

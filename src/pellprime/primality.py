@@ -29,7 +29,7 @@ cannot decide.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd
 
@@ -63,22 +63,20 @@ class Outcome(enum.Enum):
     PARAMS_INVALID = "params-invalid"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple("Verdict",
+                          "outcome evidence factor jacobi_branch stage",
+                          defaults=(None, None, None, "test"))):
     """Outcome of one test run, with evidence where available.
 
     ``factor`` is a nontrivial divisor of n when one was found; ``evidence``
     names the failed congruence or violated precondition; ``jacobi_branch``
     records the (D/n) value that selected the exponent, when applicable;
     ``stage`` is "selector" for verdicts short-circuited during parameter
-    selection and "test" otherwise.
+    selection and "test" otherwise.  All but ``outcome`` default to None,
+    and ``stage`` to "test".  A frozen record (a named tuple).
     """
 
-    outcome: Outcome
-    evidence: str | None = None
-    factor: int | None = None
-    jacobi_branch: int | None = None
-    stage: str = "test"
+    __slots__ = ()
 
     @property
     def is_probable_prime(self) -> bool:

@@ -13,7 +13,7 @@ other reference oracles in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .modarith import jacobi
 
@@ -26,34 +26,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LucasParams:
-    """Lucas sequence parameters: U_0=0, U_1=1, U_k = P*U_{k-1} - Q*U_{k-2}."""
+class LucasParams(namedtuple("LucasParams", "P Q")):
+    """Lucas sequence parameters: U_0=0, U_1=1, U_k = P*U_{k-1} - Q*U_{k-2}.
 
-    P: int
-    Q: int
+    A frozen record (a named tuple).
+    """
+
+    __slots__ = ()
 
     @property
     def discriminant(self) -> int:
         return self.P * self.P - 4 * self.Q
 
 
-@dataclass(frozen=True)
-class MatrixParams:
+class MatrixParams(namedtuple("MatrixParams", "P Q R")):
     """Parameters of the matrix [[P, -Q], [R, 0]]; R must be nonzero.
 
     The attached sequences recur with t^2 - P*t + Q*R and start from
     U~_0 = 0, U~_1 = R and V~_0 = 1, V~_1 = P.  R = 1 recovers the plain
-    Lucas sequence (with V~_k = U_{k+1}).
+    Lucas sequence (with V~_k = U_{k+1}).  A frozen record (a named
+    tuple), whose constructor raises ValueError for R = 0.
     """
 
-    P: int
-    Q: int
-    R: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.R == 0:
+    def __new__(cls, P: int, Q: int, R: int) -> MatrixParams:
+        if R == 0:
             raise ValueError("R must be nonzero")
+        return super().__new__(cls, P, Q, R)
 
     @property
     def discriminant(self) -> int:

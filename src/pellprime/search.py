@@ -29,13 +29,15 @@ Where a chunk holds KERNEL_ODDS odd n or more, as in the CLI's chunks of
 2**16, a stripe is ceil(limit / span) chunks.
 
 A process keeps one pool of workers between scans, started by the first
-scan that needs one (:func:`_pool`).  A later scan reuses it when it needs
-as many workers, and otherwise replaces it, joining the old one first.  A
-scan that fails while its stripes are out shuts the pool down and drops
-it, so the next scan starts a new one; the interpreter joins the pool's
-workers at exit.  What each worker keeps of the sieve's tables is said
-at :func:`_pool`.  Nothing but each stripe's results comes back
-(:func:`_stripe_results`).
+scan that needs one (:func:`_pool`); only then are ``multiprocessing`` and
+``concurrent.futures.process`` imported, so a process that runs single
+tests, or scans in one process, never loads them.  A later scan reuses
+the pool when it needs as many workers, and otherwise replaces it,
+joining the old one first.  A scan that fails while its stripes are out
+shuts the pool down and drops it, so the next scan starts a new one; the
+interpreter joins the pool's workers at exit.  What each worker keeps of
+the sieve's tables is said at :func:`_pool`.  Nothing but each stripe's
+results comes back (:func:`_stripe_results`).
 
 The sieve uses the odd primes up to min(isqrt(hi), SIEVE_CAP), where hi is
 the scan's upper end, not the stripe's or the chunk's, so every count is
@@ -78,13 +80,9 @@ import os
 import time
 from bisect import bisect_right
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
 from functools import partial
 from itertools import product
-from multiprocessing.util import Finalize
-from typing import Callable, Iterator
 
 from .conic import ConicParams
 from .kernel import Bulk, count_masks, members, settle, walk
@@ -260,8 +258,8 @@ def build_test(method: str,
 # reports
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(namedtuple("ScanReport", "method params lo hi pseudoprimes "
+                                         "stats elapsed", defaults=(0.0,))):
     """Result of one range scan.
 
     ``pseudoprimes`` are the odd composites in [lo, hi] passing the test,
@@ -274,15 +272,11 @@ class ScanReport:
     ``pseudoprimes``.  Every other count is what the test gives n by n,
     whether the kernel settled n in bulk or the test ran on it.  The
     counts, like the list, are the same for any ``jobs`` and chunk size.
+    ``elapsed`` is the wall time in seconds, 0.0 by default.  A frozen
+    record (a named tuple), whose ``count`` is the number of pseudoprimes.
     """
 
-    method: str
-    params: str
-    lo: int
-    hi: int
-    pseudoprimes: tuple[int, ...]
-    stats: dict[str, int]
-    elapsed: float = 0.0
+    __slots__ = ()
 
     @property
     def count(self) -> int:
@@ -307,20 +301,16 @@ class ScanReport:
         return json.dumps(self.to_dict(include_elapsed=False), sort_keys=True)
 
 
-@dataclass(frozen=True)
-class GridReport:
+class GridReport(namedtuple("GridReport", "method axes limit cells elapsed "
+                                         "variant", defaults=(0.0, None))):
     """Counts of pseudoprimes per parameter cell, with degenerate cells skipped.
 
+    ``axes`` is ((name, values), ...) and ``cells`` one dict per cell.
     ``variant`` is the matrix variant every cell ran, None for the other
-    methods.
+    methods.  A frozen record (a named tuple).
     """
 
-    method: str
-    axes: tuple[tuple[str, tuple[int, ...]], ...]
-    limit: int
-    cells: tuple[dict, ...]
-    elapsed: float = 0.0
-    variant: str | None = None
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -420,9 +410,9 @@ def _stripe_results(args) -> list[tuple[int, list[int], dict[str, int]]]:
 
 
 # This process's worker pool, kept between scans, by its worker count (at
-# most one entry), with the finalizer that shuts it down.  A forked child
-# starts without it.
-_pools: dict[int, tuple[ProcessPoolExecutor, Finalize]] = {}
+# most one entry), with the finalizer that shuts it down: (executor,
+# finalizer).  A forked child starts without it.
+_pools: dict[int, tuple] = {}
 os.register_at_fork(after_in_child=_pools.clear)
 
 
@@ -434,15 +424,24 @@ def _close_pool() -> None:
         shutdown()
 
 
-def _pool(workers: int) -> ProcessPoolExecutor:
-    """This process's pool of ``workers`` workers: the live one if it has
-    that many, else a new one.  The old pool is shut down and joined first,
-    so that no pool thread is alive when the new pool forks its workers.
+def _pool(workers: int):
+    """This process's ``concurrent.futures.ProcessPoolExecutor`` of
+    ``workers`` workers: the live one if it has that many, else a new one.
+    The old pool is shut down and joined first, so that no pool thread is
+    alive when the new pool forks its workers.
+
+    The pool's modules, ``concurrent.futures.process`` and
+    ``multiprocessing``, are imported here, when a scan first fans out, so
+    that importing the package for one test does not load them.  A
+    forked worker inherits them.
 
     Each worker keeps the ranks of apparition it computes for as long as it
     lives, and a forked one starts from this process's tables as they were
     when it forked; no rank is handed back."""
     if workers not in _pools:
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing.util import Finalize
+
         _close_pool()
         pool = ProcessPoolExecutor(max_workers=workers)
         # multiprocessing's exit hook shuts it down too: in a
@@ -462,6 +461,8 @@ def _pooled(stripes: list[tuple], workers: int) -> Iterator[tuple]:
     anything back, so nothing of the scan has been absorbed yet: it is
     replaced once, and the stripes go to the new pool.
     """
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         results = _pool(workers).map(_stripe_results, stripes)
         first = next(results)

@@ -26,9 +26,9 @@ both dividing k = 324, so 323 survives and is reported.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Callable, Iterator
 from itertools import islice
 from math import gcd, isqrt
-from typing import Callable, Iterator
 
 from .conic import ConicParams
 from .modarith import MAX_MODULUS, jacobi

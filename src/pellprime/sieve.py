@@ -70,11 +70,11 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable
 from functools import lru_cache
 from itertools import compress, islice, repeat
 from math import gcd, isqrt
 from operator import add, lt, mod, rshift, sub
-from typing import Iterable
 
 from .modarith import jacobi
 from .recurrence import _lucas_u, rank_of_apparition

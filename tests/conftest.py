@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import pytest
 
 from pellprime import search
@@ -6,12 +8,14 @@ from pellprime.sieve import primes_up_to
 
 @pytest.fixture
 def swap_pool_executor(monkeypatch):
-    """Swaps ``search.ProcessPoolExecutor`` for the test (call it with the
-    stand-in).  This process's pool is closed before and after, so the
-    test starts its own, and no later test reuses one of the stand-in's."""
+    """Swaps ``concurrent.futures.ProcessPoolExecutor``, the name that
+    ``search._pool`` imports when it starts a pool, for the test (call it
+    with the stand-in).  This process's pool is closed before and after, so
+    the test starts its own, and no later test reuses one of the
+    stand-in's."""
     search._close_pool()
     yield lambda executor: monkeypatch.setattr(
-        search, "ProcessPoolExecutor", executor)
+        concurrent.futures, "ProcessPoolExecutor", executor)
     search._close_pool()
 
 

@@ -1,10 +1,16 @@
 import csv
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from pellprime import search
+from pellprime import cli, search
 from pellprime.cli import main
 
 
@@ -224,6 +230,89 @@ def test_interrupt_without_a_checkpoint_exits_130(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "scan", "--method", "lucas", "-P", "4",
                              "-Q", "1", "--to", "5000")
     assert (code, out, err) == (130, "", "pellprime: interrupted\n")
+
+
+def _cursor(path) -> int:
+    """The cursor a checkpoint file holds, 0 before the first write."""
+    try:
+        return int(path.read_text().split()[0].partition("=")[2])
+    except FileNotFoundError:
+        return 0
+
+
+def _group_gone(pgid: int) -> bool:
+    """Whether process group pgid is empty within 10 s; any member left
+    then is killed, so that a failure leaves no process behind."""
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return True
+        time.sleep(0.01)
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    return False
+
+
+@pytest.mark.parametrize("jobs, target", [(1, "group"), (2, "group"),
+                                          (2, "cli")])
+def test_sigterm_ends_a_scan_as_ctrl_c_does_and_leaves_no_worker(
+        tmp_path, jobs, target):
+    # The scan of odd n to 10**9 runs for minutes; it is stopped once it
+    # has written the cursor after its first chunk, while --jobs 2 has a
+    # live pool.  Whether SIGTERM reaches the workers too (the process
+    # group) or not, the CLI shuts them down, and no traceback is printed.
+    ckpt = tmp_path / "scan.ckpt"
+    src = Path(search.__file__).resolve().parents[1]
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pellprime.cli", "scan", "--method", "lucas",
+         "--selfridge", "--to", str(10**9), "--jobs", str(jobs),
+         "--checkpoint", str(ckpt)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while (_cursor(ckpt) <= 3 and proc.poll() is None
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        if target == "group":
+            os.killpg(proc.pid, signal.SIGTERM)
+        else:
+            os.kill(proc.pid, signal.SIGTERM)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        left = not _group_gone(proc.pid)
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 143
+    assert err == f"pellprime: interrupted; resume from checkpoint {ckpt}\n"
+    assert not left
+    assert _cursor(ckpt) > 3
+
+
+def test_a_forked_worker_leaves_sigterm_to_the_cli():
+    previous = signal.signal(signal.SIGTERM, cli._terminate)
+    try:
+        pid = os.fork()
+        if pid == 0:
+            os._exit(signal.getsignal(signal.SIGTERM) is not signal.SIG_IGN)
+        _, status = os.waitpid(pid, 0)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_main_puts_the_sigterm_handler_back(capsys):
+    before = signal.getsignal(signal.SIGTERM)
+    code, _, _ = run_cli(capsys, "test", "323", "--method", "lucas",
+                         "--selfridge")
+    assert code == 0
+    assert signal.getsignal(signal.SIGTERM) is before
 
 
 def test_grid_csv_layout(capsys):

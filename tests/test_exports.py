@@ -3,8 +3,12 @@
 import ast
 import importlib
 import inspect
+import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pellprime
@@ -145,3 +149,43 @@ def test_package_exports_what_the_readme_uses():
     readme_names = {name.strip() for name in imported.split(",")}
     assert set(pellprime.__all__) == readme_names | {
         "build_test", "grid_scan", "Outcome", "Verdict"}
+
+
+# Run in a fresh ``python -S``: without ``site``, whose .pth files may
+# import typing, the interpreter loads only what the package asks for.
+# VERDICT_METHODS are the nine tests bench/run.py builds for its set-up
+# time.
+IMPORT_PATH = """\
+import json, sys
+import pellprime, pellprime.cli
+from pellprime.search import build_test, scan_range
+VERDICT_METHODS = [
+    ("fermat", {"a": 2}), ("strong-base", {"a": 2}),
+    ("lucas", {"selfridge": True}), ("double-lucas", {"selfridge": True}),
+    ("matrix", {"selfridge": True}), ("pell", {"D": 3, "x": 2, "y": 1}),
+    ("strong-pell", {"D": 3, "x": 2, "y": 1}),
+    ("gen-pell", {"selfridge": True}), ("pell-variant", {})]
+for method, params in VERDICT_METHODS:
+    build_test(method, params)[0](2**61 + 1)
+heavy = ("multiprocessing", "concurrent.futures.process", "dataclasses",
+         "inspect", "typing")
+loaded = [name for name in heavy if name in sys.modules]
+scan = ("lucas", {"selfridge": True}, 3, 20000)
+pooled = scan_range(*scan, jobs=2, chunk_odds=512)
+print(json.dumps({
+    "loaded": loaded, "pool_loaded": "multiprocessing" in sys.modules,
+    "pooled": pooled.canonical_json(),
+    "alone": scan_range(*scan, jobs=1, chunk_odds=512).canonical_json()}))
+"""
+
+
+def test_a_single_test_loads_no_pool_dataclasses_or_typing():
+    env = os.environ | {"PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-S", "-c", IMPORT_PATH], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    seen = json.loads(done.stdout)
+    assert seen["loaded"] == []
+    # A scan that fans out loads the pool, and its report is one process's.
+    assert seen["pool_loaded"]
+    assert seen["pooled"] == seen["alone"]
