@@ -17,6 +17,7 @@ import json
 import os
 import signal
 import sys
+from itertools import islice
 
 from .primality import Outcome
 from .search import GRID_METHODS, METHODS, VARIANTS
@@ -177,19 +178,18 @@ def cmd_grid(args: argparse.Namespace) -> int:
             _emit({"schema": SCHEMA, "type": "grid_cell", **cell})
         return 0
 
+    # The cells come in product(R, P, Q) order: each row is the next
+    # len(q_values) of them.
     writer = csv.writer(sys.stdout)
-    blocks = [(None, report.cells)] if args.method != "matrix" else [
-        (r, [c for c in report.cells if c["R"] == r]) for r in r_values]
-    for r, cells in blocks:
+    cells = iter(report.cells)
+    for r in r_values or [None]:
         if r is not None:
             writer.writerow([f"R={r}"])
         writer.writerow(["P\\Q"] + [str(q) for q in q_values])
         for p in p_values:
-            row = [str(p)]
-            for q in q_values:
-                cell = next(c for c in cells if c["P"] == p and c["Q"] == q)
-                row.append("skip" if cell["skipped"] else str(cell["count"]))
-            writer.writerow(row)
+            writer.writerow([str(p)] + [
+                "skip" if cell["skipped"] else str(cell["count"])
+                for cell in islice(cells, len(q_values))])
     return 0
 
 

@@ -1,7 +1,7 @@
 """Probable-prime tests built on degree-two linear recurrences and conics.
 
-Every test takes an odd integer n >= 3 plus parameters and returns a
-:class:`Verdict`:
+Every test takes an odd int n in [3, 2**63) plus parameters and returns
+a :class:`Verdict`:
 
 * ``PROBABLE_PRIME`` -- n satisfied the defining congruences;
 * ``COMPOSITE`` -- a congruence failed, or a nontrivial factor surfaced
@@ -11,6 +11,10 @@ Every test takes an odd integer n >= 3 plus parameters and returns a
 
 A verdict never claims primality outright: composites passing a given test
 with given parameters are exactly the pseudoprimes the scan module hunts.
+
+One guard sits on every public test (:func:`_guard`): any other n gets the
+``PARAMS_INVALID`` verdict that names the failed condition, before any
+other check.
 
 Every test runs its ladder on every n that meets its preconditions.  The
 tests whose first congruence is scale*U_k(P', Q') ≡ 0 for a Lucas sequence
@@ -30,7 +34,8 @@ from __future__ import annotations
 
 import enum
 from collections import namedtuple
-from functools import lru_cache
+from collections.abc import Callable
+from functools import lru_cache, wraps
 from math import gcd
 
 from .conic import ConicParams, conic_pow, rational_point
@@ -121,6 +126,16 @@ def _check_n(n: int) -> Verdict | None:
     return None
 
 
+def _guard(test: Callable[..., Verdict]) -> Callable[..., Verdict]:
+    """The test behind one guard: an n that :func:`_check_n` rejects gets
+    its params-invalid verdict, before any other check.  The guarded test
+    keeps its name, docstring and signature."""
+    @wraps(test)
+    def guarded(n, *args, **kwargs):
+        return _check_n(n) or test(n, *args, **kwargs)
+    return guarded
+
+
 def _branch(D: int, n: int) -> tuple[int, Verdict | None]:
     """Jacobi branch (D/n), or the early verdict forced by (D/n) = 0.
 
@@ -141,15 +156,13 @@ def _branch(D: int, n: int) -> tuple[int, Verdict | None]:
 # base-a tests
 
 
+@_guard
 def fermat_test(n: int, a: int) -> Verdict:
     """Fermat test: probable prime iff a**(n-1) ≡ 1 (mod n).
 
     Composites passing for a base are the Fermat pseudoprimes to that base
     (341 is the first one for a = 2).
     """
-    bad = _check_n(n)
-    if bad:
-        return bad
     if not 1 < a < n:
         return _invalid("base must satisfy 1 < a < n")
     g = gcd(a, n)
@@ -160,15 +173,13 @@ def fermat_test(n: int, a: int) -> Verdict:
     return _pp()
 
 
+@_guard
 def strong_base_test(n: int, a: int) -> Verdict:
     """Strong (Miller-Rabin style) test to base a.
 
     Writing n - 1 = 2**r * s with s odd, n is a probable prime iff
     a**s ≡ 1 or a**(2**k * s) ≡ -1 (mod n) for some 0 <= k < r.
     """
-    bad = _check_n(n)
-    if bad:
-        return bad
     if not 1 < a < n:
         return _invalid("base must satisfy 1 < a < n")
     g = gcd(a, n)
@@ -247,9 +258,6 @@ def _lucas_pre(n: int, params: LucasParams | MatrixParams,
                evidence: str) -> tuple[int, int, Verdict | None]:
     """(D/n), Q' and the early verdict of a lucas, double-lucas or matrix
     test; ``evidence`` names the test's gcd(Q', n) > 1."""
-    bad = _check_n(n)
-    if bad:
-        return 0, 0, bad
     D, _, q, _ = first_congruence(params)
     if gcd(q, n) != 1:
         return 0, 0, _invalid(evidence)
@@ -271,6 +279,7 @@ def _companion(n: int, j: int, u: int, companion: int, q: int,
     return _pp(j)
 
 
+@_guard
 def lucas_test(n: int, params: LucasParams) -> Verdict:
     """Lucas test: probable prime iff U_{n-(D/n)} ≡ 0 (mod n).
 
@@ -287,6 +296,7 @@ def lucas_test(n: int, params: LucasParams) -> Verdict:
     return _pp(j)
 
 
+@_guard
 def double_lucas_test(n: int, params: LucasParams) -> Verdict:
     """Lucas test strengthened with the companion congruence.
 
@@ -320,9 +330,18 @@ def matrix_test(n: int, params: MatrixParams,
       2QRΔ always pass (V~_k = U_{k+1} of Lucas(P, QR), and the
       :func:`double_lucas_test` argument applies); R = 1 recovers
       :func:`double_lucas_test`.
+
+    An unknown variant raises ValueError whatever n is, so the variant is
+    checked before the guard runs.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant: {variant!r}")
+    return _matrix_test(n, params, variant)
+
+
+@_guard
+def _matrix_test(n: int, params: MatrixParams, variant: str) -> Verdict:
+    """:func:`matrix_test` for a known variant."""
     j, qr, early = _lucas_pre(n, params, "gcd(QR, n) > 1")
     if early:
         return early
@@ -339,9 +358,6 @@ def matrix_test(n: int, params: MatrixParams,
 
 
 def _norm_one_pre(n: int, params: ConicParams) -> tuple[int, Verdict | None]:
-    bad = _check_n(n)
-    if bad:
-        return 0, bad
     D, _, q, _ = first_congruence(params)
     if q % n != 1 % n:
         return 0, _invalid("base point norm ≢ 1 (mod n)")
@@ -362,6 +378,7 @@ def _power(n: int, j: int, params: ConicParams, q: int,
     return _pp(j)
 
 
+@_guard
 def pell_test(n: int, params: ConicParams) -> Verdict:
     """Pell test: y-coordinate of the point power (x, y)^(n-(D/n)) vanishes.
 
@@ -378,6 +395,7 @@ def pell_test(n: int, params: ConicParams) -> Verdict:
     return _pp(j)
 
 
+@_guard
 def strong_pell_test(n: int, params: ConicParams) -> Verdict:
     """Strong Pell test: (x, y)^(n-(D/n)) ≡ (1, 0) (mod n).
 
@@ -391,6 +409,7 @@ def strong_pell_test(n: int, params: ConicParams) -> Verdict:
     return _power(n, j, params, 1, "(x, y)^{n-(D/n)} ≢ (1, 0) (mod n)")
 
 
+@_guard
 def strong_pell_test_param(n: int, D: int, a: int) -> Verdict:
     """Strong Pell test with the base point parametrized by an integer a.
 
@@ -398,9 +417,6 @@ def strong_pell_test_param(n: int, D: int, a: int) -> Verdict:
     construction.  A nontrivial gcd(a^2 - D, n) is compositeness evidence;
     a^2 ≡ D (mod n) leaves the point undefined.
     """
-    bad = _check_n(n)
-    if bad:
-        return bad
     pt = rational_point(a, D, n)
     if isinstance(pt, Factor):
         if pt.value == n:
@@ -409,6 +425,7 @@ def strong_pell_test_param(n: int, D: int, a: int) -> Verdict:
     return strong_pell_test(n, ConicParams(D, pt[0], pt[1]))
 
 
+@_guard
 def generalized_pell_test(n: int, params: ConicParams) -> Verdict:
     """Conic test for a base point of arbitrary norm Q coprime to n.
 
@@ -418,9 +435,6 @@ def generalized_pell_test(n: int, params: ConicParams) -> Verdict:
     z^(p+1) = z·z^p = N(z) = Q when it is the field F_{p^2}; so every
     such prime passes.
     """
-    bad = _check_n(n)
-    if bad:
-        return bad
     D, _, q, _ = first_congruence(params)
     g = gcd(q, n)
     if g != 1:
@@ -437,15 +451,13 @@ def generalized_pell_test(n: int, params: ConicParams) -> Verdict:
                   "conic power ≢ (norm branch target) (mod n)")
 
 
+@_guard
 def pell_variant_test(n: int) -> Verdict:
     """Parameterless variant on the Pell sequence (P=2, Q=-1): OEIS A099011.
 
     Probable prime iff U_n ≡ (2/n) (mod n); the first composite passing is
     169.
     """
-    bad = _check_n(n)
-    if bad:
-        return bad
     u_n, _ = lucas_pair(LucasParams(2, -1), n, n)
     j = jacobi(2, n)
     if u_n != j % n:

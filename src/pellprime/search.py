@@ -418,10 +418,20 @@ os.register_at_fork(after_in_child=_pools.clear)
 
 def _close_pool() -> None:
     """Shut this process's pool down, cancelling the stripes it has not
-    started and waiting for its workers, and forget it."""
+    started and waiting for its workers, and forget it.
+
+    A worker still alive after that is killed (SIGKILL) and reaped: when a
+    worker dies mid-scan, the pool of Python 3.11 can fail before it ends
+    the others, and the interpreter's exit hook would wait for them
+    forever.  A worker forked by the CLI ignores SIGTERM, so it takes
+    SIGKILL.  No other child of this process is touched."""
     while _pools:
-        _, (_, shutdown) = _pools.popitem()
+        _, (pool, shutdown) = _pools.popitem()
+        workers = list((getattr(pool, "_processes", None) or {}).values())
         shutdown()
+        for worker in workers:
+            worker.kill()
+            worker.join()
 
 
 def _pool(workers: int):

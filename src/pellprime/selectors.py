@@ -31,10 +31,11 @@ from itertools import islice
 from math import gcd, isqrt
 
 from .conic import ConicParams
-from .modarith import MAX_MODULUS, jacobi
+from .modarith import jacobi
 from .primality import (
     Outcome,
     Verdict,
+    _check_n,
     double_lucas_test,
     generalized_pell_test,
     lucas_test,
@@ -91,8 +92,10 @@ def matrix_candidates() -> Iterator[int]:
 
 
 def _pre(n: int) -> Verdict | None:
-    if (not isinstance(n, int) or isinstance(n, bool) or n < 3
-            or n > MAX_MODULUS or n % 2 == 0):
+    """The walk's verdict on an n that the tests' guard rejects (one
+    params-invalid verdict for every failed condition) or on a perfect
+    square, before any candidate; None for any other n."""
+    if _check_n(n):
         return Verdict(Outcome.PARAMS_INVALID,
                        evidence="n must be odd, >= 3 and below 2**63",
                        stage="selector")

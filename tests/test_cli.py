@@ -257,15 +257,11 @@ def _group_gone(pgid: int) -> bool:
     return False
 
 
-@pytest.mark.parametrize("jobs, target", [(1, "group"), (2, "group"),
-                                          (2, "cli")])
-def test_sigterm_ends_a_scan_as_ctrl_c_does_and_leaves_no_worker(
-        tmp_path, jobs, target):
-    # The scan of odd n to 10**9 runs for minutes; it is stopped once it
-    # has written the cursor after its first chunk, while --jobs 2 has a
-    # live pool.  Whether SIGTERM reaches the workers too (the process
-    # group) or not, the CLI shuts them down, and no traceback is printed.
-    ckpt = tmp_path / "scan.ckpt"
+def _long_scan(ckpt, jobs: int) -> subprocess.Popen:
+    """A CLI scan of the odd n to 10**9 with checkpoint ckpt, which runs for
+    minutes, in a session (and process group) of its own; returned once it
+    has written the cursor after its first chunk, while --jobs 2 has a
+    live pool (or once it has ended, or after 60 s)."""
     src = Path(search.__file__).resolve().parents[1]
     env = os.environ | {"PYTHONPATH": os.pathsep.join(
         filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
@@ -275,11 +271,22 @@ def test_sigterm_ends_a_scan_as_ctrl_c_does_and_leaves_no_worker(
          "--checkpoint", str(ckpt)],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
         text=True, start_new_session=True)
+    deadline = time.monotonic() + 60
+    while (_cursor(ckpt) <= 3 and proc.poll() is None
+           and time.monotonic() < deadline):
+        time.sleep(0.01)
+    return proc
+
+
+@pytest.mark.parametrize("jobs, target", [(1, "group"), (2, "group"),
+                                          (2, "cli")])
+def test_sigterm_ends_a_scan_as_ctrl_c_does_and_leaves_no_worker(
+        tmp_path, jobs, target):
+    # Whether SIGTERM reaches the workers too (the process group) or not,
+    # the CLI shuts them down, and no traceback is printed.
+    ckpt = tmp_path / "scan.ckpt"
+    proc = _long_scan(ckpt, jobs)
     try:
-        deadline = time.monotonic() + 60
-        while (_cursor(ckpt) <= 3 and proc.poll() is None
-               and time.monotonic() < deadline):
-            time.sleep(0.01)
         if target == "group":
             os.killpg(proc.pid, signal.SIGTERM)
         else:
@@ -291,6 +298,27 @@ def test_sigterm_ends_a_scan_as_ctrl_c_does_and_leaves_no_worker(
         proc.wait()
     assert proc.returncode == 143
     assert err == f"pellprime: interrupted; resume from checkpoint {ckpt}\n"
+    assert not left
+    assert _cursor(ckpt) > 3
+
+
+def test_a_killed_worker_ends_a_scan_with_exit_2_and_leaves_no_worker(
+        tmp_path):
+    # The pool breaks, and the CLI kills the worker it left alive (which
+    # ignores SIGTERM) before it exits; the same command would resume from
+    # the checkpoint.
+    ckpt = tmp_path / "scan.ckpt"
+    proc = _long_scan(ckpt, 2)
+    try:
+        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        os.kill(int(children.read_text().split()[0]), signal.SIGKILL)
+        _, err = proc.communicate(timeout=30)
+    finally:
+        left = not _group_gone(proc.pid)
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 2
+    assert err.splitlines()[-1].startswith("pellprime: error:")
     assert not left
     assert _cursor(ckpt) > 3
 
@@ -324,6 +352,20 @@ def test_grid_csv_layout(capsys):
     assert rows[0] == ["P\\Q", "-1", "1"]
     assert rows[1][0] == "-3" and rows[2][0] == "-2"
     assert all(len(r) == 3 for r in rows)
+
+    # Repeated axis values repeat their block, row or column; each count is
+    # the one its cell records.
+    argv = ("grid", "--method", "matrix", "--p-range=3,1,3",
+            "--q-range=2,-1,2", "--r-set=1,1", "--limit", "5000")
+    code, out, _ = run_cli(capsys, *argv, "--format", "jsonl")
+    counts = {(c["R"], c["P"], c["Q"]): str(c["count"])
+              for c in jsonl(out) if c["type"] == "grid_cell"}
+    assert code == 0 and len(set(counts.values())) == 4
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    block = [["R=1"], ["P\\Q", "2", "-1", "2"]] + [
+        [str(p)] + [counts[1, p, q] for q in (2, -1, 2)] for p in (3, 1, 3)]
+    assert list(csv.reader(io.StringIO(out))) == 2 * block
 
 
 def test_grid_jsonl_cells(capsys):

@@ -21,6 +21,15 @@ from pellprime.primality import (
 )
 from pellprime.recurrence import LucasParams, MatrixParams
 from pellprime.search import is_prime
+from pellprime.selectors import (
+    double_lucas_selfridge,
+    gen_pell_selfridge,
+    lucas_selfridge,
+    matrix_selfridge,
+    selfridge_classic,
+    selfridge_gen_pell,
+    selfridge_matrix,
+)
 
 PP = Outcome.PROBABLE_PRIME
 COMPOSITE = Outcome.COMPOSITE
@@ -251,3 +260,38 @@ def test_factor_free_verdicts_are_shared_and_the_cache_is_bounded(monkeypatch):
         verdict = primality._composite(f"evidence {i}")
         assert verdict.evidence == f"evidence {i}" and verdict.factor is None
     assert primality._verdict.cache_info().currsize == 1024
+
+
+# The ten public tests, each with parameters valid for n = 9, and the
+# seven Selfridge forms.
+GUARDED = {
+    "fermat": lambda n: fermat_test(n, 2),
+    "strong-base": lambda n: strong_base_test(n, 2),
+    "lucas": lambda n: lucas_test(n, LucasParams(1, -1)),
+    "double-lucas": lambda n: double_lucas_test(n, LucasParams(1, -1)),
+    "matrix": lambda n: matrix_test(n, MatrixParams(1, 2, 3), "v-companion"),
+    "pell": lambda n: pell_test(n, ConicParams(2, 3, 2)),
+    "strong-pell": lambda n: strong_pell_test(n, ConicParams(2, 3, 2)),
+    "strong-pell-param": lambda n: strong_pell_test_param(n, 2, 1),
+    "gen-pell": lambda n: generalized_pell_test(n, ConicParams(5, 3, 2)),
+    "pell-variant": pell_variant_test,
+}
+SELFRIDGE = (lucas_selfridge, double_lucas_selfridge, matrix_selfridge,
+             gen_pell_selfridge, selfridge_classic, selfridge_matrix,
+             selfridge_gen_pell)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, -3, 2**63 + 1, 9.0, True])
+def test_an_n_outside_the_odd_ints_in_range_gets_one_verdict(n):
+    expected = primality._check_n(n)
+    assert expected.outcome is INVALID and expected.stage == "test"
+    for name, test in GUARDED.items():
+        assert test(n) == expected, name
+    for select in SELFRIDGE:
+        assert select(n) == primality.Verdict(
+            INVALID, evidence="n must be odd, >= 3 and below 2**63",
+            stage="selector"), select.__name__
+    # an unknown variant is an error whatever n is
+    for m in (n, 9):
+        with pytest.raises(ValueError, match="unknown variant"):
+            matrix_test(m, MatrixParams(1, 2, 3), "bogus")

@@ -1,4 +1,5 @@
-"""Run the scan's differential matrix and print one line per scan.
+"""Run the scan's differential matrix and print one line per scan, then
+one line per verdict.
 
 The matrix is every config of ``SIEVED_CONFIGS`` and ``UNHINTED_CONFIGS``
 in tests/test_sieve.py, over its ``RANGES``, with chunk_odds in
@@ -10,9 +11,15 @@ stripe.  Each line is
 
     method params [lo, hi] chunk_odds=C jobs=J canonical_json
 
-Two source trees scan alike when they print the same lines, byte for
-byte.  The configs and ranges come from the tests/test_sieve.py next to
-this script, read without importing it; the package comes from
+A scan's canonical JSON holds counts and finds but no evidence, so the
+per-n test of each of the 21 configs then runs on the n of
+:data:`VERDICT_NS`, one line each:
+
+    method params n=N [outcome, evidence, factor, jacobi_branch, stage]
+
+Two source trees scan and test alike when they print the same lines,
+byte for byte.  The configs and ranges come from the tests/test_sieve.py
+next to this script, read without importing it; the package comes from
 PYTHONPATH, so this one copy of the script can run against either tree:
 
     PYTHONPATH=src python3 tools/differential.py > new.txt
@@ -24,14 +31,22 @@ from __future__ import annotations
 
 import ast
 import json
+import random
 import sys
 from pathlib import Path
 
-from pellprime.search import scan_range
+from pellprime.search import build_test, scan_range
 
 TESTS = Path(__file__).resolve().parents[1] / "tests" / "test_sieve.py"
 CHUNK_ODDS = (1, 64, 1 << 11, 1 << 16)
 JOBS = (1, 2, 3)
+# n outside the odd ints in [3, 2**63), the odd n to 99, squares beyond
+# them, the Carmichael numbers to 10**4, and 64 seeded odd n near 2**62.
+_SEEDED = random.Random(2063)
+VERDICT_NS = ((1, 2, 4, -3, 2**63 + 1, 9.0, True)
+              + tuple(range(3, 100, 2)) + (121, 10201)
+              + (561, 1105, 1729, 2465, 2821, 6601, 8911)
+              + tuple(_SEEDED.randrange(2**61, 2**63) | 1 for _ in range(64)))
 
 
 def _constants(path: Path, names: set[str]) -> dict:
@@ -49,7 +64,8 @@ def _constants(path: Path, names: set[str]) -> dict:
 def main() -> int:
     consts = _constants(TESTS, {"SIEVED_CONFIGS", "UNHINTED_CONFIGS",
                                 "RANGES"})
-    for method, params in consts["SIEVED_CONFIGS"] + consts["UNHINTED_CONFIGS"]:
+    configs = consts["SIEVED_CONFIGS"] + consts["UNHINTED_CONFIGS"]
+    for method, params in configs:
         for lo, hi in consts["RANGES"]:
             for chunk_odds in CHUNK_ODDS:
                 for jobs in JOBS:
@@ -58,6 +74,13 @@ def main() -> int:
                     print(f"{method} {json.dumps(params, sort_keys=True)} "
                           f"[{lo}, {hi}] chunk_odds={chunk_odds} jobs={jobs} "
                           f"{report.canonical_json()}", flush=True)
+    for method, params in configs:
+        test, _ = build_test(method, params)
+        for n in VERDICT_NS:
+            v = test(n)
+            print(f"{method} {json.dumps(params, sort_keys=True)} n={n!r} "
+                  + json.dumps([v.outcome.value, v.evidence, v.factor,
+                                v.jacobi_branch, v.stage]))
     return 0
 
 
