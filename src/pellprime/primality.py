@@ -16,12 +16,19 @@ One guard sits on every public test (:func:`_guard`): any other n gets the
 ``PARAMS_INVALID`` verdict that names the failed condition, before any
 other check.
 
-Every test runs its ladder on every n that meets its preconditions.  The
-tests whose first congruence is scale*U_k(P', Q') ≡ 0 for a Lucas sequence
-(lucas, double-lucas, matrix, pell, strong-pell and gen-pell) read their
-discriminant D and their gcd value Q' from :func:`first_congruence`, the
-one statement of that map.  A scan settles most of their n without calling
-them, from the same map and the factors its sieve records (see
+The tests whose first congruence is scale*U_k(P', Q') ≡ 0 for a Lucas
+sequence (lucas, double-lucas, matrix, pell, strong-pell and gen-pell)
+read their discriminant D and their gcd value Q' from
+:func:`first_congruence`, the one statement of that map.  Before its
+ladder, each applies the scan kernel's rank theorem to the primes of n
+below a small bound (:func:`_rules_out`), and fermat and strong-base apply
+Fermat's little theorem to them (:func:`_base_rules_out`).  Most n with
+such a prime are settled there, by proof and not as a prefilter: a
+composite gets exactly the verdict its ladder would give, and the
+Selfridge Lucas pseudoprime 323 = 17*19 still passes.  Every other
+n that meets the preconditions runs the ladder, as does every n of
+pell-variant.  A scan settles most n of the Lucas-family tests without
+calling them, from the same map and the factors its sieve records (see
 :mod:`pellprime.kernel`).  It lets a sieve-proved prime pass only for a
 test that every prime meeting its preconditions passes; each such test's
 docstring names the theorem, and the u-companion matrix test is not one.
@@ -35,12 +42,13 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 from collections.abc import Callable
-from functools import lru_cache, wraps
-from math import gcd
+from functools import cache, lru_cache, wraps
+from math import gcd, isqrt, prod
 
 from .conic import ConicParams, conic_pow, rational_point
 from .modarith import MAX_MODULUS, Factor, jacobi, pow_mod
-from .recurrence import LucasParams, MatrixParams, lucas_pair, tilde_pair
+from .recurrence import (LucasParams, MatrixParams, _lucas_u, lucas_pair,
+                         tilde_pair)
 
 __all__ = [
     "Outcome",
@@ -129,27 +137,109 @@ def _check_n(n: int) -> Verdict | None:
 def _guard(test: Callable[..., Verdict]) -> Callable[..., Verdict]:
     """The test behind one guard: an n that :func:`_check_n` rejects gets
     its params-invalid verdict, before any other check.  The guarded test
-    keeps its name, docstring and signature."""
+    keeps its name, docstring and signature, and its unguarded body as
+    ``__wrapped__``, for a test that calls another after the guard."""
     @wraps(test)
     def guarded(n, *args, **kwargs):
         return _check_n(n) or test(n, *args, **kwargs)
     return guarded
 
 
-def _branch(D: int, n: int) -> tuple[int, Verdict | None]:
-    """Jacobi branch (D/n), or the early verdict forced by (D/n) = 0.
+# The per-n tests look for the odd primes of n below this bound (see
+# _rules_out).  Over uniform odd n near 2**62 (a shared 2-vCPU x86 box,
+# Python 3.11), the gcd that finds them took 0.62, 0.84 and 1.26 us for the
+# bounds 2**8, 2**9 and 2**10, and found one in 80.1%, 82.7% and 84.2% of
+# n: a ladder saved on 1.5% more n is worth about what the larger gcd costs
+# on every n at 2**10, and less below.
+_PROBE_BOUND = 1 << 9
+
+
+@cache
+def _probe_table() -> tuple[int, tuple[int, ...]]:
+    """The product of the odd primes below _PROBE_BOUND, and those primes
+    ascending; built on the first verdict, so importing costs nothing."""
+    primes = tuple(p for p in range(3, _PROBE_BOUND, 2)
+                   if all(p % q for q in range(3, isqrt(p) + 1, 2)))
+    return prod(primes), primes
+
+
+def _small_primes(n: int) -> list[int]:
+    """The odd primes below _PROBE_BOUND that divide n, ascending.
+
+    One gcd with the product of all of them gives g, the product of those
+    that divide n.  g is squarefree, so what is left of it once its primes
+    up to its square root are divided out is 1 or prime.
+    """
+    product, primes = _probe_table()
+    g = gcd(n, product)
+    if g == 1:
+        return []
+    found = []
+    for p in primes:
+        if p * p > g:
+            break
+        if not g % p:
+            found.append(p)
+            g //= p
+    if g > 1:
+        found.append(g)
+    return found
+
+
+def _rules_out(n: int, k: int, D: int, P: int, Q: int, scale: int) -> bool:
+    """Whether an odd prime p < _PROBE_BOUND of n proves scale*U_k(P, Q)
+    ≢ 0 (mod n), for the first congruence (D, P, Q, scale) of a test
+    whose preconditions hold, so that n shares no prime with Q or D.
+
+    That congruence holds mod every prime p | n, and gives U_k ≡ 0
+    (mod p) when p ∤ scale.  The rank of apparition of p divides
+    p - (D/p) (the conics' Lucas discriminant 4Dy^2 has the symbol of D
+    at a p ∤ y), so it divides k exactly when U_g ≡ 0 (mod p) for
+    g = gcd(k, p - (D/p)) (Baillie and Wagstaff, *Lucas pseudoprimes*,
+    1980).  The scan's kernel proves with the same theorem for a prime
+    cofactor.  It is a proof, not a prefilter: a pseudoprime with small
+    factors, such as 323 = 17*19 for Selfridge's D = 5, whose ranks 9 and
+    18 divide 324, is not ruled out.
+    """
+    for p in _small_primes(n):
+        if scale % p and _lucas_u(P, Q, gcd(k, p - jacobi(D, p)), p)[0]:
+            return True
+    return False
+
+
+def _branch(n: int, congruence: tuple[int, int, int, int],
+            failed: str) -> tuple[int, Verdict | None]:
+    """Jacobi branch (D/n) of the first congruence (D, P', Q', scale), and
+    the verdict that settles n before the ladder, if any.
 
     gcd(D, n) strictly between 1 and n is a divisor of n, hence proof of
     compositeness; gcd(D, n) = n (including D = 0) makes the test
-    degenerate.
+    degenerate.  The test's other preconditions have held when this runs,
+    so :func:`_rules_out` applies, and n it rules out fail with
+    ``failed``, the evidence of the ladder's failure, as the ladder would.
     """
+    D, P, Q, scale = congruence
     j = jacobi(D, n)
-    if j != 0:
-        return j, None
-    g = gcd(D, n)
-    if g == n:
-        return 0, _invalid("discriminant ≡ 0 (mod n)")
-    return 0, _composite(f"gcd(discriminant, n) = {g}", factor=g, branch=0)
+    if j == 0:
+        g = gcd(D, n)
+        if g == n:
+            return 0, _invalid("discriminant ≡ 0 (mod n)")
+        return 0, _composite(f"gcd(discriminant, n) = {g}", factor=g,
+                             branch=0)
+    if _rules_out(n, n - j, D, P, Q, scale):
+        return j, _composite(failed, branch=j)
+    return j, None
+
+
+def _base_rules_out(n: int, a: int) -> bool:
+    """Whether an odd prime p < _PROBE_BOUND of n proves a^(n-1) ≢ 1
+    (mod n), for a base a prime to n.  The order of a mod p divides p - 1, so
+    a^(n-1) ≡ a^((n-1) mod (p-1)) (mod p).  A strong pass implies a Fermat
+    pass, so this rules n out of both base-a tests."""
+    for p in _small_primes(n):
+        if pow(a, (n - 1) % (p - 1), p) != 1:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +258,7 @@ def fermat_test(n: int, a: int) -> Verdict:
     g = gcd(a, n)
     if g != 1:
         return _composite(f"gcd(a, n) = {g}", factor=g)
-    if pow_mod(a, n - 1, n) != 1:
+    if _base_rules_out(n, a) or pow_mod(a, n - 1, n) != 1:
         return _composite("a^(n-1) ≢ 1 (mod n)")
     return _pp()
 
@@ -185,7 +275,7 @@ def strong_base_test(n: int, a: int) -> Verdict:
     g = gcd(a, n)
     if g != 1:
         return _composite(f"gcd(a, n) = {g}", factor=g)
-    if strong_probable_prime(n, a):
+    if not _base_rules_out(n, a) and strong_probable_prime(n, a):
         return _pp()
     return _composite("a^s ≢ 1 and a^(2^k s) ≢ -1 for all k < r")
 
@@ -254,14 +344,16 @@ def first_congruence(params: LucasParams | MatrixParams | ConicParams
     return params.discriminant, params.P, params.Q * R, R
 
 
-def _lucas_pre(n: int, params: LucasParams | MatrixParams,
-               evidence: str) -> tuple[int, int, Verdict | None]:
+def _lucas_pre(n: int, params: LucasParams | MatrixParams, shared: str,
+               failed: str) -> tuple[int, int, Verdict | None]:
     """(D/n), Q' and the early verdict of a lucas, double-lucas or matrix
-    test; ``evidence`` names the test's gcd(Q', n) > 1."""
-    D, _, q, _ = first_congruence(params)
+    test; ``shared`` names the test's gcd(Q', n) > 1, and ``failed`` its
+    first congruence's failure (see :func:`_branch`)."""
+    congruence = first_congruence(params)
+    q = congruence[2]
     if gcd(q, n) != 1:
-        return 0, 0, _invalid(evidence)
-    j, early = _branch(D, n)
+        return 0, 0, _invalid(shared)
+    j, early = _branch(n, congruence, failed)
     return j, q, early
 
 
@@ -287,7 +379,7 @@ def lucas_test(n: int, params: LucasParams) -> Verdict:
     (P, Q).  With the Selfridge parameters this is OEIS A217120.  A prime
     p ∤ 2QD has U_{p-(D/p)} ≡ 0 (mod p), so every such prime passes.
     """
-    j, _, early = _lucas_pre(n, params, "gcd(Q, n) > 1")
+    j, _, early = _lucas_pre(n, params, "gcd(Q, n) > 1", _U_NONZERO)
     if early:
         return early
     u_k, _ = lucas_pair(params, n - j, n)
@@ -306,7 +398,7 @@ def double_lucas_test(n: int, params: LucasParams) -> Verdict:
     U_p ≡ (D/p) and, when (D/p) = -1, V_{p+1} ≡ 2Q, hence U_{p+2} ≡ Q; so
     every such prime passes.
     """
-    j, q, early = _lucas_pre(n, params, "gcd(Q, n) > 1")
+    j, q, early = _lucas_pre(n, params, "gcd(Q, n) > 1", _U_NONZERO)
     if early:
         return early
     u, u_next = lucas_pair(params, n - j, n)  # (U_{n-j}, U_{n-j+1})
@@ -342,7 +434,8 @@ def matrix_test(n: int, params: MatrixParams,
 @_guard
 def _matrix_test(n: int, params: MatrixParams, variant: str) -> Verdict:
     """:func:`matrix_test` for a known variant."""
-    j, qr, early = _lucas_pre(n, params, "gcd(QR, n) > 1")
+    failed = "U~_{n-(Δ/n)} ≢ 0 (mod n)"
+    j, qr, early = _lucas_pre(n, params, "gcd(QR, n) > 1", failed)
     if early:
         return early
     v, u = tilde_pair(params, n - j, n)  # (V~_{n-j}, U~_{n-j})
@@ -350,22 +443,25 @@ def _matrix_test(n: int, params: MatrixParams, variant: str) -> Verdict:
     # are R*V~ against the same targets.
     if variant == "u-companion":
         v = params.R * v % n
-    return _companion(n, j, u, v, qr, "U~_{n-(Δ/n)} ≢ 0 (mod n)")
+    return _companion(n, j, u, v, qr, failed)
 
 
 # ---------------------------------------------------------------------------
 # conic tests
 
 
-def _norm_one_pre(n: int, params: ConicParams) -> tuple[int, Verdict | None]:
-    D, _, q, _ = first_congruence(params)
-    if q % n != 1 % n:
+def _norm_one_pre(n: int, params: ConicParams,
+                  failed: str) -> tuple[int, Verdict | None]:
+    """(D/n) and the early verdict of a pell or strong-pell test; ``failed``
+    names its first congruence's failure (see :func:`_branch`)."""
+    congruence = first_congruence(params)
+    if congruence[2] % n != 1 % n:
         return 0, _invalid("base point norm ≢ 1 (mod n)")
     if params.y % n == 0:
         # norm-1 points with y ≡ 0 satisfy x^2 ≡ 1, and their powers keep
         # y = 0: every n would pass vacuously.
         return 0, _invalid("degenerate base point (x, 0)")
-    return _branch(D, n)
+    return _branch(n, congruence, failed)
 
 
 def _power(n: int, j: int, params: ConicParams, q: int,
@@ -386,12 +482,13 @@ def pell_test(n: int, params: ConicParams) -> Verdict:
     P = 2x mod n and Q = 1; its discriminant 4Dy^2 is prime to a prime p
     that passes the preconditions, so every such prime passes.
     """
-    j, early = _norm_one_pre(n, params)
+    failed = "y_{n-(D/n)} ≢ 0 (mod n)"
+    j, early = _norm_one_pre(n, params, failed)
     if early:
         return early
     _, y = conic_pow(params.point(n), n - j, params.D, n)
     if y != 0:
-        return _composite("y_{n-(D/n)} ≢ 0 (mod n)", branch=j)
+        return _composite(failed, branch=j)
     return _pp(j)
 
 
@@ -403,10 +500,11 @@ def strong_pell_test(n: int, params: ConicParams) -> Verdict:
     with P = 2x mod n and Q = 1.  Modulo a prime p ∤ D the norm-1 points
     form a group of order p - (D/p), so every such prime passes.
     """
-    j, early = _norm_one_pre(n, params)
+    failed = "(x, y)^{n-(D/n)} ≢ (1, 0) (mod n)"
+    j, early = _norm_one_pre(n, params, failed)
     if early:
         return early
-    return _power(n, j, params, 1, "(x, y)^{n-(D/n)} ≢ (1, 0) (mod n)")
+    return _power(n, j, params, 1, failed)
 
 
 @_guard
@@ -422,7 +520,8 @@ def strong_pell_test_param(n: int, D: int, a: int) -> Verdict:
         if pt.value == n:
             return _invalid("a^2 ≡ D (mod n): point undefined")
         return _composite(f"gcd(a^2 - D, n) = {pt.value}", factor=pt.value)
-    return strong_pell_test(n, ConicParams(D, pt[0], pt[1]))
+    # The guard has run: the unguarded body of strong_pell_test.
+    return strong_pell_test.__wrapped__(n, ConicParams(D, pt[0], pt[1]))
 
 
 @_guard
@@ -435,7 +534,8 @@ def generalized_pell_test(n: int, params: ConicParams) -> Verdict:
     z^(p+1) = z·z^p = N(z) = Q when it is the field F_{p^2}; so every
     such prime passes.
     """
-    D, _, q, _ = first_congruence(params)
+    congruence = first_congruence(params)
+    q = congruence[2]
     g = gcd(q, n)
     if g != 1:
         if g == n:
@@ -444,11 +544,11 @@ def generalized_pell_test(n: int, params: ConicParams) -> Verdict:
     x0, y0 = params.point(n)
     if y0 == 0 and x0 in (1 % n, n - 1):
         return _invalid("degenerate base point (±1, 0)")
-    j, early = _branch(D, n)
+    failed = "conic power ≢ (norm branch target) (mod n)"
+    j, early = _branch(n, congruence, failed)
     if early:
         return early
-    return _power(n, j, params, q,
-                  "conic power ≢ (norm branch target) (mod n)")
+    return _power(n, j, params, q, failed)
 
 
 @_guard
@@ -456,7 +556,10 @@ def pell_variant_test(n: int) -> Verdict:
     """Parameterless variant on the Pell sequence (P=2, Q=-1): OEIS A099011.
 
     Probable prime iff U_n ≡ (2/n) (mod n); the first composite passing is
-    169.
+    169.  It runs the ladder on every n: U_n ≡ (2/n) is not of the form
+    U_k ≡ 0, so a prime of n whose rank does not divide some k proves
+    nothing here, and the small-factor probe of the other tests does not
+    apply.
     """
     u_n, _ = lucas_pair(LucasParams(2, -1), n, n)
     j = jacobi(2, n)

@@ -15,12 +15,14 @@ a nontrivial factor with n short-circuits to a Composite verdict.
 Deliberately NO trial-division prefilter: pseudoprimes for these selected
 parameters routinely have small factors (323 = 17*19 heads the Lucas list),
 so any divisibility shortcut would change the reported lists.  The scan's
-rank-of-apparition sieve (:mod:`pellprime.sieve`) is not such a shortcut:
-the scan's kernel rejects a composite n only when a prime p | n
-proves the test's own congruence U_k ≡ 0 (mod n) false, for the
-parameters this walk selects, because the rank of apparition of p does
-not divide k.  For 323 with D = 5, P = 1, Q = -1 the ranks are 9 and 18,
-both dividing k = 324, so 323 survives and is reported.
+rank-of-apparition sieve (:mod:`pellprime.sieve`) and the per-n tests'
+small-factor probe (each test's primes of n below 2**9, see
+:mod:`pellprime.primality`) are not such shortcuts but proofs: they
+reject a composite n only when a prime p | n proves the test's own
+congruence U_k ≡ 0 (mod n) false, for the parameters this walk selects,
+because the rank of apparition of p does not divide k.  For 323 with
+D = 5, P = 1, Q = -1 the ranks are 9 and 18, both dividing k = 324, so
+323 survives both and is reported.
 """
 
 from __future__ import annotations

@@ -295,3 +295,14 @@ def test_an_n_outside_the_odd_ints_in_range_gets_one_verdict(n):
     for m in (n, 9):
         with pytest.raises(ValueError, match="unknown variant"):
             matrix_test(m, MatrixParams(1, 2, 3), "bogus")
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED))
+def test_each_public_test_runs_the_guard_once_per_verdict(name, monkeypatch):
+    calls = []
+    check = primality._check_n
+    monkeypatch.setattr(primality, "_check_n",
+                        lambda n: calls.append(n) or check(n))
+    for n in (9, 1009, 4):
+        GUARDED[name](n)
+    assert calls == [9, 1009, 4]

@@ -13,13 +13,15 @@ stripe.  Each line is
 
 A scan's canonical JSON holds counts and finds but no evidence, so the
 per-n test of each of the 21 configs then runs on the n of
-:data:`VERDICT_NS`, one line each:
+:data:`VERDICT_NS`, one line each (239 n, 5019 lines, 6279 lines in
+all):
 
     method params n=N [outcome, evidence, factor, jacobi_branch, stage]
 
 Two source trees scan and test alike when they print the same lines,
 byte for byte.  The configs and ranges come from the tests/test_sieve.py
-next to this script, read without importing it; the package comes from
+next to this script, and the Selfridge-Lucas pseudoprimes from
+tests/test_acceptance.py, read without importing them; the package comes from
 PYTHONPATH, so this one copy of the script can run against either tree:
 
     PYTHONPATH=src python3 tools/differential.py > new.txt
@@ -37,16 +39,9 @@ from pathlib import Path
 
 from pellprime.search import build_test, scan_range
 
-TESTS = Path(__file__).resolve().parents[1] / "tests" / "test_sieve.py"
+TESTS = Path(__file__).resolve().parents[1] / "tests"
 CHUNK_ODDS = (1, 64, 1 << 11, 1 << 16)
 JOBS = (1, 2, 3)
-# n outside the odd ints in [3, 2**63), the odd n to 99, squares beyond
-# them, the Carmichael numbers to 10**4, and 64 seeded odd n near 2**62.
-_SEEDED = random.Random(2063)
-VERDICT_NS = ((1, 2, 4, -3, 2**63 + 1, 9.0, True)
-              + tuple(range(3, 100, 2)) + (121, 10201)
-              + (561, 1105, 1729, 2465, 2821, 6601, 8911)
-              + tuple(_SEEDED.randrange(2**61, 2**63) | 1 for _ in range(64)))
 
 
 def _constants(path: Path, names: set[str]) -> dict:
@@ -61,9 +56,28 @@ def _constants(path: Path, names: set[str]) -> dict:
     return found
 
 
+# n outside the odd ints in [3, 2**63), the odd n to 99, squares beyond
+# them, the Carmichael numbers to 10**4, 64 seeded odd n near 2**62 and 64
+# near 2**34, the Selfridge-Lucas pseudoprimes to 15000 (small factors whose
+# ranks divide n + 1), and 16 n = 3q and 16 n = 5q near 2**62 for odd q.
+# The n with a prime factor below the per-n tests' probe bound cover both
+# of its outcomes: ruled out, and left to the ladder.
+_SEEDED = random.Random(2063)
+VERDICT_NS = ((1, 2, 4, -3, 2**63 + 1, 9.0, True)
+              + tuple(range(3, 100, 2)) + (121, 10201)
+              + (561, 1105, 1729, 2465, 2821, 6601, 8911)
+              + tuple(_SEEDED.randrange(2**61, 2**63) | 1 for _ in range(64))
+              + tuple(_SEEDED.randrange(2**34, 2**34 + 2**24) | 1
+                      for _ in range(64))
+              + _constants(TESTS / "test_acceptance.py",
+                           {"SELFRIDGE_LUCAS_15000"})["SELFRIDGE_LUCAS_15000"]
+              + tuple(p * (_SEEDED.randrange(2**62 // p, 2**63 // p) | 1)
+                      for p in (3,) * 16 + (5,) * 16))
+
+
 def main() -> int:
-    consts = _constants(TESTS, {"SIEVED_CONFIGS", "UNHINTED_CONFIGS",
-                                "RANGES"})
+    consts = _constants(TESTS / "test_sieve.py",
+                        {"SIEVED_CONFIGS", "UNHINTED_CONFIGS", "RANGES"})
     configs = consts["SIEVED_CONFIGS"] + consts["UNHINTED_CONFIGS"]
     for method, params in configs:
         for lo, hi in consts["RANGES"]:
