@@ -5,8 +5,11 @@ For ``test`` the exit code carries the verdict: 0 probable prime,
 1 composite, 2 invalid parameters or usage error.  A command interrupted
 with Ctrl-C exits with 130, and one stopped with SIGTERM with 143, after
 one line on stderr, with no traceback; for a scan with ``--checkpoint``
-the line names the file to resume from.  Either way a scan's pool of
-workers is shut down first.
+the line names the file to resume from.  Either way a scan's worker
+processes are killed first.  The workers ignore Ctrl-C and die of
+SIGTERM, so a signal to the whole process group ends the scan the same
+way.  A worker that dies mid-scan ends it with exit 2 and one line that
+names the worker.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import signal
 import sys
 from itertools import islice
@@ -195,24 +197,11 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
 class _Terminated(BaseException):
     """SIGTERM, raised in the main thread as Ctrl-C raises KeyboardInterrupt,
-    so that a scan unwinds the same way: its pool is shut down first."""
+    so that a scan unwinds the same way: its workers are killed first."""
 
 
 def _terminate(signum, frame) -> None:
     raise _Terminated
-
-
-def _leave_sigterm_to_the_cli() -> None:
-    # A pool worker forked by the CLI ignores SIGTERM, even one sent to the
-    # whole process group, and the CLI shuts the pool down.  A worker that
-    # died of it would break the pool while the scan unwinds, and the pool
-    # of Python 3.11 then fails with a traceback on the stripes the
-    # unwinding cancelled.
-    if signal.getsignal(signal.SIGTERM) is _terminate:
-        signal.signal(signal.SIGTERM, signal.SIG_IGN)
-
-
-os.register_at_fork(after_in_child=_leave_sigterm_to_the_cli)
 
 
 def main(argv: list[str] | None = None) -> int:

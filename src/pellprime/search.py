@@ -29,15 +29,19 @@ Where a chunk holds KERNEL_ODDS odd n or more, as in the CLI's chunks of
 2**16, a stripe is ceil(limit / span) chunks.
 
 A process keeps one pool of workers between scans, started by the first
-scan that needs one (:func:`_pool`); only then are ``multiprocessing`` and
-``concurrent.futures.process`` imported, so a process that runs single
-tests, or scans in one process, never loads them.  A later scan reuses
-the pool when it needs as many workers, and otherwise replaces it,
-joining the old one first.  A scan that fails while its stripes are out
-shuts the pool down and drops it, so the next scan starts a new one; the
-interpreter joins the pool's workers at exit.  What each worker keeps of
-the sieve's tables is said at :func:`_pool`.  Nothing but each stripe's
-results comes back (:func:`_stripe_results`).
+scan that needs one (:func:`_pool`); only then is ``multiprocessing``
+imported, so a process that runs single tests, or scans in one process,
+never loads it.  A worker is a process of its own with one pipe to this
+one, and nothing else: no thread in this process feeds or watches it.  A
+pooled scan keeps two stripes out per worker, hands the next stripe to
+whichever worker answers, and passes each stripe's chunk results on in
+order (:func:`_pooled`).  A later scan reuses the workers when it needs
+as many and all are alive, and otherwise kills and replaces them.  A
+scan that fails kills its workers, so the next scan starts new ones; a
+worker that dies mid-scan fails the scan with one RuntimeError that
+names it, and the interpreter ends the workers at exit.  What each
+worker keeps of the sieve's tables is said at :func:`_pool`; nothing but
+each stripe's results comes back.
 
 The sieve uses the odd primes up to min(isqrt(hi), SIEVE_CAP), where hi is
 the scan's upper end, not the stripe's or the chunk's, so every count is
@@ -79,10 +83,10 @@ import json
 import os
 import time
 from bisect import bisect_right
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Callable, Iterator
 from functools import partial
-from itertools import product
+from itertools import islice, product, starmap
 
 from .conic import ConicParams
 from .kernel import Bulk, count_masks, members, settle, walk
@@ -404,84 +408,97 @@ def _scan_stripe(method: str, params: dict, lo: int, hi: int, limit: int,
         yield b, found, stats
 
 
-def _stripe_results(args) -> list[tuple[int, list[int], dict[str, int]]]:
-    """A pool worker's stripe: its chunks' results, in order."""
-    return list(_scan_stripe(*args))
+# This process's workers, kept between scans: (process, pipe) pairs.  A
+# forked child starts without them, and dropping its copies closes its
+# copies of their pipes.
+_farm: list[tuple] = []
+os.register_at_fork(after_in_child=_farm.clear)
 
 
-# This process's worker pool, kept between scans, by its worker count (at
-# most one entry), with the finalizer that shuts it down: (executor,
-# finalizer).  A forked child starts without it.
-_pools: dict[int, tuple] = {}
-os.register_at_fork(after_in_child=_pools.clear)
+def _serve(conn, parent_end) -> None:
+    """A worker: scan each stripe the parent sends on conn and send back
+    {its hi: its chunks' results}, until the parent kills it or is gone
+    (the parent never sends None: the loop ends when the pipe fails).
+
+    ``parent_end`` is the parent's end of the pipe, which a forked worker
+    inherits: it is closed first, so that the pipe fails once the parent
+    has died, and the worker then exits quietly.  Ctrl-C is left to the
+    parent, which kills the workers; SIGTERM ends a worker at once.
+    ``signal`` is imported here, so that only the workers load it."""
+    import signal
+
+    parent_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    try:
+        for args in iter(conn.recv, None):
+            conn.send({args[3]: list(_scan_stripe(*args))})
+    except (EOFError, OSError):
+        return
 
 
 def _close_pool() -> None:
-    """Shut this process's pool down, cancelling the stripes it has not
-    started and waiting for its workers, and forget it.
-
-    A worker still alive after that is killed (SIGKILL) and reaped: when a
-    worker dies mid-scan, the pool of Python 3.11 can fail before it ends
-    the others, and the interpreter's exit hook would wait for them
-    forever.  A worker forked by the CLI ignores SIGTERM, so it takes
-    SIGKILL.  No other child of this process is touched."""
-    while _pools:
-        _, (pool, shutdown) = _pools.popitem()
-        workers = list((getattr(pool, "_processes", None) or {}).values())
-        shutdown()
-        for worker in workers:
-            worker.kill()
-            worker.join()
+    """Kill (SIGKILL) and reap this process's workers, and forget them,
+    which closes their pipes.  No other child of this process is
+    touched."""
+    while _farm:
+        worker, _ = _farm.pop()
+        worker.kill()
+        worker.join()
 
 
-def _pool(workers: int):
-    """This process's ``concurrent.futures.ProcessPoolExecutor`` of
-    ``workers`` workers: the live one if it has that many, else a new one.
-    The old pool is shut down and joined first, so that no pool thread is
-    alive when the new pool forks its workers.
+def _pool(workers: int) -> list[tuple]:
+    """This process's ``workers`` workers, as (process, pipe) pairs: the
+    live ones if there are that many and all are alive, else new ones,
+    after the old ones are killed.
 
-    The pool's modules, ``concurrent.futures.process`` and
-    ``multiprocessing``, are imported here, when a scan first fans out, so
-    that importing the package for one test does not load them.  A
-    forked worker inherits them.
+    ``multiprocessing`` is imported here, when a scan first fans out, so
+    that importing the package for one test does not load it.  The
+    workers are daemons, so the interpreter ends them at exit.
 
     Each worker keeps the ranks of apparition it computes for as long as it
     lives, and a forked one starts from this process's tables as they were
     when it forked; no rank is handed back."""
-    if workers not in _pools:
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing.util import Finalize
+    if len(_farm) != workers or not all(w.is_alive() for w, _ in _farm):
+        import multiprocessing
 
         _close_pool()
-        pool = ProcessPoolExecutor(max_workers=workers)
-        # multiprocessing's exit hook shuts it down too: in a
-        # multiprocessing child, that hook joins the child's children
-        # before the exit hook of concurrent.futures runs.  Priority 20
-        # runs it before the pool's queues are closed (priority 10).
-        _pools[workers] = pool, Finalize(None, pool.shutdown, exitpriority=20,
-                                         kwargs={"cancel_futures": True})
-    return _pools[workers][0]
+        for _ in range(workers):
+            ours, theirs = multiprocessing.Pipe()
+            worker = multiprocessing.Process(target=_serve,
+                                             args=(theirs, ours), daemon=True)
+            worker.start()
+            theirs.close()
+            _farm.append((worker, ours))
+    return _farm
 
 
-def _pooled(stripes: list[tuple], workers: int) -> Iterator[tuple]:
-    """Each stripe's :func:`_stripe_results`, in order, from this process's
-    pool of ``workers`` workers.
+def _pooled(stripes: list[tuple], workers: int) -> Iterator[list[tuple]]:
+    """Each stripe's chunk results, in order, from this process's pool of
+    ``workers`` workers.
 
-    A pool whose worker died while it was idle breaks before it hands
-    anything back, so nothing of the scan has been absorbed yet: it is
-    replaced once, and the stripes go to the new pool.
-    """
-    from concurrent.futures.process import BrokenProcessPool
+    Each worker holds up to two stripes.  Whichever hands a stripe's
+    results back gets the next stripe, so a slow worker holds up no other;
+    results that come back early wait here, by the stripe's hi (args[3]),
+    for their turn.  A worker whose pipe fails has died: the pool is
+    killed, and RuntimeError names the worker."""
+    from multiprocessing.connection import wait
 
+    owner, todo, done = {c: w for w, c in _pool(workers)}, iter(stripes), {}
     try:
-        results = _pool(workers).map(_stripe_results, stripes)
-        first = next(results)
-    except BrokenProcessPool:
+        for conn, args in zip([*owner] * 2, todo):
+            conn.send(args)
+        for args in stripes:
+            while args[3] not in done:
+                for conn in wait(owner):
+                    done.update(conn.recv())
+                    for more in islice(todo, 1):
+                        conn.send(more)
+            yield done.pop(args[3])
+    except (EOFError, OSError):
         _close_pool()
-        results = _pool(workers).map(_stripe_results, stripes)
-        first = next(results)
-    yield first
-    yield from results
+        raise RuntimeError(f"scan worker {owner[conn].pid} died (exit code "
+                           f"{owner[conn].exitcode})") from None
 
 
 def _check_scan(lo: int, hi: int, jobs: int, chunk_odds: int) -> None:
@@ -514,13 +531,14 @@ def scan_range(method: str, params: dict, lo: int, hi: int, *,
     it or nearly, and it holds up to :data:`KERNEL_ODDS` odd n while each
     of ``jobs`` workers still gets a stripe.  One process sieves a whole
     stripe as one record, settles it with one kernel call and reports it
-    chunk by chunk, and ``jobs`` > 1 fans the stripes out to at most
-    ``jobs`` worker processes, and never to more than there are stripes or
-    CPUs (``os.cpu_count()``); the stripes are cut by ``jobs`` all the same.
-    The workers are this process's one pool, kept between calls: a call
-    that needs the same number of workers reuses it, one that needs
-    another number replaces it, a call that raises while its stripes are
-    out drops it, and the interpreter joins it at exit.  What a worker
+    chunk by chunk.  The stripes go to min(``jobs``, stripes, CPUs)
+    worker processes (CPUs is ``os.cpu_count()``), and when that is 1 this
+    process scans them itself and starts none; the stripes are cut by
+    ``jobs`` all the same.  The workers are this process's one pool, kept
+    between calls: a call that needs as many workers reuses them if all
+    are alive, and otherwise kills and replaces them, a call that raises
+    kills them, a worker that dies mid-scan fails the call with
+    RuntimeError, and the interpreter ends them at exit.  What a worker
     keeps is said at :func:`_pool`; only the stripes' results come back
     here.  ``jobs`` and ``chunk_odds`` must be ints of at least
     1, and neither changes the result.  With ``checkpoint`` the scan
@@ -546,8 +564,7 @@ def scan_range(method: str, params: dict, lo: int, hi: int, *,
 
     limit = sieve_limit(hi)
     start = time.monotonic()
-    stats = _new_stats()
-    found: list[int] = []
+    stats, found = Counter(_new_stats()), []
     # A stripe is ceil(limit / span) chunks of span = 2*chunk_odds integers,
     # so that every prime <= limit has about one multiple in it or more, and
     # at least KERNEL_ODDS odd n where that still leaves jobs stripes.
@@ -558,33 +575,25 @@ def scan_range(method: str, params: dict, lo: int, hi: int, *,
     stripes = [(method, params, a, min(a + width - 1, hi), limit, chunk_odds)
                for a in range(lo | 1, hi + 1, width)]
 
-    def _absorb(chunk_hi: int, chunk_found: list[int],
-                chunk_stats: dict[str, int]) -> None:
-        for n in chunk_found:
-            if on_pseudoprime is not None:
-                on_pseudoprime(n)
-            found.append(n)
-        for k, v in chunk_stats.items():
-            stats[k] += v
-        if checkpoint is not None:
-            write_checkpoint(checkpoint, chunk_hi + 1, method, canonical)
-
-    if jobs > 1 and len(stripes) > 1:
-        try:
-            for results in _pooled(stripes, min(jobs, len(stripes),
-                                                os.cpu_count() or 1)):
-                for result in results:
-                    _absorb(*result)
-        except BaseException:
-            _close_pool()
-            raise
-    else:
-        for args in stripes:
-            for result in _scan_stripe(*args):
-                _absorb(*result)
+    workers = min(jobs, len(stripes), os.cpu_count() or 1)
+    try:
+        for results in (_pooled(stripes, workers) if workers > 1
+                        else starmap(_scan_stripe, stripes)):
+            for chunk_hi, chunk_found, chunk_stats in results:
+                if on_pseudoprime is not None:
+                    for n in chunk_found:
+                        on_pseudoprime(n)
+                found += chunk_found
+                stats.update(chunk_stats)
+                if checkpoint is not None:
+                    write_checkpoint(checkpoint, chunk_hi + 1, method,
+                                     canonical)
+    except BaseException:
+        _close_pool()
+        raise
 
     return ScanReport(method=method, params=canonical, lo=lo, hi=hi,
-                      pseudoprimes=tuple(found), stats=stats,
+                      pseudoprimes=tuple(found), stats=dict(stats),
                       elapsed=time.monotonic() - start)
 
 

@@ -198,7 +198,7 @@ def test_interrupted_scan_exits_130_and_names_its_checkpoint(
         tmp_path, capsys, monkeypatch, jobs):
     # Ctrl-C lands as KeyboardInterrupt in the third checkpoint write: after
     # the starting cursor and the cursor after the first chunk of 2**16 odd
-    # n, while the scan's pool (jobs=2) still holds the other stripes.
+    # n, while the scan's workers (jobs=2) still hold the other stripes.
     search._close_pool()
     ckpt = tmp_path / "scan.ckpt"
     cursors = []
@@ -217,7 +217,7 @@ def test_interrupted_scan_exits_130_and_names_its_checkpoint(
     assert code == 130
     assert err == f"pellprime: interrupted; resume from checkpoint {ckpt}\n"
     assert "Traceback" not in err
-    assert search._pools == {}
+    assert search._farm == []
     assert cursors[:2] == [3, 3 + 2**17]
     assert ckpt.read_text().startswith(f"cursor={cursors[1]} ")
 
@@ -283,7 +283,7 @@ def _long_scan(ckpt, jobs: int) -> subprocess.Popen:
 def test_sigterm_ends_a_scan_as_ctrl_c_does_and_leaves_no_worker(
         tmp_path, jobs, target):
     # Whether SIGTERM reaches the workers too (the process group) or not,
-    # the CLI shuts them down, and no traceback is printed.
+    # the CLI kills them, and no traceback is printed.
     ckpt = tmp_path / "scan.ckpt"
     proc = _long_scan(ckpt, jobs)
     try:
@@ -304,9 +304,9 @@ def test_sigterm_ends_a_scan_as_ctrl_c_does_and_leaves_no_worker(
 
 def test_a_killed_worker_ends_a_scan_with_exit_2_and_leaves_no_worker(
         tmp_path):
-    # The pool breaks, and the CLI kills the worker it left alive (which
-    # ignores SIGTERM) before it exits; the same command would resume from
-    # the checkpoint.
+    # The scan fails with one line that names the dead worker, and the CLI
+    # kills the worker left alive before it exits; the same command would
+    # resume from the checkpoint.
     ckpt = tmp_path / "scan.ckpt"
     proc = _long_scan(ckpt, 2)
     try:
@@ -318,21 +318,51 @@ def test_a_killed_worker_ends_a_scan_with_exit_2_and_leaves_no_worker(
         proc.kill()
         proc.wait()
     assert proc.returncode == 2
-    assert err.splitlines()[-1].startswith("pellprime: error:")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("pellprime: error: scan worker ")
+    assert "Traceback" not in err and "Exception in thread" not in err
     assert not left
     assert _cursor(ckpt) > 3
 
 
-def test_a_forked_worker_leaves_sigterm_to_the_cli():
+def test_the_workers_of_a_killed_cli_exit_quietly(tmp_path):
+    # SIGKILL leaves the CLI no time to kill its workers: each finds its
+    # pipe closed once it has finished its stripe, and exits without a word.
+    proc = _long_scan(tmp_path / "scan.ckpt", 2)
+    try:
+        os.kill(proc.pid, signal.SIGKILL)
+        _, err = proc.communicate(timeout=30)
+    finally:
+        left = not _group_gone(proc.pid)
+        proc.kill()
+        proc.wait()
+    assert err == ""
+    assert not left
+
+
+def test_a_worker_ignores_sigint_and_is_ended_by_sigterm():
+    # A worker forked by the CLI starts with the CLI's handlers.  It ignores
+    # Ctrl-C, which reaches the whole process group, as the CLI kills the
+    # workers itself; and it dies at once of SIGTERM, not by the CLI's
+    # handler.
+    search._close_pool()
     previous = signal.signal(signal.SIGTERM, cli._terminate)
     try:
-        pid = os.fork()
-        if pid == 0:
-            os._exit(signal.getsignal(signal.SIGTERM) is not signal.SIG_IGN)
-        _, status = os.waitpid(pid, 0)
+        worker, conn = search._pool(2)[0]
     finally:
         signal.signal(signal.SIGTERM, previous)
-    assert os.waitstatus_to_exitcode(status) == 0
+    try:
+        os.kill(worker.pid, signal.SIGINT)
+        stripe = ("lucas", {"P": 4, "Q": 1}, 3, 5000,
+                  search.sieve_limit(5000), 64)
+        conn.send(stripe)
+        assert conn.poll(60), "the worker sent nothing back"
+        assert conn.recv() == {5000: list(search._scan_stripe(*stripe))}
+        os.kill(worker.pid, signal.SIGTERM)
+        worker.join(10)
+        assert worker.exitcode == -signal.SIGTERM
+    finally:
+        search._close_pool()
 
 
 def test_main_puts_the_sigterm_handler_back(capsys):

@@ -156,7 +156,7 @@ def test_package_exports_what_the_readme_uses():
 # VERDICT_METHODS are the nine tests bench/run.py builds for its set-up
 # time.
 IMPORT_PATH = """\
-import json, sys
+import json, sys, threading
 import pellprime, pellprime.cli
 from pellprime.search import build_test, scan_range
 VERDICT_METHODS = [
@@ -174,6 +174,8 @@ scan = ("lucas", {"selfridge": True}, 3, 20000)
 pooled = scan_range(*scan, jobs=2, chunk_odds=512)
 print(json.dumps({
     "loaded": loaded, "pool_loaded": "multiprocessing" in sys.modules,
+    "threads": threading.active_count(),
+    "futures_loaded": "concurrent.futures" in sys.modules,
     "pooled": pooled.canonical_json(),
     "alone": scan_range(*scan, jobs=1, chunk_odds=512).canonical_json()}))
 """
@@ -186,6 +188,8 @@ def test_a_single_test_loads_no_pool_dataclasses_or_typing():
                           check=True)
     seen = json.loads(done.stdout)
     assert seen["loaded"] == []
-    # A scan that fans out loads the pool, and its report is one process's.
+    # A scan that fans out loads the pool, and its report is one process's;
+    # it leaves no thread behind and loads no concurrent.futures.
     assert seen["pool_loaded"]
+    assert seen["threads"] == 1 and not seen["futures_loaded"]
     assert seen["pooled"] == seen["alone"]

@@ -1,4 +1,5 @@
 import multiprocessing
+import multiprocessing.connection
 import os
 import random
 import shutil
@@ -7,9 +8,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -236,42 +235,48 @@ def test_scan_range_rejects_jobs_and_chunk_odds_that_are_not_ints():
             scan_range("lucas", {"P": 4, "Q": 1}, 3, 100, **kwargs)
 
 
-class _InProcessPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps in
-    this process, so no worker is started."""
+class _InProcessWorker:
+    """Stands in for a worker's pipe: scans each stripe it was sent, in this
+    process, when its results are received, and answers as search._serve
+    does."""
 
-    opened: list[int] = []
+    def __init__(self):
+        self.stripes = []
 
-    def __init__(self, max_workers):
-        self.opened.append(max_workers)
+    def send(self, stripe):
+        self.stripes.append(stripe)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-    def shutdown(self, wait=True, *, cancel_futures=False):
-        pass
+    def recv(self):
+        args = self.stripes.pop(0)
+        return {args[3]: list(search._scan_stripe(*args))}
 
 
-def test_pool_never_starts_more_workers_than_stripes(monkeypatch,
-                                                     swap_pool_executor):
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Swaps search._pool for one that starts no process, whose workers scan
+    in this process, and the wait for a worker's answer for one that takes
+    each worker that holds a stripe; returns the worker counts asked for."""
+    opened = []
+
+    def pool(workers):
+        opened.append(workers)
+        return [(None, _InProcessWorker()) for _ in range(workers)]
+    monkeypatch.setattr(search, "_pool", pool)
+    monkeypatch.setattr(multiprocessing.connection, "wait",
+                        lambda conns: [c for c in conns if c.stripes])
+    return opened
+
+
+def test_pool_never_starts_more_workers_than_stripes(in_process_pool):
     # Below 386 the sieve limit is 19 and a chunk of 64 odd n spans 128
     # integers: 3 chunks from 3.  A stripe holds ceil(3 / jobs) of them, so
-    # jobs=64 and jobs=3 scan 3 stripes and jobs=2 scans 2.  The jobs=3 scan
-    # reuses the pool of 3 the jobs=64 scan opened.
-    swap_pool_executor(_InProcessPool)
-    monkeypatch.setattr(_InProcessPool, "opened", [])
+    # jobs=64 and jobs=3 scan 3 stripes and jobs=2 scans 2.
     params, lo, hi = {"selfridge": True}, 3, 386
     one = scan_range("lucas", params, lo, hi, chunk_odds=64)
     for jobs in (64, 3, 2):
         many = scan_range("lucas", params, lo, hi, jobs=jobs, chunk_odds=64)
         assert many.canonical_json() == one.canonical_json()
-    assert _InProcessPool.opened == [3, 2]
+    assert in_process_pool == [3, 3, 2]
 
 
 # Below 20000 the sieve limit is 141 and a chunk of 64 odd n spans 128
@@ -280,17 +285,18 @@ def test_pool_never_starts_more_workers_than_stripes(monkeypatch,
 @pytest.mark.parametrize("cpus", [1, 2, 5, None])
 @pytest.mark.parametrize("hi, stripes", [(386, 3), (20000, 53)])
 def test_pool_never_starts_more_workers_than_cpus(monkeypatch,
-                                                  swap_pool_executor, cpus,
-                                                  hi, stripes):
+                                                  in_process_pool, cpus, hi,
+                                                  stripes):
     # jobs still cuts the stripes, so the result is that of one process.
-    swap_pool_executor(_InProcessPool)
-    monkeypatch.setattr(_InProcessPool, "opened", [])
+    # Where one worker is all the scan may have, it starts none and scans
+    # in this process.
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     params = {"selfridge": True}
     one = scan_range("lucas", params, 3, hi, chunk_odds=64)
     many = scan_range("lucas", params, 3, hi, jobs=64, chunk_odds=64)
     assert many.canonical_json() == one.canonical_json()
-    assert _InProcessPool.opened == [min(stripes, cpus or 1)]
+    workers = min(stripes, cpus or 1)
+    assert in_process_pool == ([workers] if workers > 1 else [])
 
 
 # 20 chunks of 512 odd n (the sieve limit is 141), cut into jobs stripes
@@ -300,16 +306,24 @@ POOLED_SCAN = ("lucas", {"selfridge": True}, 3, 20000)
 
 @pytest.mark.parametrize("start_method", [None, "spawn"])
 def test_a_pooled_scan_matches_one_process_and_hands_back_no_ranks(
-        monkeypatch, swap_pool_executor, start_method):
+        monkeypatch, start_method):
     # The workers keep the ranks they compute; the parent, which never
-    # sieves here, ends with the empty tables it started from.
+    # sieves here, ends with the empty tables it started from.  The pool is
+    # closed before and after, so that the scan starts its own workers and
+    # no later scan reuses them.
+    search._close_pool()
     if start_method is not None:
-        swap_pool_executor(partial(
-            ProcessPoolExecutor,
-            mp_context=multiprocessing.get_context(start_method)))
+        context = multiprocessing.get_context(start_method)
+        monkeypatch.setattr(multiprocessing, "Process", context.Process)
+        monkeypatch.setattr(multiprocessing, "Pipe", context.Pipe)
     monkeypatch.setattr(sieve, "_pair_tables", lru_cache(maxsize=64)(
         sieve._pair_tables.__wrapped__))
-    pooled = scan_range(*POOLED_SCAN, jobs=2, chunk_odds=512)
+    try:
+        pooled = scan_range(*POOLED_SCAN, jobs=2, chunk_odds=512)
+        started = [type(worker) for worker, _ in search._farm]
+        assert started == [multiprocessing.Process] * 2
+    finally:
+        search._close_pool()
     assert sieve._pair_tables.cache_info().currsize == 0
     alone = scan_range(*POOLED_SCAN, jobs=1, chunk_odds=512)
     assert pooled.canonical_json() == alone.canonical_json()
@@ -323,23 +337,29 @@ def test_pool_is_kept_between_calls_and_replaced_when_its_size_changes():
     for jobs in (2, 1, 2, 3):
         report = scan_range(*POOLED_SCAN, jobs=jobs, chunk_odds=512)
         assert report.canonical_json() == alone
-        held.append((dict(search._pools),
+        held.append(({w.pid for w, _ in search._farm},
                      {p.pid for p in multiprocessing.active_children()}))
     (two, workers), (one, _), (two_again, workers_again), (three, _) = held
-    assert list(two) == [2] and one == two == two_again
-    assert workers_again == workers and len(workers) == 2
-    assert list(three) == [3] and three[3][0] is not two[2][0]
+    assert len(two) == 2 and one == two == two_again == workers
+    assert workers_again == workers
+    assert len(three) == 3 and not three & two
 
 
-def test_grid_scan_opens_one_pool_for_all_its_cells(monkeypatch,
-                                                    swap_pool_executor):
+def test_grid_scan_opens_one_pool_for_all_its_cells(monkeypatch):
     # Up to 140000 the sieve limit is 374 and a stripe is one chunk of 2**16
-    # odd n, so each cell scans two stripes.
-    swap_pool_executor(_InProcessPool)
-    monkeypatch.setattr(_InProcessPool, "opened", [])
+    # odd n, so each cell scans two stripes, on the same two workers.
+    search._close_pool()
+    seen, pool = [], search._pool
+
+    def recorded(workers):
+        farm = pool(workers)
+        seen.append([w.pid for w, _ in farm])
+        return farm
+    monkeypatch.setattr(search, "_pool", recorded)
     axes = ([1, 3], [-1, 2], 140_000)
     pooled = grid_scan("lucas", *axes, jobs=2)
-    assert _InProcessPool.opened == [2]
+    assert len(seen) == 4 and len(seen[0]) == 2
+    assert all(pids == seen[0] for pids in seen)
     alone = grid_scan("lucas", *axes)
     assert pooled.cells == alone.cells
     assert not any(cell["skipped"] for cell in alone.cells)
@@ -353,7 +373,7 @@ DYING_SCAN = ("lucas", {"P": 4, "Q": 1}, 3, 6 * 2**15 + 2)
 
 def _worker_pid() -> int:
     """The pid of a worker of this process's pool of 2, started if need be."""
-    return search._pool(2).submit(os.getpid).result()
+    return search._pool(2)[0][0].pid
 
 
 def _assert_gone(pids: list[int]) -> None:
@@ -390,32 +410,35 @@ def _failing_stream(failure: str, checkpoint_dir, worker: int):
 
 
 @pytest.mark.parametrize("failure, raised", [
-    ("worker-killed", BrokenProcessPool), ("stream", ValueError),
+    ("worker-killed", RuntimeError), ("stream", ValueError),
     ("checkpoint", FileNotFoundError), ("interrupt", KeyboardInterrupt)])
 def test_a_failed_pooled_scan_leaves_no_pool_behind(tmp_path, failure,
                                                     raised):
     checkpoint_dir = tmp_path / "ck"
     checkpoint_dir.mkdir()
-    fail = _failing_stream(failure, checkpoint_dir, _worker_pid())
-    with pytest.raises(raised):
+    worker = _worker_pid()
+    fail = _failing_stream(failure, checkpoint_dir, worker)
+    with pytest.raises(raised) as caught:
         scan_range(*DYING_SCAN, jobs=2, chunk_odds=64,
                    checkpoint=str(checkpoint_dir / "scan.ckpt"),
                    on_pseudoprime=fail)
-    assert search._pools == {}
+    if failure == "worker-killed":
+        assert str(caught.value) == f"scan worker {worker} died (exit code -9)"
+    assert search._farm == []
     pooled = scan_range(*DYING_SCAN, jobs=2, chunk_odds=64)
     alone = scan_range(*DYING_SCAN, jobs=1, chunk_odds=64)
     assert pooled.canonical_json() == alone.canonical_json()
 
 
 def test_a_worker_that_died_while_idle_does_not_fail_the_next_scan():
-    old = search._pool(2)
+    old = {w.pid for w, _ in search._pool(2)}
     pid = _worker_pid()
     os.kill(pid, signal.SIGKILL)
-    _assert_gone([pid])  # the pool has seen it die, reaped it and broken
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, not reaped
     pooled = scan_range(*DYING_SCAN, jobs=2, chunk_odds=64)
     alone = scan_range(*DYING_SCAN, jobs=1, chunk_odds=64)
     assert pooled.canonical_json() == alone.canonical_json()
-    assert search._pool(2) is not old
+    assert not old & {w.pid for w, _ in search._farm}
 
 
 def test_no_pool_worker_outlives_its_interpreter():
@@ -442,11 +465,10 @@ def _scan_in_child(conn):
 
 @pytest.mark.parametrize("start_method", ["fork", "spawn"])
 def test_a_multiprocessing_child_starts_its_own_pool_and_exits(start_method):
-    # This process's pool is live.  A forked child holds a copy of it with
-    # no thread to feed its workers, so it must start its own; and a child
-    # joins its children before the exit hook of concurrent.futures runs.
+    # This process's pool is live.  A forked child starts without it, so it
+    # starts its own, and ends its workers when it exits.
     scan_range(*POOLED_SCAN, jobs=2, chunk_odds=512)
-    assert 2 in search._pools
+    assert len(search._farm) == 2
     ours, theirs = multiprocessing.Pipe()
     child = multiprocessing.get_context(start_method).Process(
         target=_scan_in_child, args=(theirs,))
@@ -600,12 +622,10 @@ def test_a_stripe_reports_each_chunk_as_the_brute_force_scan_does(method,
             a = chunk_hi + 1
 
 
-def test_the_kernel_runs_once_per_stripe(monkeypatch, swap_pool_executor):
+def test_the_kernel_runs_once_per_stripe(monkeypatch, in_process_pool):
     # The benchmark's windows, in chunks of 2**11 odd n: gen-pell+Selfridge
     # near 2**34, 2**14 odd n at jobs=1, is one stripe; matrix+Selfridge
     # near 2**23, 2**15 odd n at jobs=2, is two stripes of 2**14 odd n.
-    swap_pool_executor(_InProcessPool)
-    monkeypatch.setattr(_InProcessPool, "opened", [])
     calls, settle = [], search.settle
 
     def counted(bulk, segment, lo, size, *walked):
@@ -619,7 +639,7 @@ def test_the_kernel_runs_once_per_stripe(monkeypatch, swap_pool_executor):
                             lo + 2 * (odds - 1), jobs=jobs, chunk_odds=2**11)
         assert calls == [search.KERNEL_ODDS] * jobs
         assert report.stats["tested"] == odds
-    assert _InProcessPool.opened == [2]
+    assert in_process_pool == [2]
 
 
 @pytest.mark.parametrize("chunk_odds", [search.KERNEL_ODDS,
@@ -627,12 +647,11 @@ def test_the_kernel_runs_once_per_stripe(monkeypatch, swap_pool_executor):
 @pytest.mark.parametrize("lo, hi", [(3, 10**7), (10**12 + 1, 10**12 + 10**8),
                                     (2**40 - 10**7, 2**40 + 10**7)])
 def test_chunks_of_kernel_odds_or_more_keep_the_sieve_s_stripes(
-        monkeypatch, swap_pool_executor, chunk_odds, lo, hi):
+        monkeypatch, in_process_pool, chunk_odds, lo, hi):
     # Such a chunk is a stripe's worth for the kernel, so for any jobs a
     # stripe is ceil(limit / span) chunks from lo | 1, span = 2*chunk_odds
     # integers, as where the sieve alone sized stripes.  The stripes are
     # recorded, not scanned.
-    swap_pool_executor(_InProcessPool)
     cut = []
 
     def recorded(method, params, a, b, limit, odds):

@@ -4,10 +4,10 @@ one line per verdict.
 The matrix is every config of ``SIEVED_CONFIGS`` and ``UNHINTED_CONFIGS``
 in tests/test_sieve.py, over its ``RANGES``, with chunk_odds in
 {1, 64, 2**11, 2**16} and jobs in {1, 2, 3}: 21 configs, 5 ranges, 4
-chunk sizes and 3 job counts, 1260 scans in one process (so a kept worker
-pool is reused from scan to scan).  The job counts cut a range into
-stripes three ways wherever its chunks are smaller than the kernel's
-stripe.  Each line is
+chunk sizes and 3 job counts, 1260 scans in one process (so the workers
+a scan starts are kept and reused by the next scan with as many).  The
+job counts cut a range into stripes three ways wherever its chunks are
+smaller than the kernel's stripe.  Each line is
 
     method params [lo, hi] chunk_odds=C jobs=J canonical_json
 
