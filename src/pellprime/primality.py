@@ -19,7 +19,10 @@ other check.
 The tests whose first congruence is scale*U_k(P', Q') ≡ 0 for a Lucas
 sequence (lucas, double-lucas, matrix, pell, strong-pell and gen-pell)
 read their discriminant D and their gcd value Q' from
-:func:`first_congruence`, the one statement of that map.  Before its
+:func:`first_congruence`, the one statement of that map, and each ends
+its ladder in one check, :func:`_conclude`: the first congruence's value
+≡ 0, then, for double-lucas, matrix, strong-pell and gen-pell, the
+companion ≡ 1 when (D/n) = 1 and ≡ Q' when (D/n) = -1.  Before its
 ladder, each applies the scan kernel's rank theorem to the primes of n
 below a small bound (:func:`_rules_out`), and fermat and strong-base apply
 Fermat's little theorem to them (:func:`_base_rules_out`).  Most n with
@@ -360,14 +363,19 @@ def _lucas_pre(n: int, params: LucasParams | MatrixParams, shared: str,
 _U_NONZERO = "U_{n-(D/n)} ≢ 0 (mod n)"
 
 
-def _companion(n: int, j: int, u: int, companion: int, q: int,
-               evidence: str) -> Verdict:
-    """The verdict of U_k ≡ 0 (failing with ``evidence``), then of the
-    companion ≡ 1 when j = (D/n) = 1, or ≡ Q' when j = -1."""
+def _conclude(n: int, j: int, u: int, failed: str,
+              companion: int | None = None, q: int = 1,
+              unmet: str = "companion congruence failed") -> Verdict:
+    """The verdict of a Lucas-family test from its ladder's output, on
+    the branch j = (D/n): composite with ``failed`` unless u, the value of
+    its first congruence, is ≡ 0; then, for a test with a companion,
+    composite with ``unmet`` unless the companion is ≡ 1 when j = 1, or
+    ≡ Q' (``q``) when j = -1.  The six tests of the family and
+    :func:`pell_variant_test` all end here."""
     if u != 0:
-        return _composite(evidence, branch=j)
-    if companion != (1 % n if j == 1 else q % n):
-        return _composite("companion congruence failed", branch=j)
+        return _composite(failed, branch=j)
+    if companion is not None and companion != (1 if j == 1 else q % n):
+        return _composite(unmet, branch=j)
     return _pp(j)
 
 
@@ -382,10 +390,7 @@ def lucas_test(n: int, params: LucasParams) -> Verdict:
     j, _, early = _lucas_pre(n, params, "gcd(Q, n) > 1", _U_NONZERO)
     if early:
         return early
-    u_k, _ = lucas_pair(params, n - j, n)
-    if u_k != 0:
-        return _composite(_U_NONZERO, branch=j)
-    return _pp(j)
+    return _conclude(n, j, lucas_pair(params, n - j, n)[0], _U_NONZERO)
 
 
 @_guard
@@ -402,7 +407,7 @@ def double_lucas_test(n: int, params: LucasParams) -> Verdict:
     if early:
         return early
     u, u_next = lucas_pair(params, n - j, n)  # (U_{n-j}, U_{n-j+1})
-    return _companion(n, j, u, u_next, q, _U_NONZERO)
+    return _conclude(n, j, u, _U_NONZERO, u_next, q)
 
 
 VARIANTS = ("u-companion", "v-companion")  # of the matrix test
@@ -443,7 +448,7 @@ def _matrix_test(n: int, params: MatrixParams, variant: str) -> Verdict:
     # are R*V~ against the same targets.
     if variant == "u-companion":
         v = params.R * v % n
-    return _companion(n, j, u, v, qr, failed)
+    return _conclude(n, j, u, failed, v, qr)
 
 
 # ---------------------------------------------------------------------------
@@ -464,16 +469,6 @@ def _norm_one_pre(n: int, params: ConicParams,
     return _branch(n, congruence, failed)
 
 
-def _power(n: int, j: int, params: ConicParams, q: int,
-           evidence: str) -> Verdict:
-    """The verdict of (x, y)^(n-j) ≡ (1, 0) when j = (D/n) = 1, or
-    ≡ (Q', 0) when j = -1, failing with ``evidence``."""
-    target = (1 % n if j == 1 else q % n, 0)
-    if conic_pow(params.point(n), n - j, params.D, n) != target:
-        return _composite(evidence, branch=j)
-    return _pp(j)
-
-
 @_guard
 def pell_test(n: int, params: ConicParams) -> Verdict:
     """Pell test: y-coordinate of the point power (x, y)^(n-(D/n)) vanishes.
@@ -486,10 +481,8 @@ def pell_test(n: int, params: ConicParams) -> Verdict:
     j, early = _norm_one_pre(n, params, failed)
     if early:
         return early
-    _, y = conic_pow(params.point(n), n - j, params.D, n)
-    if y != 0:
-        return _composite(failed, branch=j)
-    return _pp(j)
+    return _conclude(n, j, conic_pow(params.point(n), n - j, params.D, n)[1],
+                     failed)
 
 
 @_guard
@@ -504,7 +497,9 @@ def strong_pell_test(n: int, params: ConicParams) -> Verdict:
     j, early = _norm_one_pre(n, params, failed)
     if early:
         return early
-    return _power(n, j, params, 1, failed)
+    # y is the first congruence's value and x the companion (Q' = 1).
+    x, y = conic_pow(params.point(n), n - j, params.D, n)
+    return _conclude(n, j, y, failed, x, 1, failed)
 
 
 @_guard
@@ -548,7 +543,8 @@ def generalized_pell_test(n: int, params: ConicParams) -> Verdict:
     j, early = _branch(n, congruence, failed)
     if early:
         return early
-    return _power(n, j, params, q, failed)
+    x, y = conic_pow(params.point(n), n - j, params.D, n)
+    return _conclude(n, j, y, failed, x, q, failed)
 
 
 @_guard
@@ -559,10 +555,8 @@ def pell_variant_test(n: int) -> Verdict:
     169.  It runs the ladder on every n: U_n ≡ (2/n) is not of the form
     U_k ≡ 0, so a prime of n whose rank does not divide some k proves
     nothing here, and the small-factor probe of the other tests does not
-    apply.
+    apply.  Its first congruence's value is U_n - (2/n).
     """
     u_n, _ = lucas_pair(LucasParams(2, -1), n, n)
     j = jacobi(2, n)
-    if u_n != j % n:
-        return _composite("U_n ≢ (2/n) (mod n)", branch=j)
-    return _pp(j)
+    return _conclude(n, j, (u_n - j) % n, "U_n ≢ (2/n) (mod n)")

@@ -7,10 +7,12 @@ double-lucas tests, :data:`MATRIX` (-7, 9, -15, ... to (P, Q, R) =
 (1, (1 - D)/8, 2)) for the matrix test, and :data:`GEN_PELL` (the classic
 sequence to the conic D with base point (3, 2)) for the generalized Pell
 test.  Each is stated here only: the per-n selectors walk it until
-(D/n) = -1, and the scan's kernel walks the same pair over a whole
-stripe.  Perfect squares are rejected up front (no D with (D/n) = -1
-exists for them, so the walk would never terminate); a candidate sharing
-a nontrivial factor with n short-circuits to a Composite verdict.
+(D/n) = -1 in :func:`_select`, the one per-n walk, and the scan's
+kernel walks the same pair over a whole stripe.  The walk rejects an n
+the tests' guard rejects and a perfect square up front (no D with
+(D/n) = -1 exists for a square, so the walk would never terminate); a
+candidate sharing a nontrivial factor with n short-circuits to a
+Composite verdict, and one equal to n is skipped.
 
 Deliberately NO trial-division prefilter: pseudoprimes for these selected
 parameters routinely have small factors (323 = 17*19 heads the Lucas list),
@@ -35,6 +37,7 @@ from math import gcd, isqrt
 from .conic import ConicParams
 from .modarith import jacobi
 from .primality import (
+    VARIANTS,
     Outcome,
     Verdict,
     _check_n,
@@ -93,39 +96,6 @@ def matrix_candidates() -> Iterator[int]:
         k += 1
 
 
-def _pre(n: int) -> Verdict | None:
-    """The walk's verdict on an n that the tests' guard rejects (one
-    params-invalid verdict for every failed condition) or on a perfect
-    square, before any candidate; None for any other n."""
-    if _check_n(n):
-        return Verdict(Outcome.PARAMS_INVALID,
-                       evidence="n must be odd, >= 3 and below 2**63",
-                       stage="selector")
-    r = isqrt(n)
-    if r * r == n:
-        # (D/n) is never -1 for a square; r is a nontrivial divisor.
-        return Verdict(Outcome.COMPOSITE, evidence="perfect square",
-                       factor=r, stage="selector")
-    return None
-
-
-def _find_d(n: int, candidates: Iterator[int]) -> int | Verdict:
-    for d in islice(candidates, CANDIDATE_CAP):
-        j = jacobi(d, n)
-        if j == -1:
-            return d
-        if j == 0:
-            g = gcd(d, n)
-            if 1 < g < n:
-                return Verdict(Outcome.COMPOSITE,
-                               evidence=f"gcd(D candidate, n) = {g}",
-                               factor=g, jacobi_branch=0, stage="selector")
-            # g == n: n divides the candidate (n is tiny); skip it.
-    raise RuntimeError(
-        f"no discriminant with (D/n) = -1 within {CANDIDATE_CAP} "
-        f"candidates for n = {n}")
-
-
 def classic_params(d: int) -> LucasParams:
     """P = 1, Q = (1 - D)/4, so that P^2 - 4Q = D."""
     return LucasParams(1, (1 - d) // 4)
@@ -151,14 +121,35 @@ GEN_PELL = Selection(classic_candidates, gen_pell_params)
 
 def _select(n: int, selection: Selection) -> Params | Verdict:
     """selection.params(D) for the first candidate D with (D/n) = -1, or
-    the Verdict that settles n during the walk."""
-    early = _pre(n)
-    if early:
-        return early
-    d = _find_d(n, selection.candidates())
-    if isinstance(d, Verdict):
-        return d
-    return selection.params(d)
+    the Verdict that settles n during the walk; the one per-n walk.
+
+    An n that the tests' guard rejects gets one params-invalid verdict for
+    every failed condition, and a perfect square a composite one, before
+    any candidate.  A candidate sharing a proper factor with n settles n
+    as composite; one that n divides (n is tiny) is skipped.  No D within
+    CANDIDATE_CAP candidates raises RuntimeError.
+    """
+    if _check_n(n):
+        return Verdict(Outcome.PARAMS_INVALID,
+                       evidence="n must be odd, >= 3 and below 2**63",
+                       stage="selector")
+    r = isqrt(n)
+    if r * r == n:
+        # (D/n) is never -1 for a square; r is a nontrivial divisor.
+        return Verdict(Outcome.COMPOSITE, evidence="perfect square",
+                       factor=r, stage="selector")
+    for d in islice(selection.candidates(), CANDIDATE_CAP):
+        j = jacobi(d, n)
+        if j == -1:
+            return selection.params(d)
+        if j == 0 and d % n:
+            g = gcd(d, n)
+            return Verdict(Outcome.COMPOSITE,
+                           evidence=f"gcd(D candidate, n) = {g}",
+                           factor=g, jacobi_branch=0, stage="selector")
+    raise RuntimeError(
+        f"no discriminant with (D/n) = -1 within {CANDIDATE_CAP} "
+        f"candidates for n = {n}")
 
 
 def selfridge_classic(n: int) -> LucasParams | Verdict:
@@ -216,8 +207,11 @@ def matrix_selfridge(n: int, variant: str = "v-companion") -> Verdict:
 
     Defaults to the "v-companion" variant: with R = 2 the u-companion
     congruences are failed by every prime, so only the v-companion variant
-    is a primality test on this path.
+    is a primality test on this path.  An unknown variant raises
+    ValueError whatever n is, as it does for :func:`matrix_test`.
     """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant: {variant!r}")
     return _tested(n, selfridge_matrix(n), matrix_test, variant=variant)
 
 

@@ -8,7 +8,13 @@ from pellprime.modarith import jacobi
 from pellprime.primality import Outcome, Verdict, matrix_test
 from pellprime.recurrence import LucasParams, MatrixParams
 from pellprime.selectors import (
+    CLASSIC,
+    GEN_PELL,
+    MATRIX,
+    Selection,
+    _select,
     classic_candidates,
+    classic_params,
     double_lucas_selfridge,
     gen_pell_selfridge,
     lucas_selfridge,
@@ -17,7 +23,6 @@ from pellprime.selectors import (
     selfridge_classic,
     selfridge_gen_pell,
     selfridge_matrix,
-    _find_d,
 )
 
 PP = Outcome.PROBABLE_PRIME
@@ -104,9 +109,39 @@ def test_candidate_cap_raises(monkeypatch):
     from pellprime import selectors
 
     monkeypatch.setattr(selectors, "CANDIDATE_CAP", 1000)
-    ones = itertools.repeat(4)  # jacobi(4, n) = 1 for odd n coprime to 2
-    with pytest.raises(RuntimeError):
-        _find_d(15, ones)
+    # jacobi(4, n) = 1 for odd n coprime to 2
+    ones = Selection(lambda: itertools.repeat(4), classic_params)
+    with pytest.raises(RuntimeError, match="within 1000 candidates"):
+        _select(15, ones)
+
+
+@pytest.mark.parametrize("selection", [CLASSIC, MATRIX, GEN_PELL],
+                         ids=["classic", "matrix", "gen-pell"])
+def test_the_walk_settles_n_with_the_whole_verdict(selection):
+    # 15: the classic walk stops at D = 5, the matrix walk at D = 9 (after
+    # (-7/15) = 1); both share a proper factor with 15.
+    g = 3 if selection is MATRIX else 5
+    assert _select(4, selection) == Verdict(
+        Outcome.PARAMS_INVALID, "n must be odd, >= 3 and below 2**63",
+        stage="selector")
+    assert _select(10201, selection) == Verdict(
+        COMPOSITE, "perfect square", factor=101, stage="selector")
+    assert _select(15, selection) == Verdict(
+        COMPOSITE, f"gcd(D candidate, n) = {g}", factor=g, jacobi_branch=0,
+        stage="selector")
+
+
+def test_the_walk_skips_a_candidate_equal_to_n():
+    # (5/5) = 0 with gcd 5 = n: skipped, then (-7/5) = -1.
+    assert selfridge_classic(5) == LucasParams(1, 2)
+    # (-7/7) = 0 skipped, (9/7) = 1, then (-15/7) = -1.
+    assert selfridge_matrix(7) == MatrixParams(1, 2, 2)
+
+
+@pytest.mark.parametrize("n", [4, 9, 15, 11])
+def test_matrix_selfridge_rejects_an_unknown_variant_for_every_n(n):
+    with pytest.raises(ValueError, match="unknown variant: 'bogus'"):
+        matrix_selfridge(n, variant="bogus")
 
 
 def test_small_primes_pass_composed_tests():

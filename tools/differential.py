@@ -12,11 +12,13 @@ smaller than the kernel's stripe.  Each line is
     method params [lo, hi] chunk_odds=C jobs=J canonical_json
 
 A scan's canonical JSON holds counts and finds but no evidence, so the
-per-n test of each of the 21 configs then runs on the n of
-:data:`VERDICT_NS`, one line each (239 n, 5019 lines, 6279 lines in
-all):
+per-n test of each of the 21 configs, and of the 4 of
+:data:`PRECONDITION_CONFIGS`, then runs on the n of :data:`VERDICT_NS`,
+one line each (239 n, 5019 + 956 lines, 7235 lines in all):
 
     method params n=N [outcome, evidence, factor, jacobi_branch, stage]
+
+(JSON writes the non-ASCII characters of an evidence string as \\u escapes.)
 
 Two source trees scan and test alike when they print the same lines,
 byte for byte.  The configs and ranges come from the tests/test_sieve.py
@@ -75,6 +77,17 @@ VERDICT_NS = ((1, 2, 4, -3, 2**63 + 1, 9.0, True)
                       for p in (3,) * 16 + (5,) * 16))
 
 
+# Configs for verdict lines only, whose Q, QR or base point norm fails a
+# test's precondition for some n of VERDICT_NS: gcd(Q, n) > 1 at 3 | n,
+# gcd(QR, n) > 1 at 3 | n or 5 | n, and a norm 16, ≢ 1 unless n | 15.
+PRECONDITION_CONFIGS = [
+    ("lucas", {"P": 1, "Q": 3}),
+    ("matrix", {"P": 1, "Q": 5, "R": 3, "variant": "u-companion"}),
+    ("matrix", {"P": 1, "Q": 5, "R": 3, "variant": "v-companion"}),
+    ("pell", {"D": 65, "x": 9, "y": 1}),
+]
+
+
 def main() -> int:
     consts = _constants(TESTS / "test_sieve.py",
                         {"SIEVED_CONFIGS", "UNHINTED_CONFIGS", "RANGES"})
@@ -88,7 +101,7 @@ def main() -> int:
                     print(f"{method} {json.dumps(params, sort_keys=True)} "
                           f"[{lo}, {hi}] chunk_odds={chunk_odds} jobs={jobs} "
                           f"{report.canonical_json()}", flush=True)
-    for method, params in configs:
+    for method, params in configs + PRECONDITION_CONFIGS:
         test, _ = build_test(method, params)
         for n in VERDICT_NS:
             v = test(n)
