@@ -45,9 +45,9 @@ whose verdicts come from the sieve's record, and the scan counts them as
   is a prime whose U_g residue is not 0 (see :mod:`pellprime.sieve`).
 
 The per-n test runs only on what the kernel leaves, and applies the same
-rank theorem there to the primes of n below 2**9 before its ladder (see
-:func:`~pellprime.primality._rules_out`), a proof that leaves each
-verdict as the ladder gives it:
+rank theorem there, from the same rank tables, to the primes of n below
+2**9 before its ladder (see :func:`~pellprime.primality._rules_out`), a
+proof that leaves each verdict as the ladder gives it:
 
 * the n at or below a discriminant's bound (its |d|, |Q'| or |scale|),
   where a shared factor may be n itself;

@@ -24,17 +24,20 @@ its ladder in one check, :func:`_conclude`: the first congruence's value
 ≡ 0, then, for double-lucas, matrix, strong-pell and gen-pell, the
 companion ≡ 1 when (D/n) = 1 and ≡ Q' when (D/n) = -1.  Before its
 ladder, each applies the scan kernel's rank theorem to the primes of n
-below a small bound (:func:`_rules_out`), and fermat and strong-base apply
-Fermat's little theorem to them (:func:`_base_rules_out`).  Most n with
-such a prime are settled there, by proof and not as a prefilter: a
-composite gets exactly the verdict its ladder would give, and the
-Selfridge Lucas pseudoprime 323 = 17*19 still passes.  Every other
-n that meets the preconditions runs the ladder, as does every n of
-pell-variant.  A scan settles most n of the Lucas-family tests without
-calling them, from the same map and the factors its sieve records (see
-:mod:`pellprime.kernel`).  It lets a sieve-proved prime pass only for a
-test that every prime meeting its preconditions passes; each such test's
-docstring names the theorem, and the u-companion matrix test is not one.
+below a small bound (:func:`_rules_out`), and so do fermat and
+strong-base, whose a^(n-1) ≡ 1 is that congruence for Lucas(a + 1, a)
+with scale a - 1.  The probe reads each prime's rank of apparition from
+the rank table of (P', Q') that the scan's checker reads too, and runs no
+ladder of its own.  Most n with such a prime are settled there, by proof
+and not as a prefilter: a composite gets exactly the verdict its ladder
+would give, and the Selfridge Lucas pseudoprime 323 = 17*19 still
+passes.  Every other n that meets the preconditions runs the ladder, as
+does every n of pell-variant.  A scan settles most n of the Lucas-family
+tests without calling them, from the same map and the factors its sieve
+records (see :mod:`pellprime.kernel`).  It lets a sieve-proved prime pass
+only for a test that every prime meeting its preconditions passes; each
+such test's docstring names the theorem, and the u-companion matrix test
+is not one.
 
 :func:`is_prime` is the scan's exact primality oracle, for the n its sieve
 cannot decide.
@@ -50,8 +53,8 @@ from math import gcd, isqrt, prod
 
 from .conic import ConicParams, conic_pow, rational_point
 from .modarith import MAX_MODULUS, Factor, jacobi, pow_mod
-from .recurrence import (LucasParams, MatrixParams, _lucas_u, lucas_pair,
-                         tilde_pair)
+from .recurrence import (LucasParams, MatrixParams, _rank_tables, lucas_pair,
+                         rank_of_apparition, tilde_pair)
 
 __all__ = [
     "Outcome",
@@ -149,64 +152,69 @@ def _guard(test: Callable[..., Verdict]) -> Callable[..., Verdict]:
 
 
 # The per-n tests look for the odd primes of n below this bound (see
-# _rules_out).  Over uniform odd n near 2**62 (a shared 2-vCPU x86 box,
-# Python 3.11), the gcd that finds them took 0.62, 0.84 and 1.26 us for the
-# bounds 2**8, 2**9 and 2**10, and found one in 80.1%, 82.7% and 84.2% of
-# n: a ladder saved on 1.5% more n is worth about what the larger gcd costs
-# on every n at 2**10, and less below.
+# _rules_out).  Each prime found costs a rank lookup, so the trade-off is
+# the gcd that finds them, paid on every n, against the ladders saved.  Over
+# gen-pell+Selfridge verdicts on uniform odd n near 2**62 (a shared 2-vCPU
+# x86 box, Python 3.11), the bounds 2**8, 2**9 and 2**10 gave a gcd of 0.58,
+# 0.83 and 1.33 us, ruled out 32.2%, 35.3% and 37.9% of n, and a verdict
+# median of 6.21, 6.56 and 7.32 us against a mean of 18.1, 17.3 and
+# 17.0 us (near 2**34: medians 5.87, 6.14 and 6.42, means 11.0, 10.5 and
+# 10.1).  2**9 keeps the median verdict, which the probe ends, near that of
+# 2**8, and most of the mean that 2**10 saves.
 _PROBE_BOUND = 1 << 9
 
 
 @cache
-def _probe_table() -> tuple[int, tuple[int, ...]]:
-    """The product of the odd primes below _PROBE_BOUND, and those primes
-    ascending; built on the first verdict, so importing costs nothing."""
-    primes = tuple(p for p in range(3, _PROBE_BOUND, 2)
-                   if all(p % q for q in range(3, isqrt(p) + 1, 2)))
-    return prod(primes), primes
+def _probe_table() -> tuple[int, dict[int, int]]:
+    """The product of the odd primes below _PROBE_BOUND, and the index of
+    each, ascending: they are the first odd primes, so each one's index is
+    its index in the rank tables of
+    :func:`~pellprime.recurrence._rank_tables`.  Built on the first
+    verdict, so importing costs nothing."""
+    primes = [p for p in range(3, _PROBE_BOUND, 2)
+              if all(p % q for q in range(3, isqrt(p) + 1, 2))]
+    return prod(primes), {p: i for i, p in enumerate(primes)}
 
 
-def _small_primes(n: int) -> list[int]:
-    """The odd primes below _PROBE_BOUND that divide n, ascending.
+def _rules_out(n: int, k: int, P: int, Q: int, scale: int) -> bool:
+    """Whether an odd prime p < _PROBE_BOUND of n proves scale*U_k(P, Q)
+    ≢ 0 (mod n), for the first congruence (P, Q, scale) of a test whose
+    preconditions hold, so that n shares no prime with Q.
 
-    One gcd with the product of all of them gives g, the product of those
-    that divide n.  g is squarefree, so what is left of it once its primes
-    up to its square root are divided out is 1 or prime.
+    One gcd with the product of all the primes below the bound gives g,
+    the product of those that divide n.  g is squarefree, so what is left
+    of it once its primes up to its square root are divided out is 1 or
+    prime.  scale*U_k ≡ 0 holds mod each such p, and gives U_k ≡ 0
+    (mod p) when p ∤ scale, which holds exactly when the rank of
+    apparition of p divides k (Baillie and Wagstaff, *Lucas
+    pseudoprimes*, 1980).  The ranks are read from the rank table of
+    (P, Q) that the scan's checker reads for its sieve's factors, and a
+    rank not there yet is computed and stored; an n with no prime below
+    the bound does not look the table up.  It is a proof, not a
+    prefilter: a pseudoprime with small factors, such as 323 = 17*19 for
+    Selfridge's D = 5, whose ranks 9 and 18 divide 324, is not ruled out.
     """
-    product, primes = _probe_table()
+    product, index = _probe_table()
     g = gcd(n, product)
     if g == 1:
-        return []
+        return False
     found = []
-    for p in primes:
+    for p, i in index.items():
         if p * p > g:
             break
         if not g % p:
-            found.append(p)
+            found.append((i, p))
             g //= p
     if g > 1:
-        found.append(g)
-    return found
-
-
-def _rules_out(n: int, k: int, D: int, P: int, Q: int, scale: int) -> bool:
-    """Whether an odd prime p < _PROBE_BOUND of n proves scale*U_k(P, Q)
-    ≢ 0 (mod n), for the first congruence (D, P, Q, scale) of a test
-    whose preconditions hold, so that n shares no prime with Q or D.
-
-    That congruence holds mod every prime p | n, and gives U_k ≡ 0
-    (mod p) when p ∤ scale.  The rank of apparition of p divides
-    p - (D/p) (the conics' Lucas discriminant 4Dy^2 has the symbol of D
-    at a p ∤ y), so it divides k exactly when U_g ≡ 0 (mod p) for
-    g = gcd(k, p - (D/p)) (Baillie and Wagstaff, *Lucas pseudoprimes*,
-    1980).  The scan's kernel proves with the same theorem for a prime
-    cofactor.  It is a proof, not a prefilter: a pseudoprime with small
-    factors, such as 323 = 17*19 for Selfridge's D = 5, whose ranks 9 and
-    18 divide 324, is not ruled out.
-    """
-    for p in _small_primes(n):
-        if scale % p and _lucas_u(P, Q, gcd(k, p - jacobi(D, p)), p)[0]:
-            return True
+        found.append((index[g], g))
+    ranks = _rank_tables(P, Q, len(index))[0]
+    for i, p in found:
+        if scale % p:
+            rank = ranks[i]
+            if not rank:
+                rank = ranks[i] = rank_of_apparition(P, Q, p)
+            if k % rank:
+                return True
     return False
 
 
@@ -229,24 +237,19 @@ def _branch(n: int, congruence: tuple[int, int, int, int],
             return 0, _invalid("discriminant ≡ 0 (mod n)")
         return 0, _composite(f"gcd(discriminant, n) = {g}", factor=g,
                              branch=0)
-    if _rules_out(n, n - j, D, P, Q, scale):
+    if _rules_out(n, n - j, P, Q, scale):
         return j, _composite(failed, branch=j)
     return j, None
 
 
-def _base_rules_out(n: int, a: int) -> bool:
-    """Whether an odd prime p < _PROBE_BOUND of n proves a^(n-1) ≢ 1
-    (mod n), for a base a prime to n.  The order of a mod p divides p - 1, so
-    a^(n-1) ≡ a^((n-1) mod (p-1)) (mod p).  A strong pass implies a Fermat
-    pass, so this rules n out of both base-a tests."""
-    for p in _small_primes(n):
-        if pow(a, (n - 1) % (p - 1), p) != 1:
-            return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # base-a tests
+
+# a^k - 1 = (a - 1)*U_k(a + 1, a), so a^(n-1) ≡ 1 (mod n) is the first
+# congruence (a - 1)*U_{n-1} ≡ 0 of Lucas(a + 1, a) with scale a - 1, and
+# _rules_out applies to it: the rank of a prime p ∤ a(a - 1) is the order of
+# a mod p, and the scale skips the p | a - 1, where a ≡ 1.  A strong pass
+# implies a Fermat pass, so what it rules out fails both tests.
 
 
 @_guard
@@ -261,7 +264,7 @@ def fermat_test(n: int, a: int) -> Verdict:
     g = gcd(a, n)
     if g != 1:
         return _composite(f"gcd(a, n) = {g}", factor=g)
-    if _base_rules_out(n, a) or pow_mod(a, n - 1, n) != 1:
+    if _rules_out(n, n - 1, a + 1, a, a - 1) or pow_mod(a, n - 1, n) != 1:
         return _composite("a^(n-1) ≢ 1 (mod n)")
     return _pp()
 
@@ -278,7 +281,8 @@ def strong_base_test(n: int, a: int) -> Verdict:
     g = gcd(a, n)
     if g != 1:
         return _composite(f"gcd(a, n) = {g}", factor=g)
-    if not _base_rules_out(n, a) and strong_probable_prime(n, a):
+    if (not _rules_out(n, n - 1, a + 1, a, a - 1)
+            and strong_probable_prime(n, a)):
         return _pp()
     return _composite("a^s ≢ 1 and a^(2^k s) ≢ -1 for all k < r")
 
@@ -318,12 +322,8 @@ def is_prime(n: int) -> bool:
         return n in _MR_BASES
     if n % 2 == 0:
         return False
-    bases = _MR_BASES
-    for bound, k in _MR_BOUNDS:
-        if n < bound:
-            bases = _MR_BASES[:k]
-            break
-    return all(strong_probable_prime(n, a) for a in bases)
+    k = next((k for bound, k in _MR_BOUNDS if n < bound), len(_MR_BASES))
+    return all(strong_probable_prime(n, a) for a in _MR_BASES[:k])
 
 
 # ---------------------------------------------------------------------------

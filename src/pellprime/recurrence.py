@@ -9,11 +9,20 @@ with three residue products per bit; :func:`lucas_pair` and
 :func:`rank_of_apparition` walks it down the divisors of p - (D/p).  The
 tests check the ladder against the 2x2 matrix power, which lives with the
 other reference oracles in the test suite.
+
+Ranks of apparition, once computed, are kept in one table per pair (P, Q)
+(:func:`_rank_tables`), which the two users of the rank theorem read and
+fill alike: the scan's checker (:meth:`pellprime.sieve.Segment.checker`)
+for the factors its sieve records, and the per-n tests' probe
+(:func:`pellprime.primality._rules_out`) for the primes of n below its
+bound.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import namedtuple
+from functools import lru_cache
 
 from .modarith import jacobi
 
@@ -131,3 +140,32 @@ def rank_of_apparition(P: int, Q: int, p: int) -> int:
                 rank //= q
         q += 1 if q == 2 else 2
     return rank
+
+
+# The cache holds the tables of 64 pairs and drops the least recently used
+# first.  Each process fills only its own: a pool worker keeps the ranks it
+# computes for as long as it lives, and a forked one starts from a copy of
+# its parent's tables as they were when it forked.
+@lru_cache(maxsize=64)
+def _pair_tables(P: int, Q: int) -> tuple[array, list[int]]:
+    """A new empty rank table of (P, Q), and an empty list for the exact
+    integers U_g of (P, Q) that the scan's checker fills on its first call
+    for the pair (the probe does not read them, and a pair that only the
+    probe meets, such as a fermat base, does not pay for them)."""
+    return array("I"), []
+
+
+def _rank_tables(P: int, Q: int, count: int) -> tuple[array, list[int]]:
+    """The tables of (P, Q): its rank table, grown to at least count
+    entries, and its list of exact U_g.
+
+    Entry i of the rank table is the rank of apparition of the i-th odd
+    prime (3 at index 0), or 0 while it is not computed; the caller
+    computes it with :func:`rank_of_apparition` and stores it.  Both
+    callers number the odd primes from 3 up, so an entry means the same
+    prime to each.
+    """
+    ranks, exact = _pair_tables(P, Q)
+    if len(ranks) < count:
+        ranks.frombytes(bytes(4 * (count - len(ranks))))
+    return ranks, exact

@@ -54,15 +54,18 @@ Selfridge Lucas test) are kept for the full test.  The kernel calls the
 checker once per discriminant class, with all the class's members, and
 one loop walks their factor chains and returns the members it keeps.
 
-A factor <= limit is decided by its rank, kept in a table.  A prime
-cofactor q above the limit has a rank that divides q - (D/q) (q itself
-when q | D), so it divides k exactly when U_g ≡ 0 (mod q) for
-g = gcd(k, q - (D/q)).  g is small: on gen-pell+Selfridge windows near
-2**34, a window of 2**14 odd n decides about 900 prime cofactors, with
-g < 16 for 85% of them and g < 64 for 97% (and g > 1 when q ∤ D, since k
-and q - (D/q) are both even).  So the exact integers U_0 ... U_63 of
-(P, Q) are kept next to its rank table, and U_g mod q is one remainder;
-only a larger g runs the ladder.
+A factor <= limit is decided by its rank, kept in the rank table of
+(P, Q) that :mod:`pellprime.recurrence` holds, by the factor's index in
+the odd primes; the per-n tests' probe reads and fills the same table for
+the primes of n below its bound.  A prime cofactor q above the limit has
+a rank that divides q - (D/q) (q itself when q | D), so it divides k
+exactly when U_g ≡ 0 (mod q) for g = gcd(k, q - (D/q)).  g is small: on
+gen-pell+Selfridge windows near 2**34, a window of 2**14 odd n decides
+about 900 prime cofactors, with g < 16 for 85% of them and g < 64 for 97%
+(and g > 1 when q ∤ D, since k and q - (D/q) are both even).  So the checker computes the exact
+integers U_0 ... U_63 of (P, Q) on its first call for the pair and keeps
+them with its rank table, and U_g mod q is one remainder; only a larger g
+runs the ladder.
 """
 
 from __future__ import annotations
@@ -71,13 +74,12 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
-from functools import lru_cache
 from itertools import compress, islice, repeat
 from math import gcd, isqrt
 from operator import add, lt, mod, rshift, sub
 
 from .modarith import jacobi
-from .recurrence import _lucas_u, rank_of_apparition
+from .recurrence import _lucas_u, _rank_tables, rank_of_apparition
 
 __all__ = ["SIEVE_CAP", "Segment", "primes_up_to", "sieve_limit"]
 
@@ -85,20 +87,14 @@ __all__ = ["SIEVE_CAP", "Segment", "primes_up_to", "sieve_limit"]
 # fall back on the primality oracle for n with no factor <= SIEVE_CAP.
 SIEVE_CAP = 1 << 20
 
-# Memo tables of pure functions, shared by every segment in the process so
-# that they stay warm from stripe to stripe: the odd primes found so far (a
-# prefix of all odd primes, so an index into it never changes meaning), and,
-# in _pair_tables' cache, per Lucas parameter pair (P, Q) the rank of
-# apparition of the prime at each index (0 = not computed yet), next to the
-# exact integers U_g of (P, Q) for g < _EXACT_U.  The cache holds the tables
-# of 64 pairs and drops the least recently used first.  Each process fills
-# only its own tables: a pool worker keeps the ranks it computes for as long
-# as it lives, and a forked one starts from a copy of its parent's tables as
-# they were when it forked.
+# The odd primes found so far, shared by every segment in the process so
+# that it stays warm from stripe to stripe: a prefix of all odd primes, so an
+# index into it never changes meaning, and is the index of the prime's rank
+# in the rank tables of pellprime.recurrence.
 _odd_primes = array("I")
 _odd_primes_limit = 2
-# How many exact U_g a table keeps: g < 64 for 97% of the prime cofactors
-# decided near 2**34 (see the module docstring).
+# How many exact U_g the checker keeps in a pair's tables: g < 64 for 97% of
+# the prime cofactors decided near 2**34 (see the module docstring).
 _EXACT_U = 64
 # 0, 1, 2, ...: the entry numbers a prime's multiples take, sliced out
 # rather than built for every segment.
@@ -127,17 +123,6 @@ def _primes_through(limit: int) -> int:
         _odd_primes = array("I", primes_up_to(limit)[1:])
         _odd_primes_limit = limit
     return bisect_right(_odd_primes, limit)
-
-
-@lru_cache(maxsize=64)
-def _pair_tables(P: int, Q: int) -> tuple[array, list[int]]:
-    """A new empty rank table of (P, Q), which :meth:`Segment.checker`
-    grows to the length of the prime table, and the exact U_g of (P, Q)
-    for g < _EXACT_U."""
-    exact = [0, 1]
-    for _ in range(_EXACT_U - 2):
-        exact.append(P * exact[-1] - Q * exact[-2])
-    return array("I"), exact
 
 
 def sieve_limit(hi: int) -> int:
@@ -252,8 +237,9 @@ class Segment:
         A proof is a prime q | n with q ∤ Q*scale and U_k ≢ 0 (mod q): a
         factor q <= limit whose rank does not divide k, or a cofactor q
         known to be prime.  The tables of (P, Q) are looked up once per
-        call, and the rank table grown to the prime table's length; the
-        kernel makes one call for all the members of a class.
+        call, the rank table grown to the prime table's length and, on the
+        first call for the pair, the exact U_g computed; the kernel makes
+        one call for all the members of a class.
 
         One loop walks each n's factor chain once.  Most walks end at the
         first factor, whose rank rules n out; each factor that does not is
@@ -266,9 +252,11 @@ class Segment:
         """
         qs = Q * scale
         D = P * P - 4 * Q
-        ranks, exact = _pair_tables(P, Q)
-        if len(ranks) < len(_odd_primes):
-            ranks.frombytes(bytes(4 * (len(_odd_primes) - len(ranks))))
+        ranks, exact = _rank_tables(P, Q, len(_odd_primes))
+        if not exact:  # the first call for (P, Q) in this process
+            exact += (0, 1)
+            for _ in range(_EXACT_U - 2):
+                exact.append(P * exact[-1] - Q * exact[-2])
         primes, head, factor, nxt = (_odd_primes, self._head, self._factor,
                                      self._next)
         origin, prime_below = self.lo, self.prime_below

@@ -3,23 +3,27 @@
 Before its ladder, each test whose first congruence is
 scale*U_k(P', Q') ≡ 0 (mod n), and the two base-a tests, looks for the odd
 primes of n below ``primality._PROBE_BOUND`` and rules n out from one of
-them when it can.  Here every test's verdict is compared with that of a
+them when it can, by its rank of apparition in the rank table of
+(P', Q').  Here every test's verdict is compared with that of a
 reference (the ``ref_*`` functions), which evaluates the test's
 preconditions and congruences directly, with the 2x2 matrix power of
-tests/oracles.py and no probe.  The n drawn are p*m for a prime p below the bound, with
-parameters whose scale or gcd value may share p.
+tests/oracles.py and no probe.  The n drawn are p*m for a prime p below
+the bound, with parameters whose scale or gcd value may share p.  The
+probe's rule for one prime is checked on its own against the formula it
+replaced, U_g mod p for g = gcd(k, p - (D/p)).
 """
 
 from __future__ import annotations
 
 import random
 import time
+from itertools import islice
 from math import gcd
 
 import pytest
 
 from oracles import mat_apply, mat_pow
-from pellprime import primality
+from pellprime import primality, recurrence, sieve
 from pellprime.conic import ConicParams
 from pellprime.modarith import jacobi
 from pellprime.primality import (
@@ -27,6 +31,7 @@ from pellprime.primality import (
     Verdict,
     double_lucas_test,
     fermat_test,
+    first_congruence,
     generalized_pell_test,
     lucas_test,
     matrix_test,
@@ -35,9 +40,18 @@ from pellprime.primality import (
     strong_pell_test,
     strong_pell_test_param,
 )
-from pellprime.recurrence import LucasParams, MatrixParams
+from pellprime.recurrence import (LucasParams, MatrixParams,
+                                  rank_of_apparition)
 from pellprime.selectors import (
+    classic_candidates,
+    classic_params,
+    double_lucas_selfridge,
+    gen_pell_params,
+    gen_pell_selfridge,
     lucas_selfridge,
+    matrix_candidates,
+    matrix_params,
+    matrix_selfridge,
     selfridge_classic,
     selfridge_gen_pell,
     selfridge_matrix,
@@ -329,3 +343,93 @@ def test_the_carmichael_numbers_pass_fermat_for_every_coprime_base(n):
     for a in range(2, n):
         if gcd(a, n) == 1:
             assert fermat_test(n, a).outcome is PP, a
+
+
+# ---------------------------------------------------------------------------
+# the probe's rule for one prime, against U_g mod p
+
+
+def _ref_rules_out(p: int, k: int, D: int, P: int, Q: int,
+                   scale: int) -> bool:
+    """scale*U_k(P, Q) ≢ 0 (mod p) for an odd prime p ∤ Q: p ∤ scale and
+    U_g ≢ 0 (mod p) for g = gcd(k, p - (D/p)), U_g by the matrix power."""
+    g = gcd(k, p - jacobi(D, p))
+    return bool(scale % p
+                and mat_apply(mat_pow((P, -Q, 1, 0), g, p), (1, 0), p)[1])
+
+
+def _pairs(p: int, rng: random.Random):
+    """(D, P, Q, scale) of the three kinds of first congruence, for p: the
+    Selfridge pairs, conic pairs whose y shares p, and the base tests'
+    (a + 1, a) with scale a - 1, including a ≡ 1 (mod p)."""
+    for d in islice(classic_candidates(), 6):
+        yield first_congruence(classic_params(d))
+        yield first_congruence(gen_pell_params(d))
+    for d in islice(matrix_candidates(), 6):
+        yield first_congruence(matrix_params(d))
+    for y in (p, 3 * p, rng.randrange(1, 40)):
+        yield first_congruence(ConicParams(rng.randrange(-40, 41), 2, y))
+    for a in (2, 7, 10, p + 1, 2 * p + 1, rng.randrange(2, 2**62)):
+        yield (a - 1) ** 2, a + 1, a, a - 1
+
+
+def test_each_rank_lookup_rules_out_as_the_ladder_formula_did():
+    rng = random.Random("probe/lookup")
+    ruled = kept = skipped = 0
+    for p in SMALL_PRIMES:
+        for D, P, Q, scale in _pairs(p, rng):
+            if Q % p == 0:  # a test's preconditions exclude these
+                continue
+            m = p - jacobi(D, p)
+            ks = [m, 2 * m, m + 2, *(m // q for q in (2, 3, 5) if m % q == 0),
+                  *(rng.randrange(2**60, 2**62) for _ in range(3))]
+            for k in ks:
+                expected = _ref_rules_out(p, k, D, P, Q, scale)
+                # n = p: the probe finds p alone.
+                assert primality._rules_out(p, k, P, Q, scale) is expected, (
+                    p, k, D, P, Q, scale)
+                ruled += expected
+                kept += not expected and scale % p != 0
+                skipped += scale % p == 0
+    assert ruled and kept and skipped
+
+
+def test_the_probe_and_the_checker_number_the_odd_primes_alike():
+    # Entry i of a rank table is the i-th odd prime's rank to both readers.
+    index = primality._probe_table()[1]
+    sieve._primes_through(primality._PROBE_BOUND)
+    assert list(index) == SMALL_PRIMES == list(sieve._odd_primes[:len(index)])
+    assert list(index.values()) == list(range(len(index)))
+    P, Q, scale = 1, -1, 1  # Fibonacci: the rank of 7 is 8
+    primality._rules_out(7 * 11, 3, P, Q, scale)
+    ranks, _ = recurrence._rank_tables(P, Q, len(index))
+    assert ranks[index[7]] == rank_of_apparition(P, Q, 7) == 8
+
+
+# Odd n with no odd prime below the probe bound: a prime near 2**62, the
+# product of two primes near 2**31, and 521*523.
+NO_PROBE_PRIME = (2**62 + 135, 2147483659 * 2147483693, 521 * 523)
+PER_N_TESTS = (
+    lucas_selfridge, double_lucas_selfridge, matrix_selfridge,
+    gen_pell_selfridge,
+    lambda n: pell_test(n, ConicParams(3, 2, 1)),
+    lambda n: strong_pell_test(n, ConicParams(3, 2, 1)),
+    lambda n: strong_pell_test_param(n, 7, 3),
+    lambda n: fermat_test(n, 2), lambda n: strong_base_test(n, 10),
+)
+
+
+def test_a_verdict_without_a_probe_prime_leaves_the_rank_cache_alone():
+    assert all(gcd(n, primality._probe_table()[0]) == 1
+               for n in NO_PROBE_PRIME)
+    before = recurrence._pair_tables.cache_info()
+    for n in NO_PROBE_PRIME:
+        for test in PER_N_TESTS:
+            test(n)
+    assert recurrence._pair_tables.cache_info() == before
+    # An n with one looks the table up, in each test.
+    for test in PER_N_TESTS:
+        test(509 * NO_PROBE_PRIME[2])
+        after = recurrence._pair_tables.cache_info()
+        assert after.hits + after.misses > before.hits + before.misses
+        before = after

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import STAT_KEYS, reference_scan
-from pellprime import search, selectors, sieve
+from pellprime import recurrence, search, selectors
 from pellprime.kernel import members
 from pellprime.primality import Outcome
 from pellprime.search import (
@@ -307,8 +307,9 @@ POOLED_SCAN = ("lucas", {"selfridge": True}, 3, 20000)
 @pytest.mark.parametrize("start_method", [None, "spawn"])
 def test_a_pooled_scan_matches_one_process_and_hands_back_no_ranks(
         monkeypatch, start_method):
-    # The workers keep the ranks they compute; the parent, which never
-    # sieves here, ends with the empty tables it started from.  The pool is
+    # The workers keep the ranks they compute; the parent, which neither
+    # sieves nor runs a per-n test here, ends with the empty rank cache it
+    # started from (the one cache of the checker and the probe).  The pool is
     # closed before and after, so that the scan starts its own workers and
     # no later scan reuses them.
     search._close_pool()
@@ -316,15 +317,15 @@ def test_a_pooled_scan_matches_one_process_and_hands_back_no_ranks(
         context = multiprocessing.get_context(start_method)
         monkeypatch.setattr(multiprocessing, "Process", context.Process)
         monkeypatch.setattr(multiprocessing, "Pipe", context.Pipe)
-    monkeypatch.setattr(sieve, "_pair_tables", lru_cache(maxsize=64)(
-        sieve._pair_tables.__wrapped__))
+    monkeypatch.setattr(recurrence, "_pair_tables", lru_cache(maxsize=64)(
+        recurrence._pair_tables.__wrapped__))
     try:
         pooled = scan_range(*POOLED_SCAN, jobs=2, chunk_odds=512)
         started = [type(worker) for worker, _ in search._farm]
         assert started == [multiprocessing.Process] * 2
     finally:
         search._close_pool()
-    assert sieve._pair_tables.cache_info().currsize == 0
+    assert recurrence._pair_tables.cache_info().currsize == 0
     alone = scan_range(*POOLED_SCAN, jobs=1, chunk_odds=512)
     assert pooled.canonical_json() == alone.canonical_json()
 

@@ -28,7 +28,7 @@ from pellprime import primality, selectors
 from pellprime.modarith import jacobi
 from pellprime.primality import Outcome, Verdict
 from pellprime.recurrence import LucasParams, lucas_pair, rank_of_apparition
-from pellprime import search, sieve
+from pellprime import recurrence, search, sieve
 from pellprime.kernel import count_masks, members, settle, walk
 from pellprime.search import build_test, grid_scan, is_prime, scan_range
 from pellprime.sieve import SIEVE_CAP, Segment, primes_up_to, sieve_limit
@@ -489,14 +489,14 @@ def test_rank_tables_are_bounded_and_dropped_least_recent_first(monkeypatch):
     # the cache holds, so each pass evicts; a second pass evicts on every
     # cell.  A fresh cache with the module's own bound is installed, and
     # the process's warm one comes back after the test.
-    bound = sieve._pair_tables.cache_info().maxsize
-    monkeypatch.setattr(sieve, "_pair_tables", lru_cache(maxsize=bound)(
-        sieve._pair_tables.__wrapped__))
+    bound = recurrence._pair_tables.cache_info().maxsize
+    monkeypatch.setattr(recurrence, "_pair_tables", lru_cache(
+        maxsize=bound)(recurrence._pair_tables.__wrapped__))
     grid = ("lucas", range(1, 12), range(-3, 4), 2000)
     passes = [grid_scan(*grid), grid_scan(*grid)]
-    info = sieve._pair_tables.cache_info()
+    info = recurrence._pair_tables.cache_info()
     assert info.misses > 64 and info.currsize <= 64
-    sieve._pair_tables.cache_clear()
+    recurrence._pair_tables.cache_clear()
     passes.append(grid_scan(*grid))
     counts = [[cell["count"] for cell in report.cells] for report in passes]
     assert counts[0] == counts[1] == counts[2]

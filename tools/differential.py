@@ -12,9 +12,10 @@ smaller than the kernel's stripe.  Each line is
     method params [lo, hi] chunk_odds=C jobs=J canonical_json
 
 A scan's canonical JSON holds counts and finds but no evidence, so the
-per-n test of each of the 21 configs, and of the 4 of
-:data:`PRECONDITION_CONFIGS`, then runs on the n of :data:`VERDICT_NS`,
-one line each (239 n, 5019 + 956 lines, 7235 lines in all):
+per-n test of each of the 21 configs, of the 4 of
+:data:`PRECONDITION_CONFIGS` and of the 2 of :data:`BASE_CONFIGS` then
+runs on the n of :data:`VERDICT_NS`, one line each (239 n, 5019 + 956 +
+478 lines, 7713 lines in all, the base configs' last):
 
     method params n=N [outcome, evidence, factor, jacobi_branch, stage]
 
@@ -86,6 +87,13 @@ PRECONDITION_CONFIGS = [
     ("matrix", {"P": 1, "Q": 5, "R": 3, "variant": "v-companion"}),
     ("pell", {"D": 65, "x": 9, "y": 1}),
 ]
+# Base-a configs for verdict lines only, printed last, whose a - 1 has the
+# odd prime 3, a prime below the probe bound: the per-n tests' probe reads
+# base a as Lucas(a + 1, a) with scale a - 1, which skips that prime.
+BASE_CONFIGS = [
+    ("fermat", {"a": 7}),
+    ("strong-base", {"a": 10}),
+]
 
 
 def main() -> int:
@@ -101,7 +109,7 @@ def main() -> int:
                     print(f"{method} {json.dumps(params, sort_keys=True)} "
                           f"[{lo}, {hi}] chunk_odds={chunk_odds} jobs={jobs} "
                           f"{report.canonical_json()}", flush=True)
-    for method, params in configs + PRECONDITION_CONFIGS:
+    for method, params in configs + PRECONDITION_CONFIGS + BASE_CONFIGS:
         test, _ = build_test(method, params)
         for n in VERDICT_NS:
             v = test(n)
