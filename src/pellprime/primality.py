@@ -14,7 +14,10 @@ with given parameters are exactly the pseudoprimes the scan module hunts.
 
 One guard sits on every public test (:func:`_guard`): any other n gets the
 ``PARAMS_INVALID`` verdict that names the failed condition, before any
-other check.
+other check.  Each guarded test keeps its unguarded body as
+``__wrapped__``; the Selfridge forms of :mod:`pellprime.selectors` call
+it, because their walk has run the same check, so the check runs once
+per verdict.
 
 The tests whose first congruence is scale*U_k(P', Q') ≡ 0 for a Lucas
 sequence (lucas, double-lucas, matrix, pell, strong-pell and gen-pell)
@@ -26,12 +29,16 @@ companion ≡ 1 when (D/n) = 1 and ≡ Q' when (D/n) = -1.  Before its
 ladder, each applies the scan kernel's rank theorem to the primes of n
 below a small bound (:func:`_rules_out`), and so do fermat and
 strong-base, whose a^(n-1) ≡ 1 is that congruence for Lucas(a + 1, a)
-with scale a - 1.  The probe reads each prime's rank of apparition from
-the rank table of (P', Q') that the scan's checker reads too, and runs no
-ladder of its own.  Most n with such a prime are settled there, by proof
-and not as a prefilter: a composite gets exactly the verdict its ladder
-would give, and the Selfridge Lucas pseudoprime 323 = 17*19 still
-passes.  Every other n that meets the preconditions runs the ladder, as
+with scale a - 1.  The probe takes the primes 3 to 23 first, with a short
+gcd, and the rest only when those do not rule n out; it keeps the
+factorisations it meets in a small cache, and reads each prime's rank of
+apparition from the rank table of (P', Q') that the scan's checker reads
+too, so it runs no ladder of its own.  Most n with such a prime are
+settled there, by proof and not as a prefilter: a composite gets exactly
+the verdict its ladder would give, and the Selfridge Lucas pseudoprime
+323 = 17*19 still passes.  strong-pell-param probes with its point's pair
+scaled by a^2 - D, which does not depend on n, so all its verdicts for
+one (D, a) read one table.  Every other n that meets the preconditions runs the ladder, as
 does every n of pell-variant.  A scan settles most n of the Lucas-family
 tests without calling them, from the same map and the factors its sieve
 records (see :mod:`pellprime.kernel`).  It lets a sieve-proved prime pass
@@ -53,8 +60,8 @@ from math import gcd, isqrt, prod
 
 from .conic import ConicParams, conic_pow, rational_point
 from .modarith import MAX_MODULUS, Factor, jacobi, pow_mod
-from .recurrence import (LucasParams, MatrixParams, _rank_tables, lucas_pair,
-                         rank_of_apparition, tilde_pair)
+from .recurrence import (LucasParams, MatrixParams, _pair_tables, _rank_tables,
+                         lucas_pair, rank_of_apparition, tilde_pair)
 
 __all__ = [
     "Outcome",
@@ -144,7 +151,7 @@ def _guard(test: Callable[..., Verdict]) -> Callable[..., Verdict]:
     """The test behind one guard: an n that :func:`_check_n` rejects gets
     its params-invalid verdict, before any other check.  The guarded test
     keeps its name, docstring and signature, and its unguarded body as
-    ``__wrapped__``, for a test that calls another after the guard."""
+    ``__wrapped__``, for a caller that has run the check itself."""
     @wraps(test)
     def guarded(n, *args, **kwargs):
         return _check_n(n) or test(n, *args, **kwargs)
@@ -152,28 +159,44 @@ def _guard(test: Callable[..., Verdict]) -> Callable[..., Verdict]:
 
 
 # The per-n tests look for the odd primes of n below this bound (see
-# _rules_out).  Each prime found costs a rank lookup, so the trade-off is
-# the gcd that finds them, paid on every n, against the ladders saved.  Over
-# gen-pell+Selfridge verdicts on uniform odd n near 2**62 (a shared 2-vCPU
-# x86 box, Python 3.11), the bounds 2**8, 2**9 and 2**10 gave a gcd of 0.58,
-# 0.83 and 1.33 us, ruled out 32.2%, 35.3% and 37.9% of n, and a verdict
-# median of 6.21, 6.56 and 7.32 us against a mean of 18.1, 17.3 and
-# 17.0 us (near 2**34: medians 5.87, 6.14 and 6.42, means 11.0, 10.5 and
-# 10.1).  2**9 keeps the median verdict, which the probe ends, near that of
-# 2**8, and most of the mean that 2**10 saves.
+# _rules_out).  Each prime found costs a rank lookup, and the gcd with the
+# primes from 29 to the bound is paid by every n that the primes up to 23
+# do not rule out, so the trade-off is that gcd against the ladders saved.
+# Over gen-pell+Selfridge verdicts on 4096 consecutive odd n near 2**34 and
+# near 2**62 (tools/ab_verdicts.py, 16 rounds, a shared 2-vCPU x86 box,
+# Python 3.11), the bounds 2**8, 2**9 and 2**10 ruled out 31%, 35% and 37%
+# of n at both sizes.  Against 2**9, 2**8 gave a verdict median 7% (2**34)
+# and 5% (2**62) lower but a mean 0.5% and 5.6% higher; 2**10 gave a median
+# 7% higher at both sizes, and a mean 3.4% higher and 2.6% lower.  2**9
+# keeps the mean near its lowest at both sizes.
 _PROBE_BOUND = 1 << 9
+# The odd primes up to 23, of which two odd n in three have one: the probe's
+# first gcd, which is short, takes them alone.
+_FIRST_PRIMES = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23
+# The number of odd primes below _PROBE_BOUND: the entries of a rank table
+# that the probe reads.
+_PROBE_RANKS = 96
 
 
 @cache
 def _probe_table() -> tuple[int, dict[int, int]]:
-    """The product of the odd primes below _PROBE_BOUND, and the index of
-    each, ascending: they are the first odd primes, so each one's index is
-    its index in the rank tables of
-    :func:`~pellprime.recurrence._rank_tables`.  Built on the first
-    verdict, so importing costs nothing."""
+    """The product of the odd primes from 29 to below _PROBE_BOUND, and the
+    index of each odd prime below the bound, ascending: they are the
+    first odd primes, so each one's index is its index in the rank tables
+    of :func:`~pellprime.recurrence._rank_tables`.  Built when a verdict
+    first needs it, so importing costs nothing."""
     primes = [p for p in range(3, _PROBE_BOUND, 2)
               if all(p % q for q in range(3, isqrt(p) + 1, 2))]
-    return prod(primes), {p: i for i, p in enumerate(primes)}
+    return prod(primes) // _FIRST_PRIMES, {p: i for i, p in enumerate(primes)}
+
+
+# The products of primes below the bound that n has are mostly one prime
+# alone, so the few the probe meets are factored once and kept.
+@lru_cache(maxsize=512)
+def _probe_primes(g: int) -> tuple[tuple[int, int], ...]:
+    """(index, p) for each prime p of g, a product of distinct odd primes
+    below _PROBE_BOUND, ascending."""
+    return tuple((i, p) for p, i in _probe_table()[1].items() if not g % p)
 
 
 def _rules_out(n: int, k: int, P: int, Q: int, scale: int) -> bool:
@@ -181,34 +204,37 @@ def _rules_out(n: int, k: int, P: int, Q: int, scale: int) -> bool:
     ≢ 0 (mod n), for the first congruence (P, Q, scale) of a test whose
     preconditions hold, so that n shares no prime with Q.
 
-    One gcd with the product of all the primes below the bound gives g,
-    the product of those that divide n.  g is squarefree, so what is left
-    of it once its primes up to its square root are divided out is 1 or
-    prime.  scale*U_k ≡ 0 holds mod each such p, and gives U_k ≡ 0
-    (mod p) when p ∤ scale, which holds exactly when the rank of
-    apparition of p divides k (Baillie and Wagstaff, *Lucas
-    pseudoprimes*, 1980).  The ranks are read from the rank table of
-    (P, Q) that the scan's checker reads for its sieve's factors, and a
-    rank not there yet is computed and stored; an n with no prime below
-    the bound does not look the table up.  It is a proof, not a
-    prefilter: a pseudoprime with small factors, such as 323 = 17*19 for
-    Selfridge's D = 5, whose ranks 9 and 18 divide 324, is not ruled out.
+    scale*U_k ≡ 0 holds mod each such p, and gives U_k ≡ 0 (mod p) when
+    p ∤ scale, which holds exactly when the rank of apparition of p
+    divides k (Baillie and Wagstaff, *Lucas pseudoprimes*, 1980).  The
+    primes come from two gcds: first with the product of the primes 3 to
+    23, then, only when those do not rule n out, with that of the rest.
+    It is a proof, not a prefilter: a pseudoprime with small factors,
+    such as 323 = 17*19 for Selfridge's D = 5, whose ranks 9 and 18
+    divide 324, is not ruled out.
     """
-    product, index = _probe_table()
-    g = gcd(n, product)
-    if g == 1:
-        return False
-    found = []
-    for p, i in index.items():
-        if p * p > g:
-            break
-        if not g % p:
-            found.append((i, p))
-            g //= p
-    if g > 1:
-        found.append((index[g], g))
-    ranks = _rank_tables(P, Q, len(index))[0]
-    for i, p in found:
+    g = gcd(n, _FIRST_PRIMES)
+    if g > 1 and _ranks_rule_out(g, k, P, Q, scale):
+        return True
+    g = gcd(n, _probe_table()[0])
+    return g > 1 and _ranks_rule_out(g, k, P, Q, scale)
+
+
+def _ranks_rule_out(g: int, k: int, P: int, Q: int, scale: int) -> bool:
+    """Whether a prime p ∤ scale of g > 1, a product of distinct odd primes
+    below _PROBE_BOUND, has a rank of apparition in (P, Q) that does not
+    divide k.
+
+    The ranks are read from the rank table of (P, Q) that the scan's
+    checker reads for its sieve's factors, straight from its cache once
+    it has an entry for each prime below the bound, and a rank not there
+    yet is computed and stored.  An n with no prime below the bound never
+    gets here, so it does not look the table up.
+    """
+    ranks = _pair_tables(P, Q)[0]
+    if len(ranks) < _PROBE_RANKS:
+        ranks = _rank_tables(P, Q, _PROBE_RANKS)[0]
+    for i, p in _probe_primes(g):
         if scale % p:
             rank = ranks[i]
             if not rank:
@@ -429,7 +455,8 @@ def matrix_test(n: int, params: MatrixParams,
       :func:`double_lucas_test`.
 
     An unknown variant raises ValueError whatever n is, so the variant is
-    checked before the guard runs.
+    checked before the guard runs.  Its ``__wrapped__`` is the body behind
+    both checks, for a caller that has made them.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant: {variant!r}")
@@ -437,7 +464,8 @@ def matrix_test(n: int, params: MatrixParams,
 
 
 @_guard
-def _matrix_test(n: int, params: MatrixParams, variant: str) -> Verdict:
+def _matrix_test(n: int, params: MatrixParams,
+                 variant: str = "u-companion") -> Verdict:
     """:func:`matrix_test` for a known variant."""
     failed = "U~_{n-(Δ/n)} ≢ 0 (mod n)"
     j, qr, early = _lucas_pre(n, params, "gcd(QR, n) > 1", failed)
@@ -449,6 +477,9 @@ def _matrix_test(n: int, params: MatrixParams, variant: str) -> Verdict:
     if variant == "u-companion":
         v = params.R * v % n
     return _conclude(n, j, u, failed, v, qr)
+
+
+matrix_test.__wrapped__ = _matrix_test.__wrapped__
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +516,9 @@ def pell_test(n: int, params: ConicParams) -> Verdict:
                      failed)
 
 
+_STRONG_PELL_FAILED = "(x, y)^{n-(D/n)} ≢ (1, 0) (mod n)"
+
+
 @_guard
 def strong_pell_test(n: int, params: ConicParams) -> Verdict:
     """Strong Pell test: (x, y)^(n-(D/n)) ≡ (1, 0) (mod n).
@@ -493,13 +527,19 @@ def strong_pell_test(n: int, params: ConicParams) -> Verdict:
     with P = 2x mod n and Q = 1.  Modulo a prime p ∤ D the norm-1 points
     form a group of order p - (D/p), so every such prime passes.
     """
-    failed = "(x, y)^{n-(D/n)} ≢ (1, 0) (mod n)"
-    j, early = _norm_one_pre(n, params, failed)
-    if early:
-        return early
-    # y is the first congruence's value and x the companion (Q' = 1).
-    x, y = conic_pow(params.point(n), n - j, params.D, n)
-    return _conclude(n, j, y, failed, x, 1, failed)
+    j, early = _norm_one_pre(n, params, _STRONG_PELL_FAILED)
+    return early or _conic_conclude(n, j, params.point(n), params.D,
+                                    _STRONG_PELL_FAILED)
+
+
+def _conic_conclude(n: int, j: int, point: tuple[int, int], D: int,
+                    failed: str, q: int = 1) -> Verdict:
+    """The ladder and the check of a strong-pell or gen-pell test on the
+    branch j: the point's power must be ≡ (1, 0) when j = 1, and ≡ (q, 0)
+    for the point's norm q when j = -1, or n fails with ``failed``."""
+    # y is the first congruence's value and x the companion.
+    x, y = conic_pow(point, n - j, D, n)
+    return _conclude(n, j, y, failed, x, q, failed)
 
 
 @_guard
@@ -508,15 +548,24 @@ def strong_pell_test_param(n: int, D: int, a: int) -> Verdict:
 
     The point is ((a^2+D)/(a^2-D), 2a/(a^2-D)) mod n, which has norm 1 by
     construction.  A nontrivial gcd(a^2 - D, n) is compositeness evidence;
-    a^2 ≡ D (mod n) leaves the point undefined.
+    a^2 ≡ D (mod n) leaves the point undefined.  The other preconditions
+    are those of :func:`strong_pell_test`, in its order.
     """
     pt = rational_point(a, D, n)
     if isinstance(pt, Factor):
         if pt.value == n:
             return _invalid("a^2 ≡ D (mod n): point undefined")
         return _composite(f"gcd(a^2 - D, n) = {pt.value}", factor=pt.value)
-    # The guard has run: the unguarded body of strong_pell_test.
-    return strong_pell_test.__wrapped__(n, ConicParams(D, pt[0], pt[1]))
+    if pt[1] == 0:
+        return _invalid("degenerate base point (x, 0)")
+    # The point's first congruence y*U_k(2x, 1) ≡ 0, times c^k for
+    # c = a^2 - D, which is prime to n, is 2a*U_k(2(a^2 + D), c^2) ≡ 0,
+    # since U_k(cP, c^2 Q) = c^(k-1) U_k(P, Q).  So the primes of n have
+    # the same ranks in both pairs, and the probe reads the table of the
+    # second, which does not depend on n.
+    j, early = _branch(n, (D, 2 * (a * a + D), (a * a - D) ** 2, 2 * a),
+                       _STRONG_PELL_FAILED)
+    return early or _conic_conclude(n, j, pt, D, _STRONG_PELL_FAILED)
 
 
 @_guard
@@ -536,15 +585,12 @@ def generalized_pell_test(n: int, params: ConicParams) -> Verdict:
         if g == n:
             return _invalid("base point norm ≡ 0 (mod n)")
         return _composite(f"gcd(norm, n) = {g}", factor=g)
-    x0, y0 = params.point(n)
-    if y0 == 0 and x0 in (1 % n, n - 1):
+    point = params.point(n)
+    if point[1] == 0 and point[0] in (1 % n, n - 1):
         return _invalid("degenerate base point (±1, 0)")
     failed = "conic power ≢ (norm branch target) (mod n)"
     j, early = _branch(n, congruence, failed)
-    if early:
-        return early
-    x, y = conic_pow(params.point(n), n - j, params.D, n)
-    return _conclude(n, j, y, failed, x, q, failed)
+    return early or _conic_conclude(n, j, point, params.D, failed, q)
 
 
 @_guard

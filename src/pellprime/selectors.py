@@ -12,7 +12,10 @@ kernel walks the same pair over a whole stripe.  The walk rejects an n
 the tests' guard rejects and a perfect square up front (no D with
 (D/n) = -1 exists for a square, so the walk would never terminate); a
 candidate sharing a nontrivial factor with n short-circuits to a
-Composite verdict, and one equal to n is skipped.
+Composite verdict, and one equal to n is skipped.  Having run the guard's
+check, the composed tests (:func:`lucas_selfridge` and the others) call
+the unguarded body of their test (:func:`_tested`), still looked up
+through this module's globals.
 
 Deliberately NO trial-division prefilter: pseudoprimes for these selected
 parameters routinely have small factors (323 = 17*19 heads the Lucas list),
@@ -31,7 +34,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable, Iterator
-from itertools import islice
 from math import gcd, isqrt
 
 from .conic import ConicParams
@@ -138,7 +140,8 @@ def _select(n: int, selection: Selection) -> Params | Verdict:
         # (D/n) is never -1 for a square; r is a nontrivial divisor.
         return Verdict(Outcome.COMPOSITE, evidence="perfect square",
                        factor=r, stage="selector")
-    for d in islice(selection.candidates(), CANDIDATE_CAP):
+    tried = 0
+    for d in selection.candidates():
         j = jacobi(d, n)
         if j == -1:
             return selection.params(d)
@@ -147,6 +150,9 @@ def _select(n: int, selection: Selection) -> Params | Verdict:
             return Verdict(Outcome.COMPOSITE,
                            evidence=f"gcd(D candidate, n) = {g}",
                            factor=g, jacobi_branch=0, stage="selector")
+        tried += 1
+        if tried == CANDIDATE_CAP:
+            break
     raise RuntimeError(
         f"no discriminant with (D/n) = -1 within {CANDIDATE_CAP} "
         f"candidates for n = {n}")
@@ -186,10 +192,12 @@ def _tested(n: int, chosen: Params | Verdict, test: Callable[..., Verdict],
 
     The composed tests below pass their selector's result and their test
     as they find them at call time, so a caller that swaps a module
-    global (as a tracer does) sees every call."""
+    global (as a tracer does) sees every call.  The walk has run the
+    tests' guard, so the test's unguarded body (its ``__wrapped__``) runs
+    when it has one; a stand-in without one is called as it is."""
     if isinstance(chosen, Verdict):
         return chosen
-    return test(n, chosen, **kw)
+    return getattr(test, "__wrapped__", test)(n, chosen, **kw)
 
 
 def lucas_selfridge(n: int) -> Verdict:

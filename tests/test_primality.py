@@ -3,7 +3,7 @@ from functools import lru_cache
 
 import pytest
 
-from pellprime import primality
+from pellprime import primality, selectors
 from oracles import lucas_to_conic
 from pellprime.conic import ConicParams
 from pellprime.primality import (
@@ -306,3 +306,51 @@ def test_each_public_test_runs_the_guard_once_per_verdict(name, monkeypatch):
     for n in (9, 1009, 4):
         GUARDED[name](n)
     assert calls == [9, 1009, 4]
+
+
+# Each composed Selfridge test, and the name of the test it calls through
+# selectors' module globals.
+COMPOSED = {
+    "lucas": (lucas_selfridge, "lucas_test"),
+    "double-lucas": (double_lucas_selfridge, "double_lucas_test"),
+    "matrix": (matrix_selfridge, "matrix_test"),
+    "gen-pell": (gen_pell_selfridge, "generalized_pell_test"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSED))
+def test_each_composed_test_runs_the_guard_once_per_verdict(name,
+                                                            monkeypatch):
+    # The walk runs the guard, and the test after it its unguarded body:
+    # 1009 is prime, so it reaches the test; 9 and 10201 are squares and 4
+    # is even, so the walk settles them.
+    calls = []
+    check = primality._check_n
+
+    def counted(n):
+        calls.append(n)
+        return check(n)
+    monkeypatch.setattr(primality, "_check_n", counted)
+    monkeypatch.setattr(selectors, "_check_n", counted)
+    composed, _ = COMPOSED[name]
+    for n in (9, 1009, 4, 10201):
+        composed(n)
+    assert calls == [9, 1009, 4, 10201]
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSED))
+def test_a_stand_in_test_without_its_body_gives_the_same_verdicts(
+        name, monkeypatch):
+    # A tracer swaps the test for a wrapper with no __wrapped__; the
+    # composed test calls the wrapper, which runs the guarded test.
+    composed, test_name = COMPOSED[name]
+    ns = [*range(-3, 2000, 2), 10201, 2**62 + 135, 3 * (2**62 + 135)]
+    expected = [composed(n) for n in ns]
+    original, called = getattr(selectors, test_name), []
+
+    def stand_in(*args, **kwargs):
+        called.append(args[0])
+        return original(*args, **kwargs)
+    monkeypatch.setattr(selectors, test_name, stand_in)
+    assert [composed(n) for n in ns] == expected
+    assert 1009 in called and 2**62 + 135 in called

@@ -17,10 +17,14 @@ from __future__ import annotations
 
 import random
 import time
+from functools import lru_cache
 from itertools import islice
-from math import gcd
+from math import gcd, lcm, prod
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 from oracles import mat_apply, mat_pow
 from pellprime import primality, recurrence, sieve
@@ -400,6 +404,7 @@ def test_the_probe_and_the_checker_number_the_odd_primes_alike():
     sieve._primes_through(primality._PROBE_BOUND)
     assert list(index) == SMALL_PRIMES == list(sieve._odd_primes[:len(index)])
     assert list(index.values()) == list(range(len(index)))
+    assert primality._PROBE_RANKS == len(index)
     P, Q, scale = 1, -1, 1  # Fibonacci: the rank of 7 is 8
     primality._rules_out(7 * 11, 3, P, Q, scale)
     ranks, _ = recurrence._rank_tables(P, Q, len(index))
@@ -420,8 +425,7 @@ PER_N_TESTS = (
 
 
 def test_a_verdict_without_a_probe_prime_leaves_the_rank_cache_alone():
-    assert all(gcd(n, primality._probe_table()[0]) == 1
-               for n in NO_PROBE_PRIME)
+    assert all(gcd(n, prod(SMALL_PRIMES)) == 1 for n in NO_PROBE_PRIME)
     before = recurrence._pair_tables.cache_info()
     for n in NO_PROBE_PRIME:
         for test in PER_N_TESTS:
@@ -433,3 +437,91 @@ def test_a_verdict_without_a_probe_prime_leaves_the_rank_cache_alone():
         after = recurrence._pair_tables.cache_info()
         assert after.hits + after.misses > before.hits + before.misses
         before = after
+
+
+def test_strong_pell_param_verdicts_read_one_rank_table(monkeypatch):
+    # The probe reads the pair (2(a^2 + D), (a^2 - D)^2), which does not
+    # depend on n, and not that of the point mod n: the 178 verdicts with
+    # (D, a) = (3, 4) on the odd multiples of 35 below 12460 add one entry
+    # to a fresh rank cache, not one per n.
+    fresh = lru_cache(maxsize=64)(recurrence._pair_tables.__wrapped__)
+    monkeypatch.setattr(recurrence, "_pair_tables", fresh)
+    monkeypatch.setattr(primality, "_pair_tables", fresh)
+    ns = range(35, 12460, 70)
+    assert len(ns) == 178
+    for n in ns:
+        assert strong_pell_test_param(n, 3, 4) == ref_pell_param(n, 3, 4), n
+    info = fresh.cache_info()
+    assert info.currsize == 1 and info.hits > 100
+
+
+# ---------------------------------------------------------------------------
+# the probe's two gcds against one
+
+
+# Primes on both sides of 23, the last prime of the probe's first gcd, and
+# of the probe bound, 509 being the last prime below it.
+EDGE_PRIMES = (13, 17, 19, 23, 29, 31, 37, 499, 503, 509, 521, 523)
+FIRST = [p for p in SMALL_PRIMES if p <= 23]
+
+
+def _some_prime_rules_out(primes, n: int, k: int, P: int, Q: int,
+                          scale: int) -> bool:
+    """Whether a prime p of n among primes has p ∤ scale and a rank of
+    apparition, computed afresh, that does not divide k."""
+    return any(n % p == 0 and scale % p and k % rank_of_apparition(P, Q, p)
+               for p in primes)
+
+
+def _selfridge_pair(choice) -> tuple[int, int, int]:
+    """(P, Q, scale) of the Selfridge map params at its i-th candidate."""
+    params, i = choice
+    candidates = (matrix_candidates if params is matrix_params
+                  else classic_candidates)
+    d = next(islice(candidates(), i, None))
+    return first_congruence(params(d))[1:]
+
+
+def _pairs_strategy():
+    """(P, Q, scale) of a Selfridge pair, of a conic whose y may share a
+    prime with n, and of a base test's (a + 1, a) with scale a - 1."""
+    small = st.integers(-40, 40)
+    selfridge = st.tuples(st.sampled_from((classic_params, matrix_params,
+                                           gen_pell_params)),
+                          st.integers(0, 11)).map(_selfridge_pair)
+    conic = st.builds(ConicParams, small, small,
+                      st.one_of(small, st.sampled_from(EDGE_PRIMES)))
+    base = st.one_of(st.integers(2, 2**40),
+                     st.sampled_from(EDGE_PRIMES).map(lambda p: p + 1))
+    return st.one_of(selfridge, conic.map(lambda c: first_congruence(c)[1:]),
+                     base.map(lambda a: (a + 1, a, a - 1)))
+
+
+@seed(30)
+@settings(max_examples=400, deadline=None)
+@given(primes=st.lists(st.sampled_from(EDGE_PRIMES), min_size=1,
+                       max_size=4, unique=True),
+       cofactor=st.integers(0, 2**24), pair=_pairs_strategy(),
+       bits=st.sampled_from((34, 62)), offset=st.integers(0, 2**20),
+       rank_multiple=st.booleans())
+def test_the_two_stage_probe_equals_one_gcd_over_every_probe_prime(
+        primes, cofactor, pair, bits, offset, rank_multiple):
+    P, Q, scale = pair
+    n = prod(primes) * (2 * cofactor + 1)
+    assume(gcd(Q, n) == 1)  # a test's preconditions exclude the others
+    k = 2**bits + offset
+    if rank_multiple:  # every rank of n's chosen primes divides k
+        m = lcm(*(p * (p * p - 1) for p in primes))
+        k = m * (k // m + 1)
+    expected = _some_prime_rules_out(SMALL_PRIMES, n, k, P, Q, scale)
+    # The first gcd takes the primes up to 23; the second, the rest, runs
+    # only when those do not rule n out.
+    first, rest = gcd(n, prod(FIRST)), gcd(n, prod(SMALL_PRIMES) // prod(FIRST))
+    factored = [first] if first > 1 else []
+    if rest > 1 and not _some_prime_rules_out(FIRST, n, k, P, Q, scale):
+        factored.append(rest)
+    with mock.patch.object(primality, "_probe_primes",
+                           side_effect=primality._probe_primes) as spy:
+        assert primality._rules_out(n, k, P, Q, scale) is expected
+    seen = [call.args[0] for call in spy.call_args_list]
+    assert seen == factored
