@@ -84,9 +84,11 @@ __all__ = ["Bulk", "Settled", "count_masks", "jacobi_masks", "members",
 # (candidates, params): the kernel walks the candidate sequence the per-n
 # walk tries, and maps each d as the walk does.  first_congruence reads the
 # parameters' first congruence; the test's preconditions also settle, with
-# outcome ``shared``, the n that share a prime with its Q'.  ``primes_pass``
-# is whether every prime that meets the preconditions passes the test.
-Bulk = namedtuple("Bulk", "D params shared primes_pass")
+# outcome ``shared`` (PARAMS_INVALID unless given), the n that share a prime
+# with its Q'.  ``primes_pass`` (True unless given) is whether every prime
+# that meets the preconditions passes the test.
+Bulk = namedtuple("Bulk", "D params shared primes_pass",
+                  defaults=(Outcome.PARAMS_INVALID, True))
 
 # The settle paths of a stripe's n, one bitmask each; every n is in exactly
 # one.  ``short``: composites the Selfridge walk settles; ``sharing``: n

@@ -29,9 +29,9 @@ Where a chunk holds KERNEL_ODDS odd n or more, as in the CLI's chunks of
 2**16, a stripe is ceil(limit / span) chunks.
 
 A process keeps one pool of workers between scans, started by the first
-scan that needs one (:func:`_pool`); only then is ``multiprocessing``
-imported, so a process that runs single tests, or scans in one process,
-never loads it.  A worker is a process of its own with one pipe to this
+scan that needs one (:func:`_pool`); only then are ``multiprocessing``
+and ``signal`` imported, so a process that runs single tests, or scans in
+one process, never loads them.  A worker is a process of its own with one pipe to this
 one, and nothing else: no thread in this process feeds or watches it.  A
 pooled scan keeps two stripes out per worker, hands the next stripe to
 whichever worker answers, and passes each stripe's chunk results on in
@@ -60,11 +60,12 @@ settles nearly every n of a stripe in bulk.  :func:`~pellprime.kernel.walk`
 classes the stripe's n by discriminant, and
 :func:`~pellprime.kernel.settle` gives each n one settle path, from
 periodic patterns and the sieve's record; the per-n test runs only on the
-n it leaves.  Each form's :class:`~pellprime.kernel.Bulk` sits in
-:data:`METHODS`.  A Selfridge form's Bulk holds the selector's own
-:data:`~pellprime.selectors.Selection`, the candidate sequence and the map
-from a discriminant to the test's parameters, so the parameters the kernel
-settles n with are the ones the per-n walk would pick.
+n it leaves.  Each form of :data:`METHODS` builds its per-n test and its
+:class:`~pellprime.kernel.Bulk` together.  A Selfridge form's Bulk holds
+the selector's own :data:`~pellprime.selectors.Selection`, the candidate
+sequence and the map from a discriminant to the test's parameters, so the
+parameters the kernel settles n with are the ones the per-n walk would
+pick.
 
 Long scans can persist a resume cursor to a checkpoint file, once before
 the first chunk and then after every chunk.  The checkpoint stores only
@@ -144,74 +145,73 @@ KERNEL_ODDS = 1 << 14
 
 # One way to give a method's parameters: the names it requires, in canonical
 # order; a fixed canonical string, or None for "name=value,..."; make, which
-# build_test calls with the names' values (selfridge's aside) to get
-# test(n), so that it sees the names a tracer swapped in; and bulk, which
-# the scan calls with the same values to get the form's kernel.Bulk, or
-# None when the scan runs the test on every n.
-_Form = namedtuple("_Form", "names canonical make bulk", defaults=(None,))
-_INVALID, _COMPOSITE = Outcome.PARAMS_INVALID, Outcome.COMPOSITE
+# build_test and each stripe call once with the names' values (selfridge's
+# aside) to get (test(n), the form's kernel.Bulk, or None when the scan runs
+# the test on every n), and which looks its test up when called, so that it
+# sees the names a tracer swapped in; and the values of names that may go
+# unsaid.
+_Form = namedtuple("_Form", "names canonical make defaults", defaults=({},))
 
 
-def _fixed(params: LucasParams | MatrixParams | ConicParams,
-           shared: Outcome = _INVALID,
-           primes_pass: bool = True) -> Bulk | None:
-    """The Bulk of a form with fixed parameters; None when D, Q' or the
-    scale is 0, parameters for which the test rejects n by n."""
+def _fixed(test: Callable, params: LucasParams | MatrixParams | ConicParams,
+           **contract) -> tuple[Callable[[int], Verdict], Bulk | None]:
+    """test with fixed parameters, and its Bulk, with the contract's fields
+    where they differ from Bulk's defaults; None for the Bulk when D, Q' or
+    the scale is 0, parameters for which the test rejects n by n."""
     D, _, Q, scale = first_congruence(params)
-    if not (D and Q and scale):
-        return None
-    return Bulk(D, lambda d: params, shared, primes_pass)
+    return partial(test, params=params), (
+        Bulk(D, lambda d: params, **contract) if D and Q and scale else None)
 
 
-def _norm_one(D: int, x: int, y: int) -> Bulk | None:
+def _norm_one(test: Callable, D: int, x: int,
+              y: int) -> tuple[Callable[[int], Verdict], Bulk | None]:
     """pell and strong-pell reject every n beyond |norm - 1| unless the
     base point has norm 1, and then no n shares a prime with the norm."""
     params = ConicParams(D, x, y)
-    return _fixed(params) if first_congruence(params)[2] == 1 else None
+    test, bulk = _fixed(test, params)
+    return test, bulk if first_congruence(params)[2] == 1 else None
 
 
 # build_test takes a method's first form whose names are all given.  The
 # keys, in this order, are the CLI's --method choices.
 METHODS: dict[str, tuple[_Form, ...]] = {
-    "fermat": (_Form(("a",), None, lambda a: partial(fermat_test, a=a)),),
+    "fermat": (_Form(("a",), None,
+                     lambda a: (partial(fermat_test, a=a), None)),),
     "strong-base": (_Form(("a",), None,
-                          lambda a: partial(strong_base_test, a=a)),),
+                          lambda a: (partial(strong_base_test, a=a), None)),),
     "lucas": (
-        _Form(("selfridge",), "selfridge", lambda: lucas_selfridge,
-              lambda: Bulk(*CLASSIC, _INVALID, True)),
+        _Form(("selfridge",), "selfridge",
+              lambda: (lucas_selfridge, Bulk(*CLASSIC))),
         _Form(("P", "Q"), None,
-              lambda P, Q: partial(lucas_test, params=LucasParams(P, Q)),
-              lambda P, Q: _fixed(LucasParams(P, Q)))),
+              lambda P, Q: _fixed(lucas_test, LucasParams(P, Q)))),
     "double-lucas": (
-        _Form(("selfridge",), "selfridge", lambda: double_lucas_selfridge,
-              lambda: Bulk(*CLASSIC, _INVALID, True)),
-        _Form(("P", "Q"), None, lambda P, Q: partial(
-            double_lucas_test, params=LucasParams(P, Q)),
-            lambda P, Q: _fixed(LucasParams(P, Q)))),
+        _Form(("selfridge",), "selfridge",
+              lambda: (double_lucas_selfridge, Bulk(*CLASSIC))),
+        _Form(("P", "Q"), None,
+              lambda P, Q: _fixed(double_lucas_test, LucasParams(P, Q)))),
     "matrix": (
-        _Form(("selfridge", "variant"), None,
-              lambda variant: partial(matrix_selfridge, variant=variant),
-              lambda variant: Bulk(*MATRIX, _INVALID,
-                                   variant == "v-companion")),
-        _Form(("P", "Q", "R", "variant"), None, lambda P, Q, R, variant: (
-            partial(matrix_test, params=MatrixParams(P, Q, R),
-                    variant=variant)),
-            lambda P, Q, R, variant: _fixed(
-                MatrixParams(P, Q, R), primes_pass=variant == "v-companion"))),
-    "pell": (_Form(("D", "x", "y"), None, lambda D, x, y: partial(
-        pell_test, params=ConicParams(D, x, y)), _norm_one),),
+        _Form(("selfridge", "variant"), None, lambda variant: (
+            partial(matrix_selfridge, variant=variant),
+            Bulk(*MATRIX, primes_pass=variant == "v-companion")),
+            {"variant": "v-companion"}),
+        _Form(("P", "Q", "R", "variant"), None, lambda P, Q, R, variant: _fixed(
+            partial(matrix_test, variant=variant), MatrixParams(P, Q, R),
+            primes_pass=variant == "v-companion"),
+            {"variant": "u-companion"})),
+    "pell": (_Form(("D", "x", "y"), None,
+                   lambda D, x, y: _norm_one(pell_test, D, x, y)),),
     "strong-pell": (
-        _Form(("D", "a"), None,
-              lambda D, a: partial(strong_pell_test_param, D=D, a=a)),
-        _Form(("D", "x", "y"), None, lambda D, x, y: partial(
-            strong_pell_test, params=ConicParams(D, x, y)), _norm_one)),
+        _Form(("D", "a"), None, lambda D, a: (
+            partial(strong_pell_test_param, D=D, a=a), None)),
+        _Form(("D", "x", "y"), None,
+              lambda D, x, y: _norm_one(strong_pell_test, D, x, y))),
     "gen-pell": (
-        _Form(("selfridge",), "selfridge", lambda: gen_pell_selfridge,
-              lambda: Bulk(*GEN_PELL, _COMPOSITE, True)),
-        _Form(("D", "x", "y"), None, lambda D, x, y: partial(
-            generalized_pell_test, params=ConicParams(D, x, y)),
-            lambda D, x, y: _fixed(ConicParams(D, x, y), _COMPOSITE))),
-    "pell-variant": (_Form((), "none", lambda: pell_variant_test),),
+        _Form(("selfridge",), "selfridge", lambda: (
+            gen_pell_selfridge, Bulk(*GEN_PELL, shared=Outcome.COMPOSITE))),
+        _Form(("D", "x", "y"), None, lambda D, x, y: _fixed(
+            generalized_pell_test, ConicParams(D, x, y),
+            shared=Outcome.COMPOSITE))),
+    "pell-variant": (_Form((), "none", lambda: (pell_variant_test, None)),),
 }
 
 
@@ -227,10 +227,7 @@ def _resolve(method: str, params: dict) -> tuple[_Form, list, str]:
         raise ValueError(f"unknown variant: {given['variant']!r}")
     for form in forms:
         names = form.names
-        values = dict(given)
-        if "variant" in names:
-            values.setdefault("variant", "v-companion" if "selfridge" in names
-                              else "u-companion")
+        values = form.defaults | given
         if not values.keys() >= set(names):
             continue
         if values.keys() - set(names):
@@ -255,7 +252,7 @@ def build_test(method: str,
     form does not use.
     """
     form, args, canonical = _resolve(method, params)
-    return form.make(*args), canonical
+    return form.make(*args)[0], canonical
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +382,7 @@ def _scan_stripe(method: str, params: dict, lo: int, hi: int, limit: int,
     and its share of what the kernel leaves, on which the per-n test runs.
     """
     form, args, _ = _resolve(method, params)
-    test = form.make(*args)
-    bulk = form.bulk and form.bulk(*args)
+    test, bulk = form.make(*args)
     lo |= 1
     sieve = Segment(lo, hi, limit)
     masks, rest = {}, range(lo, hi + 1, 2)
@@ -423,13 +419,17 @@ def _serve(conn, parent_end) -> None:
     ``parent_end`` is the parent's end of the pipe, which a forked worker
     inherits: it is closed first, so that the pipe fails once the parent
     has died, and the worker then exits quietly.  Ctrl-C is left to the
-    parent, which kills the workers; SIGTERM ends a worker at once.
-    ``signal`` is imported here, so that only the workers load it."""
+    parent, which kills the workers; SIGTERM ends a worker at once.  The
+    worker starts with both signals blocked (see :func:`_pool`) and
+    unblocks them once its own handlers are set, so a Ctrl-C sent to it
+    before then is dropped, and a SIGTERM ends it then."""
     import signal
 
     parent_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK,
+                           (signal.SIGINT, signal.SIGTERM))
     try:
         for args in iter(conn.recv, None):
             conn.send({args[3]: list(_scan_stripe(*args))})
@@ -452,24 +452,35 @@ def _pool(workers: int) -> list[tuple]:
     live ones if there are that many and all are alive, else new ones,
     after the old ones are killed.
 
-    ``multiprocessing`` is imported here, when a scan first fans out, so
-    that importing the package for one test does not load it.  The
-    workers are daemons, so the interpreter ends them at exit.
+    ``multiprocessing`` and ``signal`` are imported here, when a scan first
+    fans out, so that importing the package for one test does not load
+    them.  The workers are daemons, so the interpreter ends them at exit.
+    SIGINT and SIGTERM are blocked in this thread while the workers start,
+    and the caller's mask is put back after, so that each worker starts
+    with both held until :func:`_serve` has set its own handlers; with this
+    process's handlers, a Ctrl-C or SIGTERM sent in that window would end
+    it with a traceback, or be caught and leave it running.
 
     Each worker keeps the ranks of apparition it computes for as long as it
     lives, and a forked one starts from this process's tables as they were
     when it forked; no rank is handed back."""
     if len(_farm) != workers or not all(w.is_alive() for w, _ in _farm):
         import multiprocessing
+        import signal
 
         _close_pool()
-        for _ in range(workers):
-            ours, theirs = multiprocessing.Pipe()
-            worker = multiprocessing.Process(target=_serve,
-                                             args=(theirs, ours), daemon=True)
-            worker.start()
-            theirs.close()
-            _farm.append((worker, ours))
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK,
+                                      (signal.SIGINT, signal.SIGTERM))
+        try:
+            for _ in range(workers):
+                ours, theirs = multiprocessing.Pipe()
+                worker = multiprocessing.Process(
+                    target=_serve, args=(theirs, ours), daemon=True)
+                worker.start()
+                theirs.close()
+                _farm.append((worker, ours))
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     return _farm
 
 
@@ -632,8 +643,7 @@ def grid_scan(method: str, p_values: list[int], q_values: list[int],
     extra = {} if variant is None else {"variant": variant}
     # validates early, and resolves the variant the cells run
     form, args, _ = _resolve(method, dict.fromkeys(names, 1) | extra)
-    variant = dict(zip([k for k in form.names if k != "selfridge"],
-                       args)).get("variant")
+    variant = dict(zip(form.names, args)).get("variant")
 
     start = time.monotonic()
     cells = []

@@ -365,6 +365,35 @@ def test_a_worker_ignores_sigint_and_is_ended_by_sigterm():
         search._close_pool()
 
 
+def test_a_worker_signalled_as_it_starts_drops_sigint_and_dies_of_sigterm(
+        capfd):
+    # The signals reach the workers the moment _pool returns, before either
+    # can have set its own handlers, 20 times over: the worker sent Ctrl-C
+    # still answers, the one sent SIGTERM dies of it, not by the CLI's
+    # handler, and neither prints a traceback (capfd sees the workers'
+    # stderr too).
+    stripe = ("lucas", {"P": 4, "Q": 1}, 3, 501, search.sieve_limit(501), 64)
+    expected = {501: list(search._scan_stripe(*stripe))}
+    try:
+        for _ in range(20):
+            search._close_pool()
+            previous = signal.signal(signal.SIGTERM, cli._terminate)
+            try:
+                (first, conn), (second, _) = search._pool(2)
+                os.kill(first.pid, signal.SIGINT)
+                os.kill(second.pid, signal.SIGTERM)
+            finally:
+                signal.signal(signal.SIGTERM, previous)
+            conn.send(stripe)
+            assert conn.poll(10), "the worker sent Ctrl-C sent nothing back"
+            assert conn.recv() == expected
+            second.join(10)
+            assert second.exitcode == -signal.SIGTERM
+    finally:
+        search._close_pool()
+    assert "Traceback" not in capfd.readouterr().err
+
+
 def test_main_puts_the_sigterm_handler_back(capsys):
     before = signal.getsignal(signal.SIGTERM)
     code, _, _ = run_cli(capsys, "test", "323", "--method", "lucas",

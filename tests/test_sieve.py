@@ -56,12 +56,20 @@ SIEVED_CONFIGS = [
 ]
 
 # Configurations the chunk kernel does not cover: the per-n test runs on
-# every n.
+# every n.  The last six are Lucas-family forms the kernel leaves alone:
+# pell and strong-pell base points of norm -8, not 1, and a zero
+# discriminant or scale.
 UNHINTED_CONFIGS = [
     ("fermat", {"a": 2}),
     ("strong-base", {"a": 3}),
     ("strong-pell", {"D": 3, "a": 3}),
     ("pell-variant", {}),
+    ("pell", {"D": 3, "x": 2, "y": 2}),
+    ("strong-pell", {"D": 3, "x": 2, "y": 2}),
+    ("lucas", {"P": 2, "Q": 1}),
+    ("matrix", {"P": 2, "Q": 1, "R": 1}),
+    ("gen-pell", {"D": 0, "x": 3, "y": 2}),
+    ("gen-pell", {"D": 2, "x": 3, "y": 0}),
 ]
 
 # Ranges from 3, ranges straddling a square (and the square's
@@ -120,7 +128,7 @@ def test_kernel_describes_each_discriminant_as_the_test_does(method, params):
     # scan reaches) or the one fixed D, against the oracle's reading of the
     # parameters the public selector or build_test gives the test.
     form, args, _ = search._resolve(method, params)
-    bulk = form.bulk(*args)
+    bulk = form.make(*args)[1]
     if params.get("selfridge"):
         to_params = SELFRIDGE_MAPS[method]
         for n in range(3, 3001, 2):  # the selector maps its pick the same way
@@ -169,7 +177,7 @@ def chunk_cases(rng):
 def test_chunk_kernel_matches_the_per_n_test(method, params):
     rng = random.Random(f"kernel/{method}/{sorted(params.items())}")
     form, args, _ = search._resolve(method, params)
-    assert form.bulk(*args) is not None
+    assert form.make(*args)[1] is not None
     for lo, hi, limit in chunk_cases(rng):
         assert (scan_chunk(method, params, lo, hi, limit)
                 == reference_scan(method, params, lo, hi, limit)), (
@@ -186,7 +194,7 @@ def test_chunk_kernel_leaves_almost_no_n_to_the_per_n_test(method, params):
     hi = lo + 2 * (size - 1)
     segment = Segment(lo, hi, sieve_limit(hi))
     form, args, _ = search._resolve(method, params)
-    stats, rest = kernel_counts(form.bulk(*args), segment, lo, size)
+    stats, rest = kernel_counts(form.make(*args)[1], segment, lo, size)
     assert len(rest) <= 2 and stats["tested"] == size - len(rest)
     assert all(segment.is_composite(n) for n in rest)
 
@@ -199,7 +207,7 @@ def test_settle_paths_partition_the_stripe(method, params, lo, hi):
     # the kernel counts as tested every n it does not leave to the per-n
     # test.
     form, args, _ = search._resolve(method, params)
-    bulk = form.bulk(*args)
+    bulk = form.make(*args)[1]
     lo |= 1
     size = (hi - lo) // 2 + 1
     settled = settle(bulk, Segment(lo, hi, sieve_limit(hi)), lo, size,
@@ -227,7 +235,7 @@ def assert_hinted_equals_unhinted(method, params, lo, hi, limit):
     segment = Segment(lo, hi, limit)
     form, args, _ = search._resolve(method, params)
     lo |= 1
-    stats, rest = kernel_counts(form.bulk(*args), segment, lo,
+    stats, rest = kernel_counts(form.make(*args)[1], segment, lo,
                                 (hi - lo) // 2 + 1)
     rest = set(rest)
     primes_pass = not u_companion(method, params)

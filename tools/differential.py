@@ -3,8 +3,8 @@ one line per verdict.
 
 The matrix is every config of ``SIEVED_CONFIGS`` and ``UNHINTED_CONFIGS``
 in tests/test_sieve.py, over its ``RANGES``, with chunk_odds in
-{1, 64, 2**11, 2**16} and jobs in {1, 2, 3}: 21 configs, 5 ranges, 4
-chunk sizes and 3 job counts, 1260 scans in one process (so the workers
+{1, 64, 2**11, 2**16} and jobs in {1, 2, 3}: 27 configs, 5 ranges, 4
+chunk sizes and 3 job counts, 1620 scans in one process (so the workers
 a scan starts are kept and reused by the next scan with as many).  The
 job counts cut a range into stripes three ways wherever its chunks are
 smaller than the kernel's stripe.  Each line is
@@ -12,10 +12,10 @@ smaller than the kernel's stripe.  Each line is
     method params [lo, hi] chunk_odds=C jobs=J canonical_json
 
 A scan's canonical JSON holds counts and finds but no evidence, so the
-per-n test of each of the 21 configs, of the 4 of
+per-n test of each of the 27 configs, of the 4 of
 :data:`PRECONDITION_CONFIGS` and of the 2 of :data:`BASE_CONFIGS` then
-runs on the n of :data:`VERDICT_NS`, one line each (239 n, 5019 + 956 +
-478 lines, 7713 lines in all, the base configs' last):
+runs on the n of :data:`VERDICT_NS`, one line each (239 n, 6453 + 956 +
+478 lines, 9507 lines in all, the base configs' last):
 
     method params n=N [outcome, evidence, factor, jacobi_branch, stage]
 
