@@ -63,6 +63,6 @@ def rational_point(a: int, D: int, n: int) -> Point | Factor:
     den = (a * a - D) % n
     g = gcd(den, n)
     if g != 1:
-        return Factor(g if g else n)
+        return Factor(g)
     inv = pow(den, -1, n)
     return ((a * a + D) * inv % n, 2 * a * inv % n)

@@ -71,9 +71,9 @@ from functools import cache
 from itertools import accumulate, islice, repeat
 from math import gcd, isqrt
 
+from . import selectors
 from .modarith import JACOBI_TABLE_BOUND, jacobi
 from .primality import Outcome, first_congruence, is_prime
-from .selectors import CANDIDATE_CAP
 
 __all__ = ["Bulk", "Settled", "count_masks", "jacobi_masks", "members",
            "settle", "sharing_mask", "walk"]
@@ -163,7 +163,9 @@ def walk(bulk: Bulk, lo: int, size: int) -> tuple[int, int, list]:
             short |= 1 << (r * r - lo >> 1)
             r += 2
         left = full ^ short
-        for d in islice(bulk.D(), CANDIDATE_CAP):
+        # The per-n walk's cap, read when the walk runs, so that one value
+        # stops both walks.
+        for d in islice(bulk.D(), selectors.CANDIDATE_CAP):
             if not left:
                 break
             small, lucas = at(d)
@@ -174,7 +176,7 @@ def walk(bulk: Bulk, lo: int, size: int) -> tuple[int, int, list]:
             classes.append((lucas, -1, left & minus))
             short |= left & zero
             left &= ~(minus | zero)
-        rest |= left  # beyond the cap: the per-n walk raises
+        rest |= left  # beyond the cap: _select raises on these
     return short, rest, classes
 
 

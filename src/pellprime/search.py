@@ -332,10 +332,6 @@ _STAT_KEYS = ("tested", "probable_prime", "composite", "params_invalid",
               "short_circuited", "sieved", "pseudoprimes")
 
 
-def _new_stats() -> dict[str, int]:
-    return dict.fromkeys(_STAT_KEYS, 0)
-
-
 def _per_n(test: Callable[[int], Verdict], sieve: Segment,
            odds) -> tuple[list[int], dict[str, int]]:
     """Run the test on each n of ``odds`` (ascending) and tally.
@@ -575,7 +571,7 @@ def scan_range(method: str, params: dict, lo: int, hi: int, *,
 
     limit = sieve_limit(hi)
     start = time.monotonic()
-    stats, found = Counter(_new_stats()), []
+    stats, found = Counter(dict.fromkeys(_STAT_KEYS, 0)), []
     # A stripe is ceil(limit / span) chunks of span = 2*chunk_odds integers,
     # so that every prime <= limit has about one multiple in it or more, and
     # at least KERNEL_ODDS odd n where that still leaves jobs stripes.

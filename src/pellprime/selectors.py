@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable, Iterator
+from itertools import islice
 from math import gcd, isqrt
 
 from .conic import ConicParams
@@ -128,8 +129,10 @@ def _select(n: int, selection: Selection) -> Params | Verdict:
     An n that the tests' guard rejects gets one params-invalid verdict for
     every failed condition, and a perfect square a composite one, before
     any candidate.  A candidate sharing a proper factor with n settles n
-    as composite; one that n divides (n is tiny) is skipped.  No D within
-    CANDIDATE_CAP candidates raises RuntimeError.
+    as composite; one that n divides (n is tiny) is skipped.  No D among
+    the first CANDIDATE_CAP candidates raises RuntimeError.  The scan's
+    :func:`~pellprime.kernel.walk` stops at the same cap, read from this
+    module when it walks, so the two walks leave the same n unclassed.
     """
     if _check_n(n):
         return Verdict(Outcome.PARAMS_INVALID,
@@ -140,8 +143,7 @@ def _select(n: int, selection: Selection) -> Params | Verdict:
         # (D/n) is never -1 for a square; r is a nontrivial divisor.
         return Verdict(Outcome.COMPOSITE, evidence="perfect square",
                        factor=r, stage="selector")
-    tried = 0
-    for d in selection.candidates():
+    for d in islice(selection.candidates(), CANDIDATE_CAP):
         j = jacobi(d, n)
         if j == -1:
             return selection.params(d)
@@ -150,9 +152,6 @@ def _select(n: int, selection: Selection) -> Params | Verdict:
             return Verdict(Outcome.COMPOSITE,
                            evidence=f"gcd(D candidate, n) = {g}",
                            factor=g, jacobi_branch=0, stage="selector")
-        tried += 1
-        if tried == CANDIDATE_CAP:
-            break
     raise RuntimeError(
         f"no discriminant with (D/n) = -1 within {CANDIDATE_CAP} "
         f"candidates for n = {n}")

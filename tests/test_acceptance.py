@@ -391,3 +391,25 @@ def test_criterion_10_arithmetic_oracle():
             checked += 1
     report(10, True, f"1e4 mul/pow oracle cases + {checked} Euler-criterion "
                      f"jacobi cases near 2**63")
+
+
+# The base-2 pseudoprimes below 10**k: Fermat (psp(2), OEIS A055550) and
+# strong (spsp(2), A055551), as published (PSW 1980).
+BASE2_COUNTS = {3: (3, 0), 4: (22, 5), 5: (78, 16)}
+
+
+def _assert_base2_counts(k, expected):
+    psp = scan_range("fermat", {"a": 2}, 3, 10**k)
+    spsp = scan_range("strong-base", {"a": 2}, 3, 10**k)
+    assert (psp.count, spsp.count) == expected
+    assert set(spsp.pseudoprimes) <= set(psp.pseudoprimes)
+
+
+@pytest.mark.parametrize("k", sorted(BASE2_COUNTS))
+def test_published_base2_pseudoprime_counts(k):
+    _assert_base2_counts(k, BASE2_COUNTS[k])
+
+
+@pytest.mark.slow
+def test_published_base2_pseudoprime_counts_to_1e6():
+    _assert_base2_counts(6, (245, 46))

@@ -3,9 +3,10 @@ import itertools
 import pytest
 
 from oracles import conic_norm
+from pellprime import kernel, selectors
 from pellprime.conic import ConicParams
 from pellprime.modarith import jacobi
-from pellprime.primality import Outcome, Verdict, matrix_test
+from pellprime.primality import Outcome, Verdict, first_congruence, matrix_test
 from pellprime.recurrence import LucasParams, MatrixParams
 from pellprime.selectors import (
     CLASSIC,
@@ -106,13 +107,53 @@ def test_selector_discriminant_identity():
 
 def test_candidate_cap_raises(monkeypatch):
     # a stream that never reaches jacobi -1 must hit the hard cap
-    from pellprime import selectors
-
     monkeypatch.setattr(selectors, "CANDIDATE_CAP", 1000)
     # jacobi(4, n) = 1 for odd n coprime to 2
     ones = Selection(lambda: itertools.repeat(4), classic_params)
     with pytest.raises(RuntimeError, match="within 1000 candidates"):
         _select(15, ones)
+
+
+def assert_walks_agree(selection, lo, size):
+    """The scan's walk over the odd n = lo + 2i, i < size, against the
+    per-n walk n by n: each classed n gets the class's (P', Q', scale),
+    and each n the scan's walk settles a Verdict.  Returns the rest mask,
+    the n the scan's walk leaves to the per-n test."""
+    short, rest, classes = kernel.walk(kernel.Bulk(*selection), lo, size)
+    checked = 0
+    for lucas, _, mask in classes:
+        for n in kernel.members(mask, lo):
+            assert first_congruence(_select(n, selection))[1:] == lucas, n
+            checked += 1
+    for n in kernel.members(short, lo):
+        assert isinstance(_select(n, selection), Verdict), n
+        checked += 1
+    assert checked + rest.bit_count() == size
+    return rest
+
+
+@pytest.mark.parametrize("selection", [CLASSIC, MATRIX, GEN_PELL],
+                         ids=["classic", "matrix", "gen-pell"])
+def test_the_scan_walk_picks_what_the_per_n_walk_picks(selection):
+    # From 3, where the n at or below a candidate's bound are left to the
+    # per-n walk; near 2**23, 2**34 and 10**10; and around 121**2.
+    windows = [(3, 2999), (2**23 + 1, 4096), (2**34 + 1, 4096),
+               (10**10 + 1, 4096), (121**2 - 301 | 1, 400)]
+    for lo, size in windows:
+        assert_walks_agree(selection, lo, size)
+
+
+def test_one_cap_stops_both_walks(monkeypatch):
+    # (5/109) = (-7/109) = 1 and (-11/109) = -1: with a cap of 2 neither
+    # walk reaches -11, so the scan's walk leaves 109 to the per-n walk,
+    # which raises.
+    monkeypatch.setattr(selectors, "CANDIDATE_CAP", 2)
+    three = Selection(lambda: iter((5, -7, -11)), classic_params)
+    assert [jacobi(d, 109) for d in (5, -7, -11)] == [1, 1, -1]
+    rest = assert_walks_agree(three, 101, 10)
+    assert 109 in kernel.members(rest, 101)
+    with pytest.raises(RuntimeError, match="within 2 candidates"):
+        _select(109, three)
 
 
 @pytest.mark.parametrize("selection", [CLASSIC, MATRIX, GEN_PELL],

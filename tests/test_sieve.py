@@ -14,6 +14,8 @@ from itertools import islice
 from math import gcd, isqrt, lcm
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from oracles import (
     first_congruence,
@@ -24,9 +26,9 @@ from oracles import (
     reference_scan,
     scan_chunk,
 )
-from pellprime import primality, selectors
-from pellprime.modarith import jacobi
-from pellprime.primality import Outcome, Verdict
+from pellprime import kernel, primality, selectors
+from pellprime.modarith import JACOBI_TABLE_BOUND, jacobi
+from pellprime.primality import VARIANTS, Outcome, Verdict
 from pellprime.recurrence import LucasParams, lucas_pair, rank_of_apparition
 from pellprime import recurrence, search, sieve
 from pellprime.kernel import count_masks, members, settle, walk
@@ -112,6 +114,73 @@ def test_unhinted_methods_match_reference(method, params):
     # oracle.
     for lo, hi in (RANGES[0], RANGES[-1]):
         assert assert_matches_reference(method, params, lo, hi) == 0
+
+
+# Two primes above the kernel's trial-division bound: as a Q' or R, only
+# sharing_mask's gcd per n finds the n they divide.
+BIG = 1031 * 1033
+
+
+def random_forms():
+    """(method, params) for every form the scan settles in bulk, and the
+    degenerate ones it leaves to the per-n test: the Selfridge forms; fixed
+    lucas, double-lucas and matrix with small P and Q, Q = ±BIG, and R
+    small or BIG; pell and strong-pell with norm-1 base points; and
+    gen-pell with small D or |D| above the Jacobi table's bound."""
+    small = st.integers(-6, 6)
+    q = st.one_of(small, st.sampled_from([BIG, -BIG]))
+    return st.one_of(
+        st.sampled_from([(method, {"selfridge": True}) for method in (
+            "lucas", "double-lucas", "matrix", "gen-pell")]
+            + [("matrix", {"selfridge": True, "variant": "u-companion"})]),
+        st.builds(lambda method, P, Q: (method, {"P": P, "Q": Q}),
+                  st.sampled_from(["lucas", "double-lucas"]), small, q),
+        st.builds(lambda P, Q, R, variant: (
+            "matrix", {"P": P, "Q": Q, "R": R, "variant": variant}),
+            small, q, st.sampled_from([1, -1, 2, -3, 5, BIG]),
+            st.sampled_from(VARIANTS)),
+        st.builds(lambda method, point: (method, dict(zip("Dxy", point))),
+                  st.sampled_from(["pell", "strong-pell"]),
+                  st.sampled_from([(3, 2, 1), (7, 8, 3), (13, 649, 180)])),
+        st.builds(lambda D, x, y: ("gen-pell", {"D": D, "x": x, "y": y}),
+                  st.one_of(small, st.sampled_from([263, -BIG])), small,
+                  small))
+
+
+@st.composite
+def random_scans(draw):
+    """A form, a window of 1 to 512 odd n from a start log-uniform in
+    [3, 2**62], and a shape (chunk_odds and jobs)."""
+    bits = draw(st.integers(2, 62))
+    lo = draw(st.integers(max(3, 1 << bits - 1), 1 << bits))
+    hi = (lo | 1) + 2 * (draw(st.integers(1, 512)) - 1)
+    shape = {"chunk_odds": draw(st.sampled_from([1, 64, 2**11, 2**16])),
+             "jobs": draw(st.sampled_from([1, 2]))}
+    return *draw(random_forms()), lo, hi, shape
+
+
+def assert_random_scan_matches_reference(case):
+    method, params, lo, hi, shape = case
+    assert_matches_reference(method, params, lo, hi, **shape)
+
+
+@seed(32)
+@settings(max_examples=60, deadline=None, database=None)
+@given(random_scans())
+def test_random_scans_match_reference(case):
+    # The kernel's branches that fixed configurations miss: a Q' or R that
+    # trial division cannot factor, |D| beyond the Jacobi table, windows
+    # anywhere below 2**63, in any chunk and job shape.
+    assert kernel._TRIAL_BOUND < 1031 and JACOBI_TABLE_BOUND < 263 < BIG
+    assert_random_scan_matches_reference(case)
+
+
+@pytest.mark.slow
+@seed(33)
+@settings(max_examples=2000, deadline=None, database=None)
+@given(random_scans())
+def test_many_random_scans_match_reference(case):
+    assert_random_scan_matches_reference(case)
 
 
 # The map from a discriminant to parameters behind each public selector.

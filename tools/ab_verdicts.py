@@ -18,6 +18,13 @@ how many rounds each side had the lower p50 (a tie counts for neither):
 OLD_SRC and NEW_SRC are directories holding a ``pellprime`` package, such
 as ``src`` of two checkouts.  The exit status is 1 when a verdict
 differs.
+
+Noise floor: on a shared 2-vCPU virtual machine, A/A runs of one tree
+against a copy of itself (10 rounds of 4096 odd n, on gen-pell@34,
+matrix@23, lucas@62 and gen-pell@62) read p50 differences from -8.9% to
++6.5%, and round wins from 2/8 to 8/2.  So run each comparison twice,
+with the trees swapped, and read a difference as an effect only when it
+keeps its sign both ways and is larger than that spread.
 """
 
 from __future__ import annotations

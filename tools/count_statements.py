@@ -6,7 +6,11 @@ is not counted.  Prints one line per module and the total:
 
     python3 tools/count_statements.py [SRC_DIR]
 
-SRC_DIR defaults to this repository's src/pellprime.
+SRC_DIR defaults to this repository's src/pellprime.  Given two
+directories, it prints each module's count in both, before -> after, and
+the totals (a module missing from one side counts 0 there):
+
+    python3 tools/count_statements.py OLD_SRC NEW_SRC
 """
 
 from __future__ import annotations
@@ -39,14 +43,23 @@ def count(path: Path) -> int:
                for node in ast.walk(tree))
 
 
+def counts(src: Path) -> dict[str, int]:
+    """Each module's count, by file name."""
+    return {path.name: count(path) for path in sorted(src.glob("*.py"))}
+
+
 def main(argv: list[str]) -> int:
-    src = Path(argv[1]) if len(argv) > 1 else SRC
-    total = 0
-    for path in sorted(src.glob("*.py")):
-        n = count(path)
-        total += n
-        print(f"{path.name:16} {n:5}")
-    print(f"{'total':16} {total:5}")
+    if len(argv) > 2:
+        old, new = counts(Path(argv[1])), counts(Path(argv[2]))
+        for name in sorted(old.keys() | new.keys()):
+            a, b = old.get(name, 0), new.get(name, 0)
+            print(f"{name:16} {a:5} -> {b:5}")
+        print(f"{'total':16} {sum(old.values()):5} -> {sum(new.values()):5}")
+        return 0
+    found = counts(Path(argv[1]) if len(argv) > 1 else SRC)
+    for name, n in found.items():
+        print(f"{name:16} {n:5}")
+    print(f"{'total':16} {sum(found.values()):5}")
     return 0
 
 
