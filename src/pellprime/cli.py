@@ -167,8 +167,6 @@ def cmd_grid(args: argparse.Namespace) -> int:
     p_values = _parse_axis(args.p_range)
     q_values = _parse_axis(args.q_range)
     r_values = _parse_axis(args.r_set) if args.r_set else None
-    if args.method == "matrix" and not r_values:
-        raise ValueError("--r-set is required for the matrix grid")
     report = grid_scan(args.method, p_values, q_values, args.limit,
                        r_values=r_values, jobs=args.jobs, variant=args.variant)
 

@@ -275,7 +275,26 @@ def _branch(n: int, congruence: tuple[int, int, int, int],
 # congruence (a - 1)*U_{n-1} ≡ 0 of Lucas(a + 1, a) with scale a - 1, and
 # _rules_out applies to it: the rank of a prime p ∤ a(a - 1) is the order of
 # a mod p, and the scale skips the p | a - 1, where a ≡ 1.  A strong pass
-# implies a Fermat pass, so what it rules out fails both tests.
+# implies a Fermat pass, so what it rules out fails both tests, and the two
+# share their preconditions and that probe (_base_pre) before their rounds.
+
+
+def _base_pre(n: int, a: int, failed: str) -> Verdict | None:
+    """The early verdict of a fermat or strong-base test to base a, or None:
+    params-invalid unless 1 < a < n, composite with the factor gcd(a, n)
+    when that is not 1, and composite with ``failed``, the evidence of the
+    test's round failing, when the probe on (a + 1, a, a - 1) rules n out."""
+    if not 1 < a < n:
+        return _invalid("base must satisfy 1 < a < n")
+    g = gcd(a, n)
+    if g != 1:
+        return _composite(f"gcd(a, n) = {g}", factor=g)
+    if _rules_out(n, n - 1, a + 1, a, a - 1):
+        return _composite(failed)
+    return None
+
+
+_FERMAT_FAILED = "a^(n-1) ≢ 1 (mod n)"
 
 
 @_guard
@@ -285,14 +304,11 @@ def fermat_test(n: int, a: int) -> Verdict:
     Composites passing for a base are the Fermat pseudoprimes to that base
     (341 is the first one for a = 2).
     """
-    if not 1 < a < n:
-        return _invalid("base must satisfy 1 < a < n")
-    g = gcd(a, n)
-    if g != 1:
-        return _composite(f"gcd(a, n) = {g}", factor=g)
-    if _rules_out(n, n - 1, a + 1, a, a - 1) or pow_mod(a, n - 1, n) != 1:
-        return _composite("a^(n-1) ≢ 1 (mod n)")
-    return _pp()
+    return _base_pre(n, a, _FERMAT_FAILED) or (
+        _pp() if pow_mod(a, n - 1, n) == 1 else _composite(_FERMAT_FAILED))
+
+
+_STRONG_FAILED = "a^s ≢ 1 and a^(2^k s) ≢ -1 for all k < r"
 
 
 @_guard
@@ -302,15 +318,8 @@ def strong_base_test(n: int, a: int) -> Verdict:
     Writing n - 1 = 2**r * s with s odd, n is a probable prime iff
     a**s ≡ 1 or a**(2**k * s) ≡ -1 (mod n) for some 0 <= k < r.
     """
-    if not 1 < a < n:
-        return _invalid("base must satisfy 1 < a < n")
-    g = gcd(a, n)
-    if g != 1:
-        return _composite(f"gcd(a, n) = {g}", factor=g)
-    if (not _rules_out(n, n - 1, a + 1, a, a - 1)
-            and strong_probable_prime(n, a)):
-        return _pp()
-    return _composite("a^s ≢ 1 and a^(2^k s) ≢ -1 for all k < r")
+    return _base_pre(n, a, _STRONG_FAILED) or (
+        _pp() if strong_probable_prime(n, a) else _composite(_STRONG_FAILED))
 
 
 def strong_probable_prime(n: int, a: int) -> bool:

@@ -631,7 +631,7 @@ def grid_scan(method: str, p_values: list[int], q_values: list[int],
         raise ValueError("axes must be non-empty")
     _check_scan(3, limit, jobs, DEFAULT_CHUNK_ODDS)
     if "R" in names and not r_values:
-        raise ValueError(f"{method} grid needs an R axis")
+        raise ValueError(f"{method} grid needs R values (--r-set)")
     if "R" not in names and r_values:
         raise ValueError(f"{method} grid does not use R values")
     values = {"R": r_values, "P": p_values, "Q": q_values}

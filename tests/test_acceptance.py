@@ -35,7 +35,7 @@ from pellprime.primality import (
     strong_pell_test_param,
 )
 from pellprime.recurrence import LucasParams, MatrixParams
-from pellprime.search import is_prime, scan_range
+from pellprime.search import build_test, is_prime, scan_range
 from pellprime.selectors import (
     double_lucas_selfridge,
     gen_pell_selfridge,
@@ -398,9 +398,9 @@ def test_criterion_10_arithmetic_oracle():
 BASE2_COUNTS = {3: (3, 0), 4: (22, 5), 5: (78, 16)}
 
 
-def _assert_base2_counts(k, expected):
-    psp = scan_range("fermat", {"a": 2}, 3, 10**k)
-    spsp = scan_range("strong-base", {"a": 2}, 3, 10**k)
+def _assert_base2_counts(k, expected, jobs=1):
+    psp = scan_range("fermat", {"a": 2}, 3, 10**k, jobs=jobs)
+    spsp = scan_range("strong-base", {"a": 2}, 3, 10**k, jobs=jobs)
     assert (psp.count, spsp.count) == expected
     assert set(spsp.pseudoprimes) <= set(psp.pseudoprimes)
 
@@ -413,3 +413,51 @@ def test_published_base2_pseudoprime_counts(k):
 @pytest.mark.slow
 def test_published_base2_pseudoprime_counts_to_1e6():
     _assert_base2_counts(6, (245, 46))
+
+
+@pytest.mark.slow
+def test_published_base2_pseudoprime_counts_to_1e8():
+    # ROADMAP item 10: psp(2) and spsp(2) below 10**8 (PSW 1980; OEIS
+    # A055550, A055551).  fermat and strong-base have no kernel, so each
+    # scan runs its per-n test on all 5*10**7 odd n.
+    _assert_base2_counts(8, (2057, 488), jobs=JOBS)
+
+
+# The cross table below 10**5 (ROADMAP item 12): each column's list is the
+# pseudoprimes of its test, and row r, column c counts the members of r's
+# list that pass c's test.  No psp(2) or spsp(2) passes a Selfridge test,
+# and the double-lucas-S pseudoprimes are lucas-S pseudoprimes: the
+# classical Lucas test "can be easily improved", at small scale.
+CROSS_COLUMNS = {
+    "psp(2)": ("fermat", {"a": 2}),
+    "spsp(2)": ("strong-base", {"a": 2}),
+    "lucas-S": ("lucas", {"selfridge": True}),
+    "double-lucas-S": ("double-lucas", {"selfridge": True}),
+    "matrix-S": ("matrix", {"selfridge": True}),
+    "gen-pell-S": ("gen-pell", {"selfridge": True}),
+    "pell-variant": ("pell-variant", {}),
+}
+CROSS_1E5 = {
+    "psp(2)": (78, 16, 0, 0, 0, 0, 4),
+    "spsp(2)": (16, 16, 0, 0, 0, 0, 2),
+    "lucas-S": (0, 0, 57, 3, 0, 0, 3),
+    "double-lucas-S": (0, 0, 3, 3, 0, 0, 0),
+    "matrix-S": (0, 0, 0, 0, 0, 0, 0),
+    "gen-pell-S": (0, 0, 0, 0, 0, 0, 0),
+    "pell-variant": (4, 2, 3, 0, 0, 0, 63),
+}
+
+
+def test_cross_table_to_1e5():
+    lists = {name: scan_range(method, params, 3, 10**5).pseudoprimes
+             for name, (method, params) in CROSS_COLUMNS.items()}
+    tests = [build_test(method, params)[0]
+             for method, params in CROSS_COLUMNS.values()]
+    table = {name: tuple(sum(test(n).is_probable_prime for n in found)
+                         for test in tests)
+             for name, found in lists.items()}
+    assert table == CROSS_1E5
+    assert [table[name][i] for i, name in enumerate(CROSS_COLUMNS)] == [
+        len(found) for found in lists.values()]
+    assert set(lists["spsp(2)"]) <= set(lists["psp(2)"])
+    assert set(lists["double-lucas-S"]) <= set(lists["lucas-S"])

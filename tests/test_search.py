@@ -1,3 +1,4 @@
+import inspect
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import STAT_KEYS, reference_scan
-from pellprime import recurrence, search, selectors
+from pellprime import primality, recurrence, search, selectors
 from pellprime.kernel import members
 from pellprime.primality import Outcome
 from pellprime.search import (
@@ -800,6 +801,43 @@ def test_grid_scan_rejects_unknown_method():
     for method in ("lucas", "double-lucas"):
         with pytest.raises(ValueError):
             grid_scan(method, [1], [-1], 500, r_values=[5])
+
+
+def test_grid_skips_exactly_the_cells_whose_form_has_no_kernel_bulk():
+    # grid_scan skips a cell by its own rule (Q, R or the discriminant 0),
+    # and a fixed form gets no kernel Bulk by search._fixed's (D, Q' or the
+    # scale 0).  Both rules stay, since MatrixParams rejects R = 0 before
+    # _fixed could see it (R = 0 is grid_scan's own case, tested above);
+    # this keeps them to the same cells.
+    axis, r_values = list(range(-4, 5)), [-3, -2, -1, 1, 2, 3]
+    cells = 0
+    for method, rs in (("lucas", None), ("double-lucas", None),
+                       ("matrix", r_values)):
+        for cell in grid_scan(method, axis, axis, 50, r_values=rs).cells:
+            params = {k: cell[k] for k in "RPQ" if k in cell}
+            form, args, _ = search._resolve(method, params)
+            assert cell["skipped"] == (form.make(*args)[1] is None), cell
+            cells += 1
+    assert cells == 2 * 81 + 6 * 81
+
+
+def test_matrix_variant_defaults_are_the_entry_points_defaults():
+    # The forms' defaults and the entry points' signatures both state a
+    # matrix variant's default; they must agree.  matrix_test's signature
+    # is read twice: its own, which a call uses, and the one help() shows,
+    # which inspect takes from its unguarded body (__wrapped__).
+    def default(fn, follow_wrapped=True):
+        return inspect.signature(fn, follow_wrapped=follow_wrapped
+                                 ).parameters["variant"].default
+
+    selfridge_form, fixed_form = search.METHODS["matrix"]
+    assert selfridge_form.defaults == {
+        "variant": default(selectors.matrix_selfridge)} == {
+        "variant": "v-companion"}
+    assert fixed_form.defaults == {
+        "variant": default(primality.matrix_test)} == {
+        "variant": default(primality.matrix_test, False)} == {
+        "variant": "u-companion"}
 
 
 # [2], [1] is one degenerate cell (P*P - 4*Q = 0), so no cell is scanned.

@@ -28,19 +28,25 @@ tests/test_acceptance.py, read without importing them; the package comes from
 PYTHONPATH, so this one copy of the script can run against either tree:
 
     PYTHONPATH=src python3 tools/differential.py > new.txt
-    PYTHONPATH=/path/to/other/src python3 tools/differential.py > old.txt
-    cmp old.txt new.txt
+
+Given two directories that each hold a ``pellprime`` package, such as
+``src`` of two checkouts, it runs the matrix once per tree, one after
+the other, each in a child process with that tree alone on PYTHONPATH.
+It prints the number of lines each printed, and exits 0 when the two
+outputs are equal, or prints the first line that differs and exits 1:
+
+    python3 tools/differential.py OLD_SRC NEW_SRC
 """
 
 from __future__ import annotations
 
 import ast
 import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
-
-from pellprime.search import build_test, scan_range
 
 TESTS = Path(__file__).resolve().parents[1] / "tests"
 CHUNK_ODDS = (1, 64, 1 << 11, 1 << 16)
@@ -96,7 +102,10 @@ BASE_CONFIGS = [
 ]
 
 
-def main() -> int:
+def _matrix() -> int:
+    """Print the matrix for the package on PYTHONPATH."""
+    from pellprime.search import build_test, scan_range
+
     consts = _constants(TESTS / "test_sieve.py",
                         {"SIEVED_CONFIGS", "UNHINTED_CONFIGS", "RANGES"})
     configs = consts["SIEVED_CONFIGS"] + consts["UNHINTED_CONFIGS"]
@@ -119,5 +128,29 @@ def main() -> int:
     return 0
 
 
+def _lines(src: str) -> list[str]:
+    """The matrix's lines for the package in src, from a child process."""
+    if not (Path(src) / "pellprime" / "__init__.py").is_file():
+        sys.exit(f"{src}: holds no pellprime package")
+    env = {**os.environ, "PYTHONPATH": str(Path(src).resolve())}
+    return subprocess.run([sys.executable, __file__], env=env, check=True,
+                          stdout=subprocess.PIPE, text=True).stdout.splitlines()
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 1:
+        return _matrix()
+    if len(argv) != 3:
+        sys.exit("usage: differential.py [OLD_SRC NEW_SRC]")
+    old, new = _lines(argv[1]), _lines(argv[2])
+    print(f"{argv[1]}: {len(old)} lines\n{argv[2]}: {len(new)} lines")
+    for i, (a, b) in enumerate(zip(old + [None], new + [None]), 1):
+        if a != b:
+            print(f"first difference, line {i}:\n< {a}\n> {b}")
+            return 1
+    print("identical")
+    return 0
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv))
