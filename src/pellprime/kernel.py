@@ -13,8 +13,8 @@ For the tests whose first congruence is U_k ≡ 0 for a Lucas sequence
 reaches the test's verdicts for a whole stripe at once, because calling
 the test n by n costs more than everything it decides.  Nearly every
 verdict follows from facts that are periodic in n or already held by the
-sieve.  A form's :class:`Bulk` describes it; the scan calls :func:`walk`
-and then :func:`settle` once per stripe.
+sieve.  A form's :class:`~pellprime.selectors.Bulk` describes it; the
+scan calls :func:`walk` and then :func:`settle` once per stripe.
 
 :func:`walk` is the Selfridge or fixed-D walk.  (d/n) repeats every 4|d|
 integers, so a Selfridge walk over a stripe is a few periodic patterns
@@ -74,21 +74,10 @@ from math import gcd, isqrt
 from . import selectors
 from .modarith import JACOBI_TABLE_BOUND, jacobi
 from .primality import Outcome, first_congruence, is_prime
+from .selectors import Bulk
 
 __all__ = ["Bulk", "Settled", "count_masks", "jacobi_masks", "members",
            "settle", "sharing_mask", "walk"]
-
-# How the kernel settles the n of a Lucas-family form.  ``D`` is the fixed
-# discriminant, and ``params(d)`` the test's parameters at discriminant d.
-# A Selfridge form's (D, params) is the selector's own Selection,
-# (candidates, params): the kernel walks the candidate sequence the per-n
-# walk tries, and maps each d as the walk does.  first_congruence reads the
-# parameters' first congruence; the test's preconditions also settle, with
-# outcome ``shared`` (PARAMS_INVALID unless given), the n that share a prime
-# with its Q'.  ``primes_pass`` (True unless given) is whether every prime
-# that meets the preconditions passes the test.
-Bulk = namedtuple("Bulk", "D params shared primes_pass",
-                  defaults=(Outcome.PARAMS_INVALID, True))
 
 # The settle paths of a stripe's n, one bitmask each; every n is in exactly
 # one.  ``short``: composites the Selfridge walk settles; ``sharing``: n

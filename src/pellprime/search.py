@@ -28,6 +28,11 @@ n), so a stripe of 2**14 odd n keeps the fixed cost to 4-7% of the call.
 Where a chunk holds KERNEL_ODDS odd n or more, as in the CLI's chunks of
 2**16, a stripe is ceil(limit / span) chunks.
 
+The scan engine loads at the first scan: :func:`scan_range` imports the
+kernel and the sieve before any worker forks, so forked workers inherit
+them, and :func:`_scan_stripe` imports them in a worker that starts
+without them.  A process that only runs single tests loads neither.
+
 A process keeps one pool of workers between scans, started by the first
 scan that needs one (:func:`_pool`); only then are ``multiprocessing``
 and ``signal`` imported, so a process that runs single tests, or scans in
@@ -61,7 +66,7 @@ classes the stripe's n by discriminant, and
 :func:`~pellprime.kernel.settle` gives each n one settle path, from
 periodic patterns and the sieve's record; the per-n test runs only on the
 n it leaves.  Each form of :data:`METHODS` builds its per-n test and its
-:class:`~pellprime.kernel.Bulk` together.  A Selfridge form's Bulk holds
+:class:`~pellprime.selectors.Bulk` together.  A Selfridge form's Bulk holds
 the selector's own :data:`~pellprime.selectors.Selection`, the candidate
 sequence and the map from a discriminant to the test's parameters, so the
 parameters the kernel settles n with are the ones the per-n walk would
@@ -90,7 +95,6 @@ from functools import partial
 from itertools import islice, product, starmap
 
 from .conic import ConicParams
-from .kernel import Bulk, count_masks, members, settle, walk
 from .modarith import MAX_MODULUS
 from .primality import (
     VARIANTS,
@@ -114,12 +118,12 @@ from .selectors import (
     CLASSIC,
     GEN_PELL,
     MATRIX,
+    Bulk,
     double_lucas_selfridge,
     gen_pell_selfridge,
     lucas_selfridge,
     matrix_selfridge,
 )
-from .sieve import Segment, sieve_limit
 
 __all__ = [
     "GRID_METHODS",
@@ -146,7 +150,7 @@ KERNEL_ODDS = 1 << 14
 # One way to give a method's parameters: the names it requires, in canonical
 # order; a fixed canonical string, or None for "name=value,..."; make, which
 # build_test and each stripe call once with the names' values (selfridge's
-# aside) to get (test(n), the form's kernel.Bulk, or None when the scan runs
+# aside) to get (test(n), the form's Bulk, or None when the scan runs
 # the test on every n), and which looks its test up when called, so that it
 # sees the names a tracer swapped in; and the values of names that may go
 # unsaid.
@@ -225,6 +229,10 @@ def _resolve(method: str, params: dict) -> tuple[_Form, list, str]:
         given["selfridge"] = "true"
     if "variant" in given and given["variant"] not in VARIANTS:
         raise ValueError(f"unknown variant: {given['variant']!r}")
+    for k in ("P", "Q", "R", "D", "x", "y", "a"):
+        if k in given and (isinstance(given[k], bool)
+                           or not isinstance(given[k], int)):
+            raise ValueError(f"{k} must be an int, got {given[k]!r}")
     for form in forms:
         names = form.names
         values = form.defaults | given
@@ -248,7 +256,8 @@ def build_test(method: str,
     variant; None, or a false selfridge, counts as not given.  The
     callable is ``test(n)``.  ``variant`` defaults to v-companion with
     selfridge and to u-companion without.  Raises ValueError for an
-    unknown method or variant, missing parameters, or one the matching
+    unknown method or variant, a P, Q, R, D, x, y or a that is not an int
+    (a bool is not taken for one), missing parameters, or one the matching
     form does not use.
     """
     form, args, canonical = _resolve(method, params)
@@ -332,12 +341,13 @@ _STAT_KEYS = ("tested", "probable_prime", "composite", "params_invalid",
               "short_circuited", "sieved", "pseudoprimes")
 
 
-def _per_n(test: Callable[[int], Verdict], sieve: Segment,
+def _per_n(test: Callable[[int], Verdict], sieve,
            odds) -> tuple[list[int], dict[str, int]]:
     """Run the test on each n of ``odds`` (ascending) and tally.
 
     The scan's path for the n the kernel leaves, and for methods it does
-    not cover.  ``sieve`` only decides whether a passing n is composite.
+    not cover.  ``sieve``, the stripe's :class:`~pellprime.sieve.Segment`,
+    only decides whether a passing n is composite.
     """
     found: list[int] = []
     passed = failed = selector = 0
@@ -377,6 +387,11 @@ def _scan_stripe(method: str, params: dict, lo: int, hi: int, limit: int,
     chunk then takes its window of the count masks, counted at C level,
     and its share of what the kernel leaves, on which the per-n test runs.
     """
+    # scan_range has loaded these, unless this is a worker started without
+    # them.
+    from .kernel import count_masks, members, settle, walk
+    from .sieve import Segment
+
     form, args, _ = _resolve(method, params)
     test, bulk = form.make(*args)
     lo |= 1
@@ -450,12 +465,14 @@ def _pool(workers: int) -> list[tuple]:
 
     ``multiprocessing`` and ``signal`` are imported here, when a scan first
     fans out, so that importing the package for one test does not load
-    them.  The workers are daemons, so the interpreter ends them at exit.
-    SIGINT and SIGTERM are blocked in this thread while the workers start,
-    and the caller's mask is put back after, so that each worker starts
-    with both held until :func:`_serve` has set its own handlers; with this
-    process's handlers, a Ctrl-C or SIGTERM sent in that window would end
-    it with a traceback, or be caught and leave it running.
+    them.  :func:`scan_range` has loaded the kernel and the sieve by then,
+    so a forked worker starts with them.  The workers are daemons, so the
+    interpreter ends them at exit.  SIGINT and SIGTERM are blocked in this
+    thread while the workers start, and the caller's mask is put back
+    after, so that each worker starts with both held until :func:`_serve`
+    has set its own handlers; with this process's handlers, a Ctrl-C or
+    SIGTERM sent in that window would end it with a traceback, or be caught
+    and leave it running.
 
     Each worker keeps the ranks of apparition it computes for as long as it
     lives, and a forked one starts from this process's tables as they were
@@ -569,7 +586,10 @@ def scan_range(method: str, params: dict, lo: int, hi: int, *,
             lo = max(lo, cursor)
         write_checkpoint(checkpoint, lo, method, canonical)
 
-    limit = sieve_limit(hi)
+    # The kernel and the sieve load at the first scan, here, before any
+    # worker forks, so that forked workers inherit them.
+    from . import kernel, sieve  # noqa: F401
+    limit = sieve.sieve_limit(hi)
     start = time.monotonic()
     stats, found = Counter(dict.fromkeys(_STAT_KEYS, 0)), []
     # A stripe is ceil(limit / span) chunks of span = 2*chunk_odds integers,

@@ -52,6 +52,7 @@ from .primality import (
 from .recurrence import LucasParams, MatrixParams
 
 __all__ = [
+    "Bulk",
     "CANDIDATE_CAP",
     "CLASSIC",
     "GEN_PELL",
@@ -120,6 +121,21 @@ Selection = namedtuple("Selection", "candidates params")
 CLASSIC = Selection(classic_candidates, classic_params)
 MATRIX = Selection(matrix_candidates, matrix_params)
 GEN_PELL = Selection(classic_candidates, gen_pell_params)
+
+# How the scan's kernel (:mod:`pellprime.kernel`) settles the n of a
+# Lucas-family form.  ``D`` is the fixed discriminant, and ``params(d)`` the
+# test's parameters at discriminant d.  A Selfridge form's (D, params) is
+# the selector's own Selection, (candidates, params): the kernel walks the
+# candidate sequence the per-n walk tries, and maps each d as the walk does.
+# first_congruence reads the parameters' first congruence; the test's
+# preconditions also settle, with outcome ``shared`` (PARAMS_INVALID unless
+# given), the n that share a prime with its Q'.  ``primes_pass`` (True
+# unless given) is whether every prime that meets the preconditions passes
+# the test.  It lives here, not in the kernel, because each form's make
+# builds one when it builds its per-n test, and a single test does not load
+# the kernel.
+Bulk = namedtuple("Bulk", "D params shared primes_pass",
+                  defaults=(Outcome.PARAMS_INVALID, True))
 
 
 def _select(n: int, selection: Selection) -> Params | Verdict:

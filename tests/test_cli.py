@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from pellprime import cli, search
+from pellprime import cli, search, sieve
 from pellprime.cli import main
 
 
@@ -354,7 +354,7 @@ def test_a_worker_ignores_sigint_and_is_ended_by_sigterm():
     try:
         os.kill(worker.pid, signal.SIGINT)
         stripe = ("lucas", {"P": 4, "Q": 1}, 3, 5000,
-                  search.sieve_limit(5000), 64)
+                  sieve.sieve_limit(5000), 64)
         conn.send(stripe)
         assert conn.poll(60), "the worker sent nothing back"
         assert conn.recv() == {5000: list(search._scan_stripe(*stripe))}
@@ -372,7 +372,7 @@ def test_a_worker_signalled_as_it_starts_drops_sigint_and_dies_of_sigterm(
     # still answers, the one sent SIGTERM dies of it, not by the CLI's
     # handler, and neither prints a traceback (capfd sees the workers'
     # stderr too).
-    stripe = ("lucas", {"P": 4, "Q": 1}, 3, 501, search.sieve_limit(501), 64)
+    stripe = ("lucas", {"P": 4, "Q": 1}, 3, 501, sieve.sieve_limit(501), 64)
     expected = {501: list(search._scan_stripe(*stripe))}
     try:
         for _ in range(20):

@@ -167,13 +167,15 @@ VERDICT_METHODS = [
     ("gen-pell", {"selfridge": True}), ("pell-variant", {})]
 for method, params in VERDICT_METHODS:
     build_test(method, params)[0](2**61 + 1)
+engine = ("pellprime.kernel", "pellprime.sieve")
 heavy = ("multiprocessing", "concurrent.futures.process", "dataclasses",
-         "inspect", "typing")
+         "inspect", "typing", *engine)
 loaded = [name for name in heavy if name in sys.modules]
 scan = ("lucas", {"selfridge": True}, 3, 20000)
 pooled = scan_range(*scan, jobs=2, chunk_odds=512)
 print(json.dumps({
     "loaded": loaded, "pool_loaded": "multiprocessing" in sys.modules,
+    "engine_loaded": [name for name in engine if name in sys.modules],
     "threads": threading.active_count(),
     "futures_loaded": "concurrent.futures" in sys.modules,
     "pooled": pooled.canonical_json(),
@@ -188,6 +190,9 @@ def test_a_single_test_loads_no_pool_dataclasses_or_typing():
                           check=True)
     seen = json.loads(done.stdout)
     assert seen["loaded"] == []
+    # The scan engine loads at the first scan, in this process before the
+    # pool forks, though only the workers scan.
+    assert seen["engine_loaded"] == ["pellprime.kernel", "pellprime.sieve"]
     # A scan that fans out loads the pool, and its report is one process's;
     # it leaves no thread behind and loads no concurrent.futures.
     assert seen["pool_loaded"]

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import STAT_KEYS, reference_scan
-from pellprime import primality, recurrence, search, selectors
+from pellprime import kernel, primality, recurrence, search, selectors
 from pellprime.kernel import members
 from pellprime.primality import Outcome
 from pellprime.search import (
@@ -167,6 +167,29 @@ def test_build_test_rejects_bad_input():
     for method, params in rejected:
         with pytest.raises(ValueError):
             build_test(method, params)
+
+
+@pytest.mark.parametrize("method, params, name", [
+    ("lucas", {"P": 1.5, "Q": 2}, "P"),
+    ("lucas", {"P": True, "Q": 2}, "P"),
+    ("double-lucas", {"P": 1, "Q": "2"}, "Q"),
+    ("matrix", {"P": 1, "Q": 2, "R": 2.0}, "R"),
+    ("pell", {"D": "3", "x": 2, "y": 1}, "D"),
+    ("gen-pell", {"D": 5, "x": None, "y": 2}, None),
+    ("strong-pell", {"D": 3, "x": 2, "y": False}, "y"),
+    ("pell", {"D": 3, "x": 2.0, "y": 1}, "x"),
+    ("fermat", {"a": 2.5}, "a"),
+    ("strong-pell", {"D": 3, "a": True}, "a"),
+])
+def test_a_parameter_that_is_not_an_int_is_rejected_by_name(method, params,
+                                                            name):
+    # Floats, strings and bools would otherwise fail deep in a ladder or
+    # the kernel, or run silently as 0 or 1; None stays "not given".
+    match = "needs parameters" if name is None else f"^{name} must be an int"
+    for call in (lambda: build_test(method, params),
+                 lambda: scan_range(method, params, 3, 2000)):
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 def test_built_tests_call_the_module_globals_a_tracer_swaps(monkeypatch):
@@ -628,12 +651,12 @@ def test_the_kernel_runs_once_per_stripe(monkeypatch, in_process_pool):
     # The benchmark's windows, in chunks of 2**11 odd n: gen-pell+Selfridge
     # near 2**34, 2**14 odd n at jobs=1, is one stripe; matrix+Selfridge
     # near 2**23, 2**15 odd n at jobs=2, is two stripes of 2**14 odd n.
-    calls, settle = [], search.settle
+    calls, settle = [], kernel.settle
 
     def counted(bulk, segment, lo, size, *walked):
         calls.append(size)
         return settle(bulk, segment, lo, size, *walked)
-    monkeypatch.setattr(search, "settle", counted)
+    monkeypatch.setattr(kernel, "settle", counted)
     for method, lo, odds, jobs in [("gen-pell", 2**34 + 1, 2**14, 1),
                                    ("matrix", 2**23 + 1, 2**15, 2)]:
         calls.clear()
