@@ -16,7 +16,7 @@ from .primality import (
     strong_pell_test_param,
 )
 from .recurrence import LucasParams, MatrixParams
-from .search import build_test, grid_scan, scan_range
+from .search import build_test
 from .selectors import gen_pell_selfridge
 
 __version__ = "0.1.0"
@@ -36,3 +36,11 @@ __all__ = [
     "scan_range",
     "strong_pell_test_param",
 ]
+
+
+def __getattr__(name: str):
+    # The scan module loads at the first scan, not with the package.
+    if name in ("grid_scan", "scan_range"):
+        from . import scan
+        return getattr(scan, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,15 +15,13 @@ names the worker.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import signal
 import sys
 from itertools import islice
 
 from .primality import Outcome
-from .search import GRID_METHODS, METHODS, VARIANTS
-from .search import build_test, grid_scan, scan_range
+from .search import GRID_METHODS, METHODS, VARIANTS, build_test
 
 SCHEMA = "v1"
 
@@ -125,10 +123,14 @@ def cmd_test(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    from .scan import scan_range
+
     params = _params_from_args(args)
     _, canonical = build_test(args.method, params)
 
     if args.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout)
         # Written with the first row, so that a scan rejected before it
         # starts (bad range, jobs or checkpoint) prints nothing to stdout.
@@ -164,6 +166,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
+    from .scan import grid_scan
+
     p_values = _parse_axis(args.p_range)
     q_values = _parse_axis(args.q_range)
     r_values = _parse_axis(args.r_set) if args.r_set else None
@@ -180,6 +184,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
     # The cells come in product(R, P, Q) order: each row is the next
     # len(q_values) of them.
+    import csv
+
     writer = csv.writer(sys.stdout)
     cells = iter(report.cells)
     for r in r_values or [None]:

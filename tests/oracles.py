@@ -18,7 +18,7 @@ from pellprime.conic import ConicParams
 from pellprime.modarith import Factor
 from pellprime.primality import Outcome, Verdict
 from pellprime.recurrence import LucasParams, MatrixParams
-from pellprime import search
+from pellprime import scan
 from pellprime.search import build_test, is_prime
 from pellprime.selectors import (
     selfridge_classic,
@@ -214,7 +214,7 @@ def scan_chunk(method: str, params: dict, lo: int, hi: int,
     """The finds and counts the scan gives [lo, hi] as a one-chunk stripe
     sieved to limit (one Segment, whose whole record is the chunk's
     window), for comparison with :func:`reference_scan`."""
-    ((chunk_hi, found, stats),) = search._scan_stripe(
+    ((chunk_hi, found, stats),) = scan._scan_stripe(
         method, params, lo, hi, limit, (hi - lo) // 2 + 1)
     assert chunk_hi == hi
     return found, stats

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from pellprime import cli, search, sieve
+from pellprime import cli, scan, search, sieve
 from pellprime.cli import main
 
 
@@ -199,10 +199,10 @@ def test_interrupted_scan_exits_130_and_names_its_checkpoint(
     # Ctrl-C lands as KeyboardInterrupt in the third checkpoint write: after
     # the starting cursor and the cursor after the first chunk of 2**16 odd
     # n, while the scan's workers (jobs=2) still hold the other stripes.
-    search._close_pool()
+    scan._close_pool()
     ckpt = tmp_path / "scan.ckpt"
     cursors = []
-    write = search.write_checkpoint
+    write = scan.write_checkpoint
 
     def interrupted(path, cursor, method, canonical):
         cursors.append(cursor)
@@ -210,14 +210,14 @@ def test_interrupted_scan_exits_130_and_names_its_checkpoint(
             raise KeyboardInterrupt
         write(path, cursor, method, canonical)
 
-    monkeypatch.setattr(search, "write_checkpoint", interrupted)
+    monkeypatch.setattr(scan, "write_checkpoint", interrupted)
     code, _, err = run_cli(capsys, "scan", "--method", "lucas", "--selfridge",
                            "--to", "400000", "--jobs", str(jobs),
                            "--checkpoint", str(ckpt))
     assert code == 130
     assert err == f"pellprime: interrupted; resume from checkpoint {ckpt}\n"
     assert "Traceback" not in err
-    assert search._farm == []
+    assert scan._farm == []
     assert cursors[:2] == [3, 3 + 2**17]
     assert ckpt.read_text().startswith(f"cursor={cursors[1]} ")
 
@@ -226,7 +226,7 @@ def test_interrupt_without_a_checkpoint_exits_130(capsys, monkeypatch):
     def interrupted(*args):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(search, "_scan_stripe", interrupted)
+    monkeypatch.setattr(scan, "_scan_stripe", interrupted)
     code, out, err = run_cli(capsys, "scan", "--method", "lucas", "-P", "4",
                              "-Q", "1", "--to", "5000")
     assert (code, out, err) == (130, "", "pellprime: interrupted\n")
@@ -345,10 +345,10 @@ def test_a_worker_ignores_sigint_and_is_ended_by_sigterm():
     # Ctrl-C, which reaches the whole process group, as the CLI kills the
     # workers itself; and it dies at once of SIGTERM, not by the CLI's
     # handler.
-    search._close_pool()
+    scan._close_pool()
     previous = signal.signal(signal.SIGTERM, cli._terminate)
     try:
-        worker, conn = search._pool(2)[0]
+        worker, conn = scan._pool(2)[0]
     finally:
         signal.signal(signal.SIGTERM, previous)
     try:
@@ -357,12 +357,12 @@ def test_a_worker_ignores_sigint_and_is_ended_by_sigterm():
                   sieve.sieve_limit(5000), 64)
         conn.send(stripe)
         assert conn.poll(60), "the worker sent nothing back"
-        assert conn.recv() == {5000: list(search._scan_stripe(*stripe))}
+        assert conn.recv() == {5000: list(scan._scan_stripe(*stripe))}
         os.kill(worker.pid, signal.SIGTERM)
         worker.join(10)
         assert worker.exitcode == -signal.SIGTERM
     finally:
-        search._close_pool()
+        scan._close_pool()
 
 
 def test_a_worker_signalled_as_it_starts_drops_sigint_and_dies_of_sigterm(
@@ -373,13 +373,13 @@ def test_a_worker_signalled_as_it_starts_drops_sigint_and_dies_of_sigterm(
     # handler, and neither prints a traceback (capfd sees the workers'
     # stderr too).
     stripe = ("lucas", {"P": 4, "Q": 1}, 3, 501, sieve.sieve_limit(501), 64)
-    expected = {501: list(search._scan_stripe(*stripe))}
+    expected = {501: list(scan._scan_stripe(*stripe))}
     try:
         for _ in range(20):
-            search._close_pool()
+            scan._close_pool()
             previous = signal.signal(signal.SIGTERM, cli._terminate)
             try:
-                (first, conn), (second, _) = search._pool(2)
+                (first, conn), (second, _) = scan._pool(2)
                 os.kill(first.pid, signal.SIGINT)
                 os.kill(second.pid, signal.SIGTERM)
             finally:
@@ -390,7 +390,7 @@ def test_a_worker_signalled_as_it_starts_drops_sigint_and_dies_of_sigterm(
             second.join(10)
             assert second.exitcode == -signal.SIGTERM
     finally:
-        search._close_pool()
+        scan._close_pool()
     assert "Traceback" not in capfd.readouterr().err
 
 

@@ -69,7 +69,7 @@ def test_only_the_scan_imports_the_sieve():
     # The scan builds the sieve's record, and its stripe kernel is the only
     # code that settles verdicts from it.
     for path in SRC.glob("*.py"):
-        if path.name != "search.py":
+        if path.name != "scan.py":
             assert "sieve" not in _imports(path), path
 
 
@@ -78,9 +78,9 @@ def test_only_the_scan_imports_the_kernel():
     # scan calls and which reads the sieve's record only through the public
     # methods of the Segment the scan hands it.
     for path in SRC.glob("*.py"):
-        if path.name != "search.py":
+        if path.name != "scan.py":
             assert "kernel" not in _imports(path), path
-    assert not _imports(SRC / "kernel.py") & {"sieve", "search"}
+    assert not _imports(SRC / "kernel.py") & {"sieve", "search", "scan"}
 
 
 def _segment_calls(tree):
@@ -103,7 +103,7 @@ def test_only_the_sieve_builds_a_sieve_record():
                 if isinstance(node, ast.Attribute)}
         assert not read & private, path
         built = len(_segment_calls(tree))
-        if path.name == "search.py":
+        if path.name == "scan.py":
             (stripe,) = [node for node in ast.walk(tree)
                          if isinstance(node, ast.FunctionDef)
                          and node.name == "_scan_stripe"]
@@ -154,11 +154,12 @@ def test_package_exports_what_the_readme_uses():
 # Run in a fresh ``python -S``: without ``site``, whose .pth files may
 # import typing, the interpreter loads only what the package asks for.
 # VERDICT_METHODS are the nine tests bench/run.py builds for its set-up
-# time.
+# time.  The first scan runs with jobs sys.argv[1], the second with the
+# other of 1 and 2.
 IMPORT_PATH = """\
 import json, sys, threading
 import pellprime, pellprime.cli
-from pellprime.search import build_test, scan_range
+from pellprime.search import build_test
 VERDICT_METHODS = [
     ("fermat", {"a": 2}), ("strong-base", {"a": 2}),
     ("lucas", {"selfridge": True}), ("double-lucas", {"selfridge": True}),
@@ -167,34 +168,87 @@ VERDICT_METHODS = [
     ("gen-pell", {"selfridge": True}), ("pell-variant", {})]
 for method, params in VERDICT_METHODS:
     build_test(method, params)[0](2**61 + 1)
-engine = ("pellprime.kernel", "pellprime.sieve")
-heavy = ("multiprocessing", "concurrent.futures.process", "dataclasses",
-         "inspect", "typing", *engine)
+engine = ("pellprime.scan", "pellprime.kernel", "pellprime.sieve")
+heavy = ("csv", "multiprocessing", "concurrent.futures.process",
+         "dataclasses", "inspect", "typing", *engine)
 loaded = [name for name in heavy if name in sys.modules]
-scan = ("lucas", {"selfridge": True}, 3, 20000)
-pooled = scan_range(*scan, jobs=2, chunk_odds=512)
+scan, jobs = ("lucas", {"selfridge": True}, 3, 20000), int(sys.argv[1])
+first = pellprime.scan_range(*scan, jobs=jobs, chunk_odds=512)
+engine_loaded = [name for name in engine if name in sys.modules]
+pool_loaded = "multiprocessing" in sys.modules
+second = pellprime.scan_range(*scan, jobs=3 - jobs, chunk_odds=512)
 print(json.dumps({
-    "loaded": loaded, "pool_loaded": "multiprocessing" in sys.modules,
-    "engine_loaded": [name for name in engine if name in sys.modules],
+    "loaded": loaded, "pool_loaded": pool_loaded,
+    "engine_loaded": engine_loaded,
     "threads": threading.active_count(),
     "futures_loaded": "concurrent.futures" in sys.modules,
-    "pooled": pooled.canonical_json(),
-    "alone": scan_range(*scan, jobs=1, chunk_odds=512).canonical_json()}))
+    "first": first.canonical_json(), "second": second.canonical_json()}))
 """
 
 
-def test_a_single_test_loads_no_pool_dataclasses_or_typing():
+def _fresh(code: str, *argv: str) -> dict:
+    """The JSON that code prints in a fresh ``python -S`` with this tree's
+    package on its path."""
     env = os.environ | {"PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, "-S", "-c", IMPORT_PATH], env=env,
+    done = subprocess.run([sys.executable, "-S", "-c", code, *argv], env=env,
                           capture_output=True, text=True, timeout=120,
                           check=True)
-    seen = json.loads(done.stdout)
-    assert seen["loaded"] == []
-    # The scan engine loads at the first scan, in this process before the
-    # pool forks, though only the workers scan.
-    assert seen["engine_loaded"] == ["pellprime.kernel", "pellprime.sieve"]
-    # A scan that fans out loads the pool, and its report is one process's;
-    # it leaves no thread behind and loads no concurrent.futures.
-    assert seen["pool_loaded"]
-    assert seen["threads"] == 1 and not seen["futures_loaded"]
-    assert seen["pooled"] == seen["alone"]
+    return json.loads(done.stdout)
+
+
+def test_a_single_test_loads_no_pool_dataclasses_or_typing():
+    for jobs in (1, 2):
+        seen = _fresh(IMPORT_PATH, str(jobs))
+        assert seen["loaded"] == [], jobs
+        # The scan module and the engine load at the first scan, in this
+        # process (before the pool forks, at jobs=2, though only the
+        # workers scan).  Only a scan that fans out loads the pool.
+        assert seen["engine_loaded"] == [
+            "pellprime.scan", "pellprime.kernel", "pellprime.sieve"], jobs
+        assert seen["pool_loaded"] == (jobs == 2)
+        # A pooled scan's report is one process's; it leaves no thread
+        # behind and loads no concurrent.futures.
+        assert seen["threads"] == 1 and not seen["futures_loaded"]
+        assert seen["first"] == seen["second"]
+
+
+def test_search_and_the_package_hand_out_the_scan_s_own_names():
+    from pellprime import scan, search
+
+    for module, names in ((search, search._SCAN_NAMES),
+                          (pellprime, ("grid_scan", "scan_range"))):
+        for name in names:
+            assert getattr(module, name) is getattr(scan, name), name
+        for name in module.__all__:
+            assert hasattr(module, name), (module.__name__, name)
+
+
+# In a fresh interpreter, the names the two modules do not hand out, and
+# the __path__ that "from pellprime.search import ..." asks search for,
+# raise AttributeError and load no scan module.
+UNKNOWN_NAMES = """\
+import json, sys
+import pellprime
+from pellprime import search
+from pellprime.search import build_test
+asked = [(pellprime, "no_such_name"), (pellprime, "ScanReport"),
+         (pellprime, "_scan_stripe"), (search, "__path__"),
+         (search, "no_such_name"), (search, "GridReport"),
+         (search, "_scan_stripe"), (search, "KERNEL_ODDS")]
+raised = []
+for module, name in asked:
+    try:
+        getattr(module, name)
+    except AttributeError as exc:
+        raised.append(str(exc))
+print(json.dumps({"raised": raised, "asked": len(asked),
+                  "scan_loaded": "pellprime.scan" in sys.modules}))
+"""
+
+
+def test_an_unknown_name_raises_and_loads_no_scan():
+    seen = _fresh(UNKNOWN_NAMES)
+    assert len(seen["raised"]) == seen["asked"]
+    assert "module 'pellprime.search' has no attribute '__path__'" in (
+        seen["raised"])
+    assert not seen["scan_loaded"]

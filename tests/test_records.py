@@ -16,7 +16,7 @@ from pellprime.conic import ConicParams
 from pellprime.modarith import Factor
 from pellprime.primality import Outcome, Verdict, strong_pell_test_param
 from pellprime.recurrence import LucasParams, MatrixParams
-from pellprime.search import GridReport, ScanReport
+from pellprime.scan import GridReport, ScanReport
 from pellprime.selectors import _tested
 
 STATS = {"tested": 49, "probable_prime": 25, "composite": 24,

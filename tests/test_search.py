@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import STAT_KEYS, reference_scan
-from pellprime import kernel, primality, recurrence, search, selectors
+from pellprime import primality, recurrence, scan, search, selectors
 from pellprime.kernel import members
 from pellprime.primality import Outcome
 from pellprime.search import (
@@ -229,6 +229,21 @@ def test_built_tests_call_the_module_globals_a_tracer_swaps(monkeypatch):
         assert calls == Counter(called), method
 
 
+def test_the_scan_asks_the_oracle_through_search(monkeypatch):
+    # bench/tracing.py times the oracle by swapping search.is_prime, so the
+    # scan module must look it up there for each n its sieve cannot decide
+    # (above 2**40, a passer with no recorded factor).
+    asked, is_prime = [], search.is_prime
+
+    def counted(n):
+        asked.append(n)
+        return is_prime(n)
+    monkeypatch.setattr(search, "is_prime", counted)
+    lo = 2**41 + 1
+    report = scan_range("fermat", {"a": 2}, lo, lo + 2 * 511, chunk_odds=64)
+    assert 0 < len(asked) <= report.stats["probable_prime"]
+
+
 def test_scan_range_lucas_example_list():
     report = scan_range("lucas", {"P": 4, "Q": 1}, 3, 5000)
     assert report.pseudoprimes == LUCAS_4_1
@@ -259,9 +274,24 @@ def test_scan_range_rejects_jobs_and_chunk_odds_that_are_not_ints():
             scan_range("lucas", {"P": 4, "Q": 1}, 3, 100, **kwargs)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: scan_range("lucas", {"selfridge": True}, True, 1001),
+    lambda: scan_range("lucas", {"selfridge": True}, 3, True),
+    lambda: scan_range("lucas", {"selfridge": True}, 3, 1001, jobs=True),
+    lambda: scan_range("lucas", {"selfridge": True}, 3, 1001,
+                       chunk_odds=True),
+    lambda: grid_scan("lucas", [1], [-1], True),
+    lambda: grid_scan("lucas", [1], [-1], 1001, jobs=True),
+], ids=["lo", "hi", "jobs", "chunk_odds", "grid-limit", "grid-jobs"])
+def test_a_bool_for_a_scan_bound_or_size_is_rejected(call):
+    # A bool is an int to isinstance: jobs=True and chunk_odds=True ran as 1.
+    with pytest.raises(ValueError, match="must be ints"):
+        call()
+
+
 class _InProcessWorker:
     """Stands in for a worker's pipe: scans each stripe it was sent, in this
-    process, when its results are received, and answers as search._serve
+    process, when its results are received, and answers as scan._serve
     does."""
 
     def __init__(self):
@@ -272,12 +302,12 @@ class _InProcessWorker:
 
     def recv(self):
         args = self.stripes.pop(0)
-        return {args[3]: list(search._scan_stripe(*args))}
+        return {args[3]: list(scan._scan_stripe(*args))}
 
 
 @pytest.fixture
 def in_process_pool(monkeypatch):
-    """Swaps search._pool for one that starts no process, whose workers scan
+    """Swaps scan._pool for one that starts no process, whose workers scan
     in this process, and the wait for a worker's answer for one that takes
     each worker that holds a stripe; returns the worker counts asked for."""
     opened = []
@@ -285,7 +315,7 @@ def in_process_pool(monkeypatch):
     def pool(workers):
         opened.append(workers)
         return [(None, _InProcessWorker()) for _ in range(workers)]
-    monkeypatch.setattr(search, "_pool", pool)
+    monkeypatch.setattr(scan, "_pool", pool)
     monkeypatch.setattr(multiprocessing.connection, "wait",
                         lambda conns: [c for c in conns if c.stripes])
     return opened
@@ -336,7 +366,7 @@ def test_a_pooled_scan_matches_one_process_and_hands_back_no_ranks(
     # started from (the one cache of the checker and the probe).  The pool is
     # closed before and after, so that the scan starts its own workers and
     # no later scan reuses them.
-    search._close_pool()
+    scan._close_pool()
     if start_method is not None:
         context = multiprocessing.get_context(start_method)
         monkeypatch.setattr(multiprocessing, "Process", context.Process)
@@ -345,10 +375,10 @@ def test_a_pooled_scan_matches_one_process_and_hands_back_no_ranks(
         recurrence._pair_tables.__wrapped__))
     try:
         pooled = scan_range(*POOLED_SCAN, jobs=2, chunk_odds=512)
-        started = [type(worker) for worker, _ in search._farm]
+        started = [type(worker) for worker, _ in scan._farm]
         assert started == [multiprocessing.Process] * 2
     finally:
-        search._close_pool()
+        scan._close_pool()
     assert recurrence._pair_tables.cache_info().currsize == 0
     alone = scan_range(*POOLED_SCAN, jobs=1, chunk_odds=512)
     assert pooled.canonical_json() == alone.canonical_json()
@@ -362,7 +392,7 @@ def test_pool_is_kept_between_calls_and_replaced_when_its_size_changes():
     for jobs in (2, 1, 2, 3):
         report = scan_range(*POOLED_SCAN, jobs=jobs, chunk_odds=512)
         assert report.canonical_json() == alone
-        held.append(({w.pid for w, _ in search._farm},
+        held.append(({w.pid for w, _ in scan._farm},
                      {p.pid for p in multiprocessing.active_children()}))
     (two, workers), (one, _), (two_again, workers_again), (three, _) = held
     assert len(two) == 2 and one == two == two_again == workers
@@ -373,14 +403,14 @@ def test_pool_is_kept_between_calls_and_replaced_when_its_size_changes():
 def test_grid_scan_opens_one_pool_for_all_its_cells(monkeypatch):
     # Up to 140000 the sieve limit is 374 and a stripe is one chunk of 2**16
     # odd n, so each cell scans two stripes, on the same two workers.
-    search._close_pool()
-    seen, pool = [], search._pool
+    scan._close_pool()
+    seen, pool = [], scan._pool
 
     def recorded(workers):
         farm = pool(workers)
         seen.append([w.pid for w, _ in farm])
         return farm
-    monkeypatch.setattr(search, "_pool", recorded)
+    monkeypatch.setattr(scan, "_pool", recorded)
     axes = ([1, 3], [-1, 2], 140_000)
     pooled = grid_scan("lucas", *axes, jobs=2)
     assert len(seen) == 4 and len(seen[0]) == 2
@@ -398,7 +428,7 @@ DYING_SCAN = ("lucas", {"P": 4, "Q": 1}, 3, 6 * 2**15 + 2)
 
 def _worker_pid() -> int:
     """The pid of a worker of this process's pool of 2, started if need be."""
-    return search._pool(2)[0][0].pid
+    return scan._pool(2)[0][0].pid
 
 
 def _assert_gone(pids: list[int]) -> None:
@@ -449,21 +479,21 @@ def test_a_failed_pooled_scan_leaves_no_pool_behind(tmp_path, failure,
                    on_pseudoprime=fail)
     if failure == "worker-killed":
         assert str(caught.value) == f"scan worker {worker} died (exit code -9)"
-    assert search._farm == []
+    assert scan._farm == []
     pooled = scan_range(*DYING_SCAN, jobs=2, chunk_odds=64)
     alone = scan_range(*DYING_SCAN, jobs=1, chunk_odds=64)
     assert pooled.canonical_json() == alone.canonical_json()
 
 
 def test_a_worker_that_died_while_idle_does_not_fail_the_next_scan():
-    old = {w.pid for w, _ in search._pool(2)}
+    old = {w.pid for w, _ in scan._pool(2)}
     pid = _worker_pid()
     os.kill(pid, signal.SIGKILL)
     os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, not reaped
     pooled = scan_range(*DYING_SCAN, jobs=2, chunk_odds=64)
     alone = scan_range(*DYING_SCAN, jobs=1, chunk_odds=64)
     assert pooled.canonical_json() == alone.canonical_json()
-    assert not old & {w.pid for w, _ in search._farm}
+    assert not old & {w.pid for w, _ in scan._farm}
 
 
 def test_no_pool_worker_outlives_its_interpreter():
@@ -493,7 +523,7 @@ def test_a_multiprocessing_child_starts_its_own_pool_and_exits(start_method):
     # This process's pool is live.  A forked child starts without it, so it
     # starts its own, and ends its workers when it exits.
     scan_range(*POOLED_SCAN, jobs=2, chunk_odds=512)
-    assert len(search._farm) == 2
+    assert len(scan._farm) == 2
     ours, theirs = multiprocessing.Pipe()
     child = multiprocessing.get_context(start_method).Process(
         target=_scan_in_child, args=(theirs,))
@@ -543,7 +573,7 @@ def test_scan_is_deterministic_where_stripes_hold_many_chunks(method):
     assert a.stats["sieved"] > 0
     assert a.canonical_json() == b.canonical_json()
     # Chunks in the middle of one stripe, against the brute-force scan.
-    chunks = list(search._scan_stripe(
+    chunks = list(scan._scan_stripe(
         method, params, lo, lo + 40 * 2 * chunk_odds - 1, sieve_limit(hi),
         chunk_odds))
     assert len(chunks) == 40
@@ -636,7 +666,7 @@ def test_a_stripe_reports_each_chunk_as_the_brute_force_scan_does(method,
     rng = random.Random(f"stripe/{method}/{sorted(params.items())}")
     for lo, hi, chunk_odds in many_chunk_stripes(rng):
         limit = sieve_limit(rng.randint(hi, 2 * hi))
-        chunks = list(search._scan_stripe(method, params, lo, hi, limit,
+        chunks = list(scan._scan_stripe(method, params, lo, hi, limit,
                                           chunk_odds))
         assert len(chunks) == -(-((hi - lo) // 2 + 1) // chunk_odds) > 1
         a = lo
@@ -651,24 +681,24 @@ def test_the_kernel_runs_once_per_stripe(monkeypatch, in_process_pool):
     # The benchmark's windows, in chunks of 2**11 odd n: gen-pell+Selfridge
     # near 2**34, 2**14 odd n at jobs=1, is one stripe; matrix+Selfridge
     # near 2**23, 2**15 odd n at jobs=2, is two stripes of 2**14 odd n.
-    calls, settle = [], kernel.settle
+    calls, settle = [], scan.settle
 
     def counted(bulk, segment, lo, size, *walked):
         calls.append(size)
         return settle(bulk, segment, lo, size, *walked)
-    monkeypatch.setattr(kernel, "settle", counted)
+    monkeypatch.setattr(scan, "settle", counted)
     for method, lo, odds, jobs in [("gen-pell", 2**34 + 1, 2**14, 1),
                                    ("matrix", 2**23 + 1, 2**15, 2)]:
         calls.clear()
         report = scan_range(method, {"selfridge": True}, lo,
                             lo + 2 * (odds - 1), jobs=jobs, chunk_odds=2**11)
-        assert calls == [search.KERNEL_ODDS] * jobs
+        assert calls == [scan.KERNEL_ODDS] * jobs
         assert report.stats["tested"] == odds
     assert in_process_pool == [2]
 
 
-@pytest.mark.parametrize("chunk_odds", [search.KERNEL_ODDS,
-                                        search.KERNEL_ODDS + 1, 2**16])
+@pytest.mark.parametrize("chunk_odds", [scan.KERNEL_ODDS,
+                                        scan.KERNEL_ODDS + 1, 2**16])
 @pytest.mark.parametrize("lo, hi", [(3, 10**7), (10**12 + 1, 10**12 + 10**8),
                                     (2**40 - 10**7, 2**40 + 10**7)])
 def test_chunks_of_kernel_odds_or_more_keep_the_sieve_s_stripes(
@@ -683,7 +713,7 @@ def test_chunks_of_kernel_odds_or_more_keep_the_sieve_s_stripes(
         assert odds == chunk_odds and limit == sieve_limit(hi)
         cut.append((a, b))
         return iter([(b, [], {})])
-    monkeypatch.setattr(search, "_scan_stripe", recorded)
+    monkeypatch.setattr(scan, "_scan_stripe", recorded)
     width = -(-sieve_limit(hi) // (2 * chunk_odds)) * 2 * chunk_odds
     expected = [(a, min(a + width - 1, hi))
                 for a in range(lo | 1, hi + 1, width)]

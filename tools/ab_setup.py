@@ -15,8 +15,10 @@ the tree that goes first alternating between rounds, in two modes:
 Each tree's ``pellprime`` package is copied, without its ``__pycache__``,
 to a temporary directory for each mode, so nothing is written to the
 trees given.  One untimed start of each copy runs before the rounds.  It
-prints, per mode, each side's median and quartiles in ms, the change of
-the median, and in how many rounds NEW started faster:
+prints first, per tree, the ``pellprime`` modules its set-up left loaded,
+so that a module that came back to start-up shows by name; then, per
+mode, each side's median and quartiles in ms, the change of the median,
+and in how many rounds NEW started faster:
 
     python3 tools/ab_setup.py OLD_SRC NEW_SRC [--rounds R]  (R = 21)
 
@@ -44,7 +46,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-# bench/run.py's SETUP_CODE, with the source directory passed in.
+# bench/run.py's SETUP_CODE, with the source directory passed in, and
+# then, untimed, the package's modules it left loaded.
 SETUP_CODE = """\
 import sys, time
 t0 = time.perf_counter()
@@ -54,6 +57,7 @@ import json
 for method, params in json.loads(sys.argv[2]):
     build_test(method, params)
 print(time.perf_counter() - t0)
+print(*sorted(name for name in sys.modules if name.startswith("pellprime")))
 """
 # The verdicts-62bit workload's methods, as bench/run.py builds them.
 VERDICT_METHODS = [
@@ -65,14 +69,16 @@ VERDICT_METHODS = [
 MODES = {"nocache": {"PYTHONDONTWRITEBYTECODE": "1"}, "cached": {}}
 
 
-def _start(src: Path, env: dict) -> float:
-    """One fresh interpreter's set-up time, in seconds."""
+def _start(src: Path, env: dict) -> tuple[float, str]:
+    """One fresh interpreter's set-up time, in seconds, and the package's
+    modules it left loaded."""
     done = subprocess.run(
         [sys.executable, "-c", SETUP_CODE, str(src),
          json.dumps(VERDICT_METHODS)],
         cwd=src, env=env, check=True, capture_output=True, text=True,
         timeout=120)
-    return float(done.stdout)
+    elapsed, loaded = done.stdout.splitlines()
+    return float(elapsed), loaded
 
 
 def _summary(times: list[float]) -> str:
@@ -91,12 +97,14 @@ def compare(old: Path, new: Path, rounds: int, tmp: Path) -> None:
             copy = tmp / mode / side
             shutil.copytree(src / "pellprime", copy / "pellprime",
                             ignore=shutil.ignore_patterns("__pycache__"))
-            _start(copy, env)
+            _, loaded = _start(copy, env)
+            if mode == "nocache":
+                print(f"{side} loads {loaded}", flush=True)
             copies.append(copy)
         times: tuple[list[float], list[float]] = ([], [])
         for r in range(rounds):
             for side in ((0, 1) if r % 2 == 0 else (1, 0)):
-                times[side].append(_start(copies[side], env))
+                times[side].append(_start(copies[side], env)[0])
         wins = sum(b < a for a, b in zip(*times))
         change = statistics.median(times[1]) / statistics.median(times[0]) - 1
         print(f"{mode:8} old {_summary(times[0])}  new {_summary(times[1])}"

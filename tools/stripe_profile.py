@@ -2,11 +2,12 @@
 
 A stripe is what one process scans with one :class:`Segment` and one
 call each of the kernel's ``walk`` and ``settle``
-(``search._scan_stripe``).  Its CPU time splits into four phases:
+(``scan._scan_stripe``).  Its CPU time splits into four phases:
 building the ``Segment``, the ``walk`` call, the ``settle`` call, and the
 rest (the per-n test on what the kernel leaves, and each chunk's counts).
-Each phase is timed by swapping the name ``search._scan_stripe`` imports
-from ``sieve`` or ``kernel`` for a timing wrapper.  The shapes are
+Each phase is timed by swapping the name ``Segment``, ``walk`` or
+``settle`` in ``pellprime.scan``, which ``_scan_stripe`` reads, for a
+timing wrapper.  The shapes are
 
 * ``genpell-2^34``: gen-pell+Selfridge, stripes of 2**14 odd n from 2**34,
   in chunks of 2**11 (the ``scan-genpell`` benchmark's windows);
@@ -20,8 +21,7 @@ then PASSES more times, timing each stripe's phases with
 ``time.process_time``; a line holds each phase's median over those
 stripes, in ms.  The sieve limit is that of a scan ending at the stripe.
 The package comes from PYTHONPATH, so this one copy of the script can
-profile any tree whose ``_scan_stripe`` imports those names when it runs
-(a tree that binds them in ``search`` at import is not timed by phase):
+profile any tree with a ``pellprime.scan`` module that binds those names:
 
     PYTHONPATH=src python3 tools/stripe_profile.py [PASSES]
 """
@@ -33,7 +33,7 @@ import sys
 from statistics import median
 from time import process_time
 
-from pellprime import kernel, search, sieve
+from pellprime import scan
 
 SELFRIDGE = {"selfridge": True}
 # (name, method, first n, odd n per stripe, chunk_odds)
@@ -57,25 +57,25 @@ def _timed(fn, sink: list[float]):
 def profile(method: str, lo: int, odds: int, chunk_odds: int,
             passes: int) -> dict[str, float]:
     """Median CPU ms per stripe of each phase, over passes warm passes."""
-    phases = {name: (module, getattr(module, name)) for module, name in
-              ((sieve, "Segment"), (kernel, "walk"), (kernel, "settle"))}
-    windows = [(a, a + 2 * odds - 2, sieve.sieve_limit(a + 2 * odds - 2))
+    phases = {name: getattr(scan, name) for name in ("Segment", "walk",
+                                                       "settle")}
+    windows = [(a, a + 2 * odds - 2, scan.sieve_limit(a + 2 * odds - 2))
                for a in range(lo, lo + WINDOWS * 2 * odds, 2 * odds)]
     times: dict[str, list[float]] = {name: [] for name in phases}
     totals: list[float] = []
-    for name, (module, fn) in phases.items():
-        setattr(module, name, _timed(fn, times[name]))
+    for name, fn in phases.items():
+        setattr(scan, name, _timed(fn, times[name]))
     try:
         for _ in range(passes + 1):
             for a, b, limit in windows:
                 start = process_time()
-                for _ in search._scan_stripe(method, SELFRIDGE, a, b, limit,
-                                             chunk_odds):
+                for _ in scan._scan_stripe(method, SELFRIDGE, a, b, limit,
+                                           chunk_odds):
                     pass
                 totals.append(process_time() - start)
     finally:
-        for name, (module, fn) in phases.items():
-            setattr(module, name, fn)
+        for name, fn in phases.items():
+            setattr(scan, name, fn)
     # The first pass only warms the rank tables.
     warm = slice(WINDOWS, None)
     times = {name: spent[warm] for name, spent in times.items()}
